@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gaussian_bound, kleingordon, potentials, salpeter
 from .gaussian_bound import CouplingOutOfRange
-from .kleingordon import KgStatus
+from .kleingordon import KgStatus, NonBindingSearchError
 from .potentials import Kind, PotentialSpec
 from .radial_schrodinger import GridConfig, NoBoundState, NonConvergence
 
@@ -103,6 +103,11 @@ class SweepConfig:
         if self.r_max is None:
             raise ConfigError("grid_points override requires r_max as well")
         return GridConfig(self.r_max, self.grid_points or 4096)
+
+    def basis_override(self, spec: PotentialSpec, m: float) -> salpeter.BasisConfig | None:
+        if self.basis_size is None:
+            return None
+        return salpeter.BasisConfig(salpeter.default_box_radius(spec, m), self.basis_size)
 
     def effective_threads(self) -> int:
         env = os.environ.get("SALPETER_THREADS")
@@ -223,10 +228,7 @@ def _bounds_row(cfg: SweepConfig, v: float, m: float) -> BoundsRow:
     if sol.status is not KgStatus.BOUND:
         return BoundsRow(v, m, None, None, None, sol.e0, None, sol.status.value)
     try:
-        basis = None
-        if cfg.basis_size is not None:
-            basis = salpeter.BasisConfig(salpeter.default_box_radius(spec, m), cfg.basis_size)
-        srs = salpeter.ground_energy(spec, m, cfg=basis)
+        srs = salpeter.ground_energy(spec, m, cfg=cfg.basis_override(spec, m))
         e_srs = srs.E
     except NonConvergence:
         return BoundsRow(v, m, sol.e, None, None, sol.e0, sol.delta_at_e, "error")
@@ -348,10 +350,7 @@ def _cmd_salpeter(cfg: SweepConfig, out=None) -> int:
         out = sys.stdout
     spec = cfg.potential(cfg.single_coupling())
     m = cfg.single_mass()
-    basis = None
-    if cfg.basis_size is not None:
-        basis = salpeter.BasisConfig(salpeter.default_box_radius(spec, m), cfg.basis_size)
-    sol = salpeter.ground_energy(spec, m, cfg=basis)
+    sol = salpeter.ground_energy(spec, m, cfg=cfg.basis_override(spec, m))
     print(f"E={sol.E:.12g}", file=out)
     print(f"converged={sol.converged}", file=out)
     print(f"basis_tail={sol.basis_tail:.3e}", file=out)
@@ -420,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (NoBoundState, NonConvergence, CouplingOutOfRange, ValueError) as exc:
+    except (NoBoundState, NonConvergence, NonBindingSearchError, CouplingOutOfRange, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

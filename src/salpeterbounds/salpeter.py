@@ -11,6 +11,18 @@ Coulomb kind (the bare cosine integrals diverge; the constants cancel in the
 difference).  The integrals share one composite Gauss-Legendre mesh fine
 enough for the fastest mode, so assembly is deterministic and spectrally
 accurate.
+
+All 2N + 1 moments come from one blocked product rather than a loop over n.
+With B = ceil(sqrt(2N + 1)) and n = qB + j (0 <= j < B),
+
+    cos(n theta) = cos(qB theta) cos(j theta) - sin(qB theta) sin(j theta),
+
+so the weighted sums over the nodes are two (Q x nodes) @ (nodes x B) matrix
+products, and only about 2 sqrt(2N) cosines and sines are taken per node
+instead of 2N + 1.  The nodes are visited in fixed chunks so that no
+nodes x modes table is ever held; the "-1" is applied once at the end as the
+plain weighted sum.  The potential matrix is then built from two strided
+views of D (a Toeplitz and a Hankel part) with a single N x N subtraction.
 """
 
 from __future__ import annotations
@@ -19,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh
 
@@ -31,6 +44,8 @@ _DEFAULT_N = 256
 _BOX_FLOOR = 30.0
 _BOX_CAP = 800.0
 _TAIL_EPS = 1e-12
+# quadrature nodes per block of the moment products
+_MOMENT_CHUNK = 4096
 
 DOUBLING_TOL = 1e-7
 
@@ -82,6 +97,33 @@ def _mesh(r_max: float, quad_points: int):
     return r, wt
 
 
+def _cosine_moments(base: np.ndarray, theta: np.ndarray, count: int) -> np.ndarray:
+    """sum_i base_i (cos(n theta_i) - 1) for n = 0 .. count - 1."""
+    block = math.isqrt(count - 1) + 1
+    rows = -(-count // block)
+    slow = block * np.arange(rows)
+    fast = np.arange(block)
+    acc = np.zeros((rows, block))
+    for start in range(0, theta.size, _MOMENT_CHUNK):
+        t = theta[start:start + _MOMENT_CHUNK]
+        b = base[start:start + _MOMENT_CHUNK]
+        slow_t = np.multiply.outer(slow, t)
+        fast_t = np.multiply.outer(t, fast)
+        acc += (b * np.cos(slow_t)) @ np.cos(fast_t)
+        acc -= (b * np.sin(slow_t)) @ np.sin(fast_t)
+    # row q = 0, column j = 0 is the plain weighted sum, which the "-1" removes
+    moments = acc.ravel()[:count]
+    return moments - moments[0]
+
+
+def _potential_matrix(d: np.ndarray) -> np.ndarray:
+    """V_jk = d[|j-k|] - d[j+k] for modes j, k = 1 .. N, from len(d) = 2N + 1."""
+    n = (d.size - 1) // 2
+    toeplitz = sliding_window_view(np.concatenate((d[n - 1:0:-1], d[:n])), n)[::-1]
+    hankel = sliding_window_view(d[2:], n)
+    return toeplitz - hankel
+
+
 def ground_energy_at(
     spec: PotentialSpec | None,
     m: float,
@@ -108,13 +150,12 @@ def ground_energy_at(
     r, wt = _mesh(cfg.box_radius, cfg.quad_points)
     v_vals = potentials.evaluate(spec, r)
     theta = np.pi * r / cfg.box_radius
-    base = wt * v_vals
-    d = np.empty(2 * n + 1)
-    for k in range(2 * n + 1):
-        d[k] = np.dot(base, np.cos(k * theta) - 1.0) / cfg.box_radius
-    h_mat = d[np.abs(modes[:, None] - modes[None, :])] - d[modes[:, None] + modes[None, :]]
+    d = _cosine_moments(wt * v_vals, theta, 2 * n + 1) / cfg.box_radius
+    h_mat = _potential_matrix(d)
     h_mat[np.diag_indices(n)] += kinetic
-    w, vec = eigh(h_mat, subset_by_index=[0, 0])
+    # H is symmetric, so its transpose is the same matrix in the Fortran
+    # order that LAPACK can overwrite without making a copy first
+    w, vec = eigh(h_mat.T, subset_by_index=[0, 0], overwrite_a=True)
     coeffs = vec[:, 0]
     if coeffs[np.argmax(np.abs(coeffs))] < 0:
         coeffs = -coeffs

@@ -7,6 +7,7 @@ closed forms, and scipy.integrate.quad only.
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import jv
 
 
@@ -58,3 +59,16 @@ def coulomb_kg_energy(v: float, m: float) -> float:
     """Closed-form Klein-Gordon ground energy for -v/r: m / sqrt(1 + v^2/gamma^2)."""
     gamma = 0.5 + math.sqrt(0.25 - v * v)
     return m / math.sqrt(1.0 + (v / gamma) ** 2)
+
+
+def cosine_moment(f, r_max: float, n: int) -> float:
+    """int_0^R f(r) (cos(n pi r / R) - 1) dr by quad, with QAWO for the cosine.
+
+    The cosine and plain integrals are taken separately, so f must be
+    integrable on [0, R]; the bare Coulomb -v/r is not.
+    """
+    if n == 0:
+        return 0.0
+    opts = {"epsabs": 1e-13, "epsrel": 0.0, "limit": 200}
+    wave = quad(f, 0.0, r_max, weight="cos", wvar=n * math.pi / r_max, **opts)[0]
+    return wave - quad(f, 0.0, r_max, **opts)[0]

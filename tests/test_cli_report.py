@@ -285,6 +285,30 @@ class TestMainEntry:
         assert rc == 1
         assert "parametric span" in capsys.readouterr().err
 
+    def test_critical_search_failure_exits_cleanly(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.kleingordon, "_existence_at", lambda *args: False)
+        rc = cli.main(["critical", "--set", "potential=exponential", "--set", "m=1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: no binding found up to v = ")
+
+    @pytest.mark.parametrize("command", ["bounds", "salpeter"])
+    def test_basis_size_override(self, command, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_ground_energy(spec, m, cfg=None):
+            seen.append(cfg)
+            return cli.salpeter.SalpeterSolution(E=0.99, m=m, basis_tail=0.0, converged=True)
+
+        monkeypatch.setattr(cli.salpeter, "ground_energy", fake_ground_energy)
+        rc = cli.main([
+            command, "--set", "potential=coulomb", "--set", "v=0.3", "--set", "m=1",
+            "--set", "basis_size=64", "--set", f"out={tmp_path / 'bounds.csv'}",
+        ])
+        assert rc == 0
+        (basis,) = seen
+        assert basis.basis_size == 64
+        assert basis.box_radius == cli.salpeter.default_box_radius(cli.potentials.coulomb(0.3), 1.0)
+
     def test_salpeter_single_point(self, capsys):
         rc = cli.main([
             "salpeter", "--set", "potential=exponential", "--set", "v=4.5", "--set", "m=1",

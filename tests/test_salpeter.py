@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import salpeterbounds as sb
+from oracles import cosine_moment
+from salpeterbounds import potentials, salpeter
 from salpeterbounds.radial_schrodinger import GridConfig, NonConvergence
 from salpeterbounds.salpeter import BasisConfig, default_box_radius
 
@@ -24,6 +26,46 @@ class TestBasisConfig:
     def test_rejects_bad_box(self):
         with pytest.raises(ValueError):
             BasisConfig(-5.0)
+
+
+def _moment_inputs(spec, n, r_box):
+    r, wt = salpeter._mesh(r_box, BasisConfig(r_box, n).quad_points)
+    return wt * potentials.evaluate(spec, r), np.pi * r / r_box
+
+
+def _looped_moments(base, theta, count):
+    """Reference: one cosine pass and dot product per moment."""
+    return np.array([np.dot(base, np.cos(k * theta) - 1.0) for k in range(count)])
+
+
+class TestCosineMoments:
+    N, R = 64, 30.0
+
+    @pytest.mark.parametrize("spec,shape", [
+        (sb.exponential(4.5), lambda r: -4.5 * math.exp(-r)),
+        (sb.woods_saxon(2.0), lambda r: -2.0 / (1.0 + math.exp((r - 1.0) / 0.2))),
+    ])
+    def test_quadrature_oracle(self, spec, shape):
+        moments = salpeter._cosine_moments(*_moment_inputs(spec, self.N, self.R), 2 * self.N + 1)
+        assert moments.shape == (2 * self.N + 1,)
+        for k in (0, 1, 17, 2 * self.N):
+            assert moments[k] == pytest.approx(cosine_moment(shape, self.R, k), abs=1e-12)
+
+    def test_coulomb_matches_loop(self):
+        # quad cannot take the bare -v/r apart from its cosine, so the
+        # per-moment loop is the reference here
+        base, theta = _moment_inputs(sb.coulomb(0.05), self.N, self.R)
+        count = 2 * self.N + 1
+        d_blocked = salpeter._cosine_moments(base, theta, count) / self.R
+        d_looped = _looped_moments(base, theta, count) / self.R
+        np.testing.assert_allclose(d_blocked, d_looped, rtol=0.0, atol=1e-15)
+
+    def test_strided_matrix_matches_fancy_index(self):
+        n = 37
+        d = np.random.default_rng(5).standard_normal(2 * n + 1)
+        modes = np.arange(1, n + 1)
+        fancy = d[np.abs(modes[:, None] - modes[None, :])] - d[modes[:, None] + modes[None, :]]
+        assert np.array_equal(salpeter._potential_matrix(d), fancy)
 
 
 class TestFreeBox:
