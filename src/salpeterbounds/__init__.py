@@ -20,6 +20,7 @@ from .kleingordon import (
     F,
     KgSolution,
     KgStatus,
+    NonBindingSearchError,
     SpectralCurvePoint,
     concavity_scan,
     critical_coupling_lower,
@@ -35,6 +36,7 @@ from .radial_schrodinger import (
     SchrodingerResult,
     expectation,
     lowest_eigenvalue,
+    neumann_eigenvalue,
 )
 from .salpeter import (
     BasisConfig,
@@ -56,6 +58,7 @@ __all__ = [
     "KgStatus",
     "Kind",
     "NoBoundState",
+    "NonBindingSearchError",
     "NonConvergence",
     "PotentialSpec",
     "SalpeterSolution",
@@ -76,6 +79,7 @@ __all__ = [
     "ground_energy_at",
     "j_integrals",
     "lowest_eigenvalue",
+    "neumann_eigenvalue",
     "optimal_curve",
     "rho",
     "solve",

@@ -327,8 +327,8 @@ def run_critical(cfg: SweepConfig, out=None) -> tuple[float, float]:
     lower = kleingordon.critical_coupling_lower(template, m, cfg.grid_override())
     upper = kleingordon.critical_coupling_upper(template, m, cfg.grid_override())
     print(f"potential={cfg.kind.value} m={m:.12g}", file=out)
-    print(f"binding_threshold_v={lower:.6f} (bisection tol {kleingordon.COUPLING_XTOL:g})", file=out)
-    print(f"supercritical_v={upper:.6f} (bisection tol {kleingordon.COUPLING_XTOL:g})", file=out)
+    print(f"binding_threshold_v={lower:.6f} (root tol {kleingordon.COUPLING_XTOL:g})", file=out)
+    print(f"supercritical_v={upper:.6f} (root tol {kleingordon.COUPLING_XTOL:g})", file=out)
     return lower, upper
 
 

@@ -5,13 +5,16 @@ F(e) is the lowest eigenvalue of the Schrodinger operator h(e); wherever it
 exists it is negative, decreasing and concave, and its slope satisfies
 F'(e) = 2 <V>.  A mass-m ground energy is the smallest e in (-m, m) with
 F(e) = e^2 - m^2.  Because dW/de = 2V <= 0, the set of e where h(e) binds
-is an interval stretching up from an existence edge e0 (where F -> 0), which
-makes the edge, the no-binding verdict and both critical couplings cheap to
-locate by bisection.
+is an interval stretching up from an existence edge e0 (where F -> 0).
+Every e is solved in one box that covers the range of V, closed by the
+exact exterior matching of radial_schrodinger.  Its signed Neumann
+eigenvalue is the binding test: the no-binding verdict is its sign, and
+the edge and both critical couplings are its roots, found by brentq.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -27,20 +30,17 @@ from .radial_schrodinger import (
     NoBoundState,
     expectation,
     lowest_eigenvalue,
+    neumann_eigenvalue,
 )
 
 WINDOW_MARGIN = 1e-6   # relative margin keeping the scan inside the open window
 SCAN_POINTS = 64
-ROOT_XTOL = 1e-10
-EDGE_XTOL = 1e-8       # existence-edge bisection; truncation limits accuracy anyway
-COUPLING_XTOL = 1e-6
+ROOT_XTOL = 1e-10      # intersections and the existence edge
+COUPLING_XTOL = 1e-9   # critical couplings
 
-_BOX_START = 30.0
-_BOX_CAP = 1200.0
-_H_EXIST = 0.05        # single-level spacing for existence probes
 _H_FAST = 0.05         # two-level spacing for scan-quality F values
 _H_FULL = 0.025        # three-level spacing for refined F values
-_TAIL_EPS = 1e-12
+_TAIL_EPS = 1e-12      # the box ends where |V| <= this
 _CURVE_SAMPLE_STRIDE = 4
 
 
@@ -98,15 +98,21 @@ def _coulomb_point(spec: PotentialSpec, e: float) -> SpectralCurvePoint:
 
 
 class _CurveEngine:
-    """Per-solve evaluator for one potential: adaptive boxes plus caching."""
+    """Per-solve evaluator for one potential, with one box for every e.
+
+    The box is [0, tail_radius(spec, 1e-12)], solved on a fast two-level
+    grid for scans and a full three-level grid for refined values; a
+    caller's grid override replaces both.
+    """
 
     def __init__(self, spec: PotentialSpec, grid: GridConfig | None = None):
         self.spec = spec
-        self.grid = grid
-        self.tail = potentials.tail_radius(spec, _TAIL_EPS)
-        self._exist_cache: dict[float, tuple[bool, float, float]] = {}
-        self._fast_cache: dict[float, float | None] = {}
-        self._full_cache: dict[float, float | None] = {}
+        if grid is None:
+            r_max = potentials.tail_radius(spec, _TAIL_EPS)
+            self.fast = self._grid(r_max, _H_FAST, levels=2)
+            self.full = self._grid(r_max, _H_FULL, levels=3)
+        else:
+            self.fast = self.full = grid
 
     def _w(self, e: float) -> Callable:
         spec = self.spec
@@ -116,69 +122,48 @@ class _CurveEngine:
         return W
 
     @staticmethod
-    def _npts(r_max: float, h: float, floor: int = 1024) -> int:
-        return max(floor, int(math.ceil(r_max / h)))
+    def _grid(r_max: float, h: float, levels: int) -> GridConfig:
+        # 64 is the fewest points GridConfig accepts
+        return GridConfig(r_max, max(64, math.ceil(r_max / h)), refinement_levels=levels)
 
-    def existence(self, e: float) -> tuple[bool, float, float]:
-        """Escalating-box probe: does h(e) have a negative eigenvalue?
+    def binding(self, e: float) -> float:
+        """Signed binding test of h(e): negative exactly when it binds."""
+        return neumann_eigenvalue(self._w(e), self.full)
 
-        Returns (exists, lowest eigenvalue at the deciding box, box radius).
+    def edge(self, lo: float, hi: float) -> float | None:
+        """Existence edge e0 in (lo, hi), or None when h(lo) binds already.
+
+        h(hi) must bind.
         """
-        if e in self._exist_cache:
-            return self._exist_cache[e]
-        W = self._w(e)
-        r_max = max(_BOX_START, self.tail)
-        while True:
-            cfg = GridConfig(r_max, self._npts(r_max, _H_EXIST), refinement_levels=1)
-            try:
-                res = lowest_eigenvalue(W, cfg)
-                out = (True, res.eigenvalue, r_max)
-                break
-            except NoBoundState as exc:
-                if 2.0 * r_max > _BOX_CAP:
-                    out = (False, exc.lowest if exc.lowest is not None else 0.0, r_max)
-                    break
-                r_max *= 2.0
-        self._exist_cache[e] = out
-        return out
+        binding = functools.cache(self.binding)
+        if binding(lo) < 0:
+            return None
+        return float(brentq(binding, lo, hi, xtol=ROOT_XTOL))
 
-    def _box_for(self, kappa: float) -> float:
-        return min(max(self.tail, 40.0 / max(kappa, 1e-12), _BOX_START), _BOX_CAP)
-
-    def _eigen(self, e: float, h: float, levels: int, want_result: bool):
-        if self.grid is not None:
-            cfg = self.grid
-        else:
-            exists, lam, _ = self.existence(e)
-            if not exists:
-                return None
-            kappa = math.sqrt(max(-lam, 1e-300))
-            r_max = self._box_for(kappa)
-            cfg = GridConfig(r_max, self._npts(r_max, h), refinement_levels=levels)
+    def f(self, e: float, grid: GridConfig) -> float | None:
+        """F(e) on one of the engine's grids, None where h(e) does not bind."""
         try:
-            res = lowest_eigenvalue(self._w(e), cfg)
+            return lowest_eigenvalue(self._w(e), grid).eigenvalue
         except NoBoundState:
             return None
-        return res if want_result else res.eigenvalue
-
-    def f_fast(self, e: float) -> float | None:
-        if e not in self._fast_cache:
-            self._fast_cache[e] = self._eigen(e, _H_FAST, 2, want_result=False)
-        return self._fast_cache[e]
-
-    def f_full(self, e: float) -> float | None:
-        if e not in self._full_cache:
-            self._full_cache[e] = self._eigen(e, _H_FULL, 3, want_result=False)
-        return self._full_cache[e]
 
     def point(self, e: float) -> SpectralCurvePoint:
-        res = self._eigen(e, _H_FULL, 3, want_result=True)
-        if res is None:
-            raise NoBoundState(f"h(e) has no bound state at e = {e}")
+        res = lowest_eigenvalue(self._w(e), self.full)
         spec = self.spec
         mean_v = expectation(res, lambda r: potentials.evaluate(spec, r))
         f_prime = 2.0 * mean_v
         return SpectralCurvePoint(e=e, F=res.eigenvalue, F_prime=f_prime, mean_V=mean_v, delta=e - 0.5 * f_prime)
+
+
+def _sample(point: Callable[[float], SpectralCurvePoint], e_values) -> list[SpectralCurvePoint]:
+    """point(e) for each e, skipping those where h(e) has no bound state."""
+    points = []
+    for e in e_values:
+        try:
+            points.append(point(e))
+        except NoBoundState:
+            continue
+    return points
 
 
 def F(spec: PotentialSpec, e: float, grid: GridConfig | None = None) -> SpectralCurvePoint:
@@ -200,44 +185,21 @@ def curve(spec: PotentialSpec, e_values, grid: GridConfig | None = None) -> list
     """Sample the spectral curve at the given e values, skipping the part
     of the axis where h(e) has no bound state.
 
-    Existence is monotone in e, so one bisection for the edge replaces a
-    per-point probe when part of the range is undefined.
+    Existence is monotone in e, so one root search for the edge e0 (the
+    zero of the signed binding test) replaces a per-point probe when part
+    of the range is undefined.
     """
     report = potentials.validate(spec, Theory.KLEIN_GORDON)
     if not report.accepted:
         raise ValueError(report.reason)
     e_values = sorted(float(e) for e in e_values)
     if spec.kind is Kind.COULOMB:
-        points = []
-        for e in e_values:
-            try:
-                points.append(_coulomb_point(spec, e))
-            except NoBoundState:
-                continue
-        return points
+        return _sample(lambda e: _coulomb_point(spec, e), e_values)
     engine = _CurveEngine(spec, grid)
-    if not engine.existence(e_values[-1])[0]:
+    if engine.binding(e_values[-1]) >= 0:
         return []
-    if engine.existence(e_values[0])[0]:
-        edge = None
-    else:
-        a, b = e_values[0], e_values[-1]
-        while b - a > EDGE_XTOL:
-            mid = 0.5 * (a + b)
-            if engine.existence(mid)[0]:
-                b = mid
-            else:
-                a = mid
-        edge = 0.5 * (a + b)
-    points = []
-    for e in e_values:
-        if edge is not None and e <= edge:
-            continue
-        try:
-            points.append(engine.point(e))
-        except NoBoundState:
-            continue
-    return points
+    e0 = engine.edge(e_values[0], e_values[-1])
+    return _sample(engine.point, [e for e in e_values if e0 is None or e > e0])
 
 
 def _solve_coulomb(spec: PotentialSpec, m: float) -> KgSolution:
@@ -252,10 +214,10 @@ def _solve_coulomb(spec: PotentialSpec, m: float) -> KgSolution:
 def solve(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> KgSolution:
     """Smallest root of F(e) = e^2 - m^2 in (-m, m), with classification.
 
-    The existence edge of F is located first (existence is monotone in e
-    because dW/de = 2V <= 0); G(e) = F(e) - e^2 + m^2 is then scanned on the
-    defined part of the window and the leftmost sign change is refined.  No
-    sign change means either supercriticality (F defined at the left edge:
+    The existence edge e0 of F is located first, as the root of the binding
+    test (existence is monotone in e because dW/de = 2V <= 0);
+    G(e) = F(e) - e^2 + m^2 is then scanned on the defined part of the
+    window and the leftmost sign change is refined.  No sign change means either supercriticality (F defined at the left edge:
     the intersection slipped below -m) or no binding.
     """
     if not (np.isfinite(m) and m > 0):
@@ -270,39 +232,27 @@ def solve(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> KgSo
     eps = WINDOW_MARGIN * m
     hi = m - eps
     lo = -m + eps
-    if not engine.existence(hi)[0]:
+    if engine.binding(hi) >= 0:
         return KgSolution(e=None, m=m, status=KgStatus.NO_BINDING, e0=None, delta_at_e=None)
 
-    edge_in_window = not engine.existence(lo)[0]
-    e0 = None
-    if edge_in_window:
-        a, b = lo, hi
-        while b - a > EDGE_XTOL:
-            mid = 0.5 * (a + b)
-            if engine.existence(mid)[0]:
-                b = mid
-            else:
-                a = mid
-        e0 = 0.5 * (a + b)
-
-    start = e0 if e0 is not None else lo
-    if start + 16.0 * EDGE_XTOL >= hi:
-        # the curve exists only on a sliver thinner than the edge resolution
-        return KgSolution(e=None, m=m, status=KgStatus.NO_BINDING, e0=e0, delta_at_e=None)
+    e0 = engine.edge(lo, hi)
+    edge_in_window = e0 is not None
+    start = e0 if edge_in_window else lo
     # Near the edge F ~ 0 while the parabola stays strictly negative, so a
     # few extra samples there make the sign change impossible to miss.
-    scan = list(np.linspace(start + 16.0 * EDGE_XTOL, hi, SCAN_POINTS))
-    if e0 is not None:
+    scan = list(np.linspace(start, hi, SCAN_POINTS))
+    if edge_in_window:
         extras = {start + 1e-6 * m, start + 1e-4 * m}
         scan = sorted(set(scan) | {x for x in extras if x < hi})
     g_vals: list[tuple[float, float]] = []
     for e in scan:
-        f_val = engine.f_fast(e)
+        f_val = engine.f(e, engine.fast)
         if f_val is not None:
             g_vals.append((e, f_val - e * e + m * m))
 
+    @functools.cache
     def g_full(e: float) -> float:
-        f_val = engine.f_full(e)
+        f_val = engine.f(e, engine.full)
         if f_val is None:
             # brentq may step within roundoff of the existence edge
             return -(e * e) + m * m
@@ -326,12 +276,7 @@ def solve(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> KgSo
 
     e_star = roots[0]
     pt = engine.point(e_star)
-    samples = []
-    for e, _ in g_vals[::_CURVE_SAMPLE_STRIDE]:
-        try:
-            samples.append(engine.point(e))
-        except NoBoundState:
-            continue
+    samples = _sample(engine.point, [e for e, _ in g_vals[::_CURVE_SAMPLE_STRIDE]])
     samples.append(pt)
     samples.sort(key=lambda p: p.e)
     return KgSolution(
@@ -349,36 +294,32 @@ class NonBindingSearchError(Exception):
     """Coupling bracketing failed; the configured search range is exhausted."""
 
 
-def _coupling_template(spec: PotentialSpec, v: float) -> PotentialSpec:
-    return PotentialSpec(spec.kind, v, spec.a, spec.b)
+def _binding_at(spec: PotentialSpec, v: float, e: float, grid: GridConfig | None) -> float:
+    return _CurveEngine(PotentialSpec(spec.kind, v, spec.a, spec.b), grid).binding(e)
 
 
-def _existence_at(spec: PotentialSpec, v: float, e: float, grid: GridConfig | None) -> bool:
-    return _CurveEngine(_coupling_template(spec, v), grid).existence(e)[0]
-
-
-def _coupling_bisect(spec: PotentialSpec, m: float, e_probe: float, grid: GridConfig | None) -> float:
+def _critical_coupling(spec: PotentialSpec, m: float, e_probe: float, grid: GridConfig | None) -> float:
+    """The v where the binding test of h(e_probe) changes sign, by brentq."""
     if spec.kind is Kind.COULOMB:
         raise ValueError("critical couplings are defined for the short-range kinds only")
+
+    @functools.cache
+    def probe(v: float) -> float:
+        return _binding_at(spec, v, e_probe, grid)
+
     hi = max(2.0 * m, 4.0)
     for _ in range(40):
-        if _existence_at(spec, hi, e_probe, grid):
+        if probe(hi) < 0:
             break
         hi *= 2.0
     else:
         raise NonBindingSearchError(f"no binding found up to v = {hi}")
     lo = min(1e-2, hi / 2.0)
-    while _existence_at(spec, lo, e_probe, grid):
+    while probe(lo) < 0:
         lo /= 4.0
         if lo < 1e-9:
             raise NonBindingSearchError("binding persists at arbitrarily small coupling")
-    while hi - lo > COUPLING_XTOL:
-        mid = 0.5 * (lo + hi)
-        if _existence_at(spec, mid, e_probe, grid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return float(brentq(probe, lo, hi, xtol=COUPLING_XTOL))
 
 
 def critical_coupling_lower(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> float:
@@ -387,7 +328,7 @@ def critical_coupling_lower(spec: PotentialSpec, m: float, grid: GridConfig | No
     At threshold the intersection sits at e -> m with F(m) -> 0, so the
     transition coincides with h(m) first acquiring a negative eigenvalue.
     """
-    return _coupling_bisect(spec, m, m, grid)
+    return _critical_coupling(spec, m, m, grid)
 
 
 def critical_coupling_upper(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> float:
@@ -396,7 +337,7 @@ def critical_coupling_upper(spec: PotentialSpec, m: float, grid: GridConfig | No
     Beyond it the intersection would need e < -m and the ground state stops
     being a bound state; located as the v where h(-m) first binds.
     """
-    return _coupling_bisect(spec, m, -m, grid)
+    return _critical_coupling(spec, m, -m, grid)
 
 
 @dataclass
@@ -432,20 +373,9 @@ def concavity_scan(
     if len(e_grid) < 3:
         raise ValueError("e_grid needs at least 3 points")
     if spec.kind is Kind.COULOMB:
-        pts = []
-        for e in e_grid:
-            try:
-                pts.append(_coulomb_point(spec, e))
-            except NoBoundState:
-                continue
+        pts = _sample(lambda e: _coulomb_point(spec, e), e_grid)
     else:
-        engine = _CurveEngine(spec, grid)
-        pts = []
-        for e in e_grid:
-            try:
-                pts.append(engine.point(e))
-            except NoBoundState:
-                continue
+        pts = _sample(_CurveEngine(spec, grid).point, e_grid)
     mid_viol: list[tuple[float, float]] = []
     dprime: list[tuple[float, float]] = []
     for left, center, right in zip(pts, pts[1:], pts[2:]):

@@ -1,19 +1,26 @@
-"""Ground state of -u'' + W(r) u = lam u on (0, r_max) with u(0) = u(r_max) = 0.
+"""Ground state of -u'' + W(r) u = lam u on the half-line, u(0) = 0.
 
-Second-order central differences give a symmetric tridiagonal matrix whose
-lowest eigenvalue is found by LAPACK's Sturm-sequence bisection; the grid is
-refined with exact spacing halvings and the eigenvalue sequence is Richardson
-extrapolated.  Counting negative pivots makes the "no bound state" verdict
-exact at the discrete level.
+Past the range of W the solution is exactly e^{-kappa r} with
+kappa = sqrt(-lam), so one box [0, r_max] covering that range, closed by the
+matching condition u'(r_max) = -kappa u(r_max), is exact.  Second-order
+central differences with a ghost point at r_max give a symmetric
+tridiagonal matrix whose lowest eigenvalue is found by LAPACK's
+Sturm-sequence bisection.  The grid is refined with exact spacing halvings,
+the eigenvalue sequence for a given kappa is Richardson extrapolated to
+L(kappa), and kappa is the root of L(kappa) + kappa^2 = 0.  The Neumann
+(kappa = 0) value L(0) is the exact binding test: it is negative exactly
+when the half-line operator has a bound state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 
 # NonConvergence fires when the two best extrapolants disagree by more
 # than 1e3 times this target.
@@ -23,9 +30,13 @@ TARGET_TOL = 1e-9
 # numerically meaningful only while the correction beats roundoff.
 _CORRECTION_NODES = 4096
 
+# absolute tolerance on lam = -kappa^2 when kappa is matched; LAPACK's
+# bisection resolves lam only to about 1e-16 * 4 / h^2 anyway
+_MATCH_TOL = 1e-13
+
 
 class NoBoundState(Exception):
-    """The operator has no negative eigenvalue on the probed domain."""
+    """The operator has no negative eigenvalue on the half-line."""
 
     def __init__(self, message: str, lowest: float | None = None):
         super().__init__(message)
@@ -40,8 +51,9 @@ class NonConvergence(Exception):
 class GridConfig:
     """Uniform-grid discretization parameters.
 
-    n_points is the coarsest interior point count; each refinement level
-    maps n -> 2n + 1 so the spacing halves exactly.
+    The coarsest level has spacing r_max / (n_points + 1) and n_points
+    interior nodes plus the node at r_max; each refinement level maps
+    n -> 2n + 1 so the spacing halves exactly.
     """
 
     r_max: float
@@ -67,9 +79,10 @@ class GridConfig:
 class SchrodingerResult:
     """Extrapolated ground eigenvalue plus the finest-level eigenfunction.
 
-    The eigenfunction is L2-normalized with the trapezoid measure on
-    [0, r_max] (both endpoints are zero, so the rule reduces to
-    spacing * sum(u^2) = 1) and is nodeless up to roundoff in the far tail.
+    The eigenfunction holds u at the nodes r_i = i * spacing up to and
+    including r_max, where u need not vanish.  It is L2-normalized with the
+    trapezoid measure on [0, r_max] (u(0) = 0, half weight at r_max) and is
+    nodeless up to roundoff in the far tail.
     error_estimate spans the whole Richardson tableau: it dominates the
     discretization deficit of every un-extrapolated level.
     """
@@ -102,8 +115,16 @@ def _inverse_square_renormalization(indices: np.ndarray, coefficient: float) -> 
 
 
 def _assemble(W: Callable, r_max: float, n: int, inverse_square_origin: float | None):
+    """Neumann matrix on the nodes r_i = i h, i = 1..n+1, the last at r_max.
+
+    A ghost point closes the last row for u'(r_max) = -kappa u(r_max) as
+    (-2 u_n + (2 + 2 h kappa) u_{n+1}) / h^2, which keeps the error
+    expansion in even powers of h; scaling the end node by 1/sqrt(2) makes
+    the matrix symmetric (sqrt(2) on the last off-diagonal) and is the half
+    weight the trapezoid rule gives that node.  Here kappa = 0.
+    """
     h = r_max / (n + 1)
-    idx = np.arange(1, n + 1)
+    idx = np.arange(1, n + 2)
     r = h * idx
     diag = 2.0 / h**2 + np.asarray(W(r), dtype=float)
     if inverse_square_origin is not None:
@@ -111,17 +132,21 @@ def _assemble(W: Callable, r_max: float, n: int, inverse_square_origin: float | 
         btilde = _inverse_square_renormalization(idx[:k], inverse_square_origin)
         diag[:k] += (btilde - inverse_square_origin) / r[:k] ** 2
     if not np.all(np.isfinite(diag)):
-        raise ValueError("W must be finite on the interior grid")
-    off = np.full(n - 1, -1.0 / h**2)
+        raise ValueError("W must be finite on the grid")
+    off = np.full(n, -1.0 / h**2)
+    off[-1] *= math.sqrt(2.0)
     return diag, off, r, h
 
 
-def _lowest(diag, off, want_vector: bool):
-    if want_vector:
-        w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-        return w[0], v[:, 0]
-    w = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0), eigvals_only=True)
-    return w[0], None
+def _robin(diag: np.ndarray, h: float, kappa: float) -> np.ndarray:
+    """The diagonal for u'(r_max) = -kappa u(r_max)."""
+    out = diag.copy()
+    out[-1] += 2.0 * kappa / h
+    return out
+
+
+def _lowest(diag, off) -> float:
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, 0), eigvals_only=True)[0]
 
 
 def _richardson_diagonal(levels: list[float]) -> list[float]:
@@ -133,35 +158,89 @@ def _richardson_diagonal(levels: list[float]) -> list[float]:
     return [row[-1] for row in table]
 
 
+def _robin_levels(W: Callable, grid: GridConfig, inverse_square_origin: float | None):
+    """The refinement levels, and kappa -> the lowest eigenvalue at each
+    level with u'(r_max) = -kappa u(r_max), memoized."""
+    levels = [_assemble(W, grid.r_max, n, inverse_square_origin) for n in grid.level_sizes()]
+    memo: dict[float, list[float]] = {}
+
+    def at(kappa: float) -> list[float]:
+        if kappa not in memo:
+            memo[kappa] = [_lowest(_robin(diag, h, kappa), off) for diag, off, _, h in levels]
+        return memo[kappa]
+
+    return levels, at
+
+
+def _matched_kappa(levels, robin: Callable[[float], list[float]], neumann: float) -> float:
+    """kappa solving L(kappa) + kappa^2 = 0, L(kappa) the extrapolated robin(kappa).
+
+    L rises from the Neumann eigenvalue at kappa = 0 to the Dirichlet one
+    (end node dropped) as kappa grows, which brackets the root; when the
+    two agree to _MATCH_TOL, u(r_max) is negligible and kappa = 0 serves.
+    Matching after extrapolating keeps kappa smooth down to the existence
+    edge, where coarse levels bind far more strongly than the limit.
+    """
+    dirichlet = _richardson_diagonal([_lowest(diag[:-1], off[:-1]) for diag, off, _, _ in levels])[-1]
+    lo, hi = math.sqrt(max(-dirichlet, 0.0)), math.sqrt(-neumann)
+    xtol = _MATCH_TOL / (2.0 * hi)
+    if hi - lo <= xtol:
+        return 0.0
+
+    def mismatch(kappa: float) -> float:
+        return _richardson_diagonal(robin(kappa))[-1] + kappa * kappa
+
+    # the ends have exact signs in the limit; roundoff can flip only an end
+    # whose mismatch is ~0, which makes that end the root
+    if mismatch(lo) >= 0:
+        return lo
+    if mismatch(hi) <= 0:
+        return hi
+    return float(brentq(mismatch, lo, hi, xtol=xtol))
+
+
+def neumann_eigenvalue(
+    W: Callable,
+    grid: GridConfig,
+    inverse_square_origin: float | None = None,
+) -> float:
+    """Richardson-extrapolated lowest eigenvalue with u'(r_max) = 0.
+
+    This is the binding test: when W vanishes beyond r_max, -u'' + W u on
+    the half-line has a bound state exactly when this value is negative.
+    It is signed and smooth in the parameters of W, so thresholds are its
+    roots.
+    """
+    _, robin = _robin_levels(W, grid, inverse_square_origin)
+    return _richardson_diagonal(robin(0.0))[-1]
+
+
 def lowest_eigenvalue(
     W: Callable,
     grid: GridConfig,
     inverse_square_origin: float | None = None,
 ) -> SchrodingerResult:
-    """Ground eigenvalue of -d^2/dr^2 + W with Dirichlet walls at 0 and r_max.
+    """Ground eigenvalue of -d^2/dr^2 + W on the half-line.
 
-    W maps an array of radii to an array of values; it must be finite on the
-    open interior and negligible at r_max for the truncation to make sense.
-    For potentials carrying a B/r^2 origin singularity, pass
-    inverse_square_origin=B to switch on the node-local renormalization.
+    u(0) = 0, and at r_max the solution is matched to the free decay
+    e^{-kappa r}, kappa = sqrt(-eigenvalue): u'(r_max) = -kappa u(r_max).
+    This is exact when W vanishes beyond r_max, so the box need only cover
+    the range of W.  W maps an array of radii to an array of values, finite
+    on (0, r_max].  For potentials carrying a B/r^2 origin singularity,
+    pass inverse_square_origin=B to switch on the node-local
+    renormalization.
 
-    Raises NoBoundState when every refinement level (and the extrapolant)
-    puts the lowest eigenvalue at or above zero, and NonConvergence when the
+    Raises NoBoundState when the binding test (neumann_eigenvalue) or the
+    extrapolated eigenvalue is not negative, and NonConvergence when the
     last two extrapolants disagree beyond 1e3 * TARGET_TOL.
+    level_eigenvalues are the per-level eigenvalues at the matched kappa.
     """
-    sizes = grid.level_sizes()
-    levels: list[float] = []
-    finest = None
-    for n in sizes:
-        diag, off, r, h = _assemble(W, grid.r_max, n, inverse_square_origin)
-        lam, _ = _lowest(diag, off, want_vector=False)
-        levels.append(lam)
-        finest = (diag, off, r, h)
-    if all(lam >= 0 for lam in levels):
-        raise NoBoundState(
-            f"lowest discrete eigenvalue is {min(levels):.6g} >= 0 at every refinement level",
-            lowest=min(levels),
-        )
+    matrices, robin = _robin_levels(W, grid, inverse_square_origin)
+    neumann = _richardson_diagonal(robin(0.0))[-1]
+    if neumann >= 0:
+        raise NoBoundState(f"extrapolated Neumann eigenvalue {neumann:.6g} >= 0: W does not bind", lowest=neumann)
+    kappa = _matched_kappa(matrices, robin, neumann)
+    levels = robin(kappa)
     diagonal = _richardson_diagonal(levels)
     eigenvalue = diagonal[-1]
     if eigenvalue >= 0:
@@ -179,12 +258,13 @@ def lowest_eigenvalue(
     tail = abs(diagonal[-1] - diagonal[-2]) if len(diagonal) > 1 else abs(eigenvalue) * 1e-8
     error_estimate = abs(eigenvalue - levels[0]) + 2.0 * tail + 1e-13 * scale
 
-    diag, off, r, h = finest
-    _, vec = _lowest(diag, off, want_vector=True)
+    diag, off, r, h = matrices[-1]
+    vec = eigh_tridiagonal(_robin(diag, h, kappa), off, select="i", select_range=(0, 0))[1][:, 0]
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
-    norm = np.sqrt(h * np.dot(vec, vec))
-    vec = vec / norm
+    # h |vec|^2 is the trapezoid norm of u once the end node is unscaled
+    vec = vec / np.sqrt(h * np.dot(vec, vec))
+    vec[-1] *= math.sqrt(2.0)
     return SchrodingerResult(
         eigenvalue=eigenvalue,
         eigenfunction=vec,
@@ -197,11 +277,12 @@ def lowest_eigenvalue(
 
 
 def expectation(result: SchrodingerResult, g: Callable) -> float:
-    """Trapezoid-rule expectation integral of g(r) against the stored u^2."""
+    """Trapezoid-rule expectation integral of g(r) against the stored u^2,
+    with half weight at the node at r_max."""
     if not result.converged:
         raise ValueError("expectation requires a converged result")
     values = np.asarray(g(result.radii), dtype=float)
     if values.shape != result.radii.shape or not np.all(np.isfinite(values)):
         raise ValueError("g must be finite on the grid")
-    u = result.eigenfunction
-    return float(result.spacing * np.dot(values, u * u))
+    weighted = values * result.eigenfunction**2
+    return float(result.spacing * (weighted.sum() - 0.5 * weighted[-1]))

@@ -1,13 +1,14 @@
 """Independent oracles used to freeze expected values.
 
 Everything here avoids the package's own numerical paths: plain bisection,
-closed forms, and scipy.integrate.quad only.
+closed forms, scipy.integrate.quad, and solve_ivp shooting with brentq.
 """
 
 import math
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 from scipy.special import jv
 
 
@@ -72,3 +73,39 @@ def cosine_moment(f, r_max: float, n: int) -> float:
     opts = {"epsabs": 1e-13, "epsrel": 0.0, "limit": 200}
     wave = quad(f, 0.0, r_max, weight="cos", wvar=n * math.pi / r_max, **opts)[0]
     return wave - quad(f, 0.0, r_max, **opts)[0]
+
+
+def zero_energy_slope(f, v: float, e: float, r_end: float) -> float:
+    """u'(r_end) / |(u, u')| for -u'' + (2eV - V^2) u = 0, V = -v f(r).
+
+    u(0) = 0, u'(0) = 1.  With V set to zero beyond r_end the solution is
+    linear there, so h(e) = p^2 + 2eV - V^2 binds exactly when this slope
+    has turned negative (before u has a node).
+    """
+    def rhs(r, y):
+        big_v = -v * f(r)
+        return (y[1], (2.0 * e * big_v - big_v * big_v) * y[0])
+
+    sol = solve_ivp(rhs, (0.0, r_end), [0.0, 1.0], method="DOP853", rtol=1e-12, atol=1e-14)
+    if not sol.success:
+        raise RuntimeError(f"shooting failed: {sol.message}")
+    u, du = sol.y[0, -1], sol.y[1, -1]
+    return du / math.hypot(u, du)
+
+
+def zero_energy_root(slope, grid) -> float:
+    """Root of slope(x) at its first down-crossing along grid, by brentq."""
+    prev_x, prev_s = grid[0], slope(grid[0])
+    for x in grid[1:]:
+        s = slope(x)
+        if prev_s > 0.0 >= s:
+            return brentq(slope, prev_x, x, xtol=1e-13, rtol=4 * np.finfo(float).eps)
+        prev_x, prev_s = x, s
+    raise ValueError("no down-crossing on the grid")
+
+
+def zero_energy_threshold(f, m: float, side: str, r_end: float) -> float:
+    """Binding ("lower", e = m) or supercritical ("upper", e = -m) coupling:
+    the smallest v where h(e) binds on the half-line."""
+    e = m if side == "lower" else -m
+    return zero_energy_root(lambda v: zero_energy_slope(f, v, e, r_end), np.geomspace(0.1, 20.0, 24))

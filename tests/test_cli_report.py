@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 import salpeterbounds.cli_report as cli
@@ -241,6 +243,16 @@ class TestRunCritical:
         with pytest.raises(ConfigError):
             run_critical(cfg)
 
+    def test_prints_thresholds_with_root_tolerance(self):
+        # the six printed decimals are those of the zero-energy ODE oracle
+        cfg = parse_config(None, overrides=["potential=woods-saxon", "m=1"])
+        out = io.StringIO()
+        run_critical(cfg, out=out)
+        assert out.getvalue().splitlines()[1:] == [
+            "binding_threshold_v=0.894076 (root tol 1e-09)",
+            "supercritical_v=3.761477 (root tol 1e-09)",
+        ]
+
 
 class TestMainEntry:
     def test_config_error_exit_code(self, tmp_path, capsys):
@@ -286,7 +298,8 @@ class TestMainEntry:
         assert "parametric span" in capsys.readouterr().err
 
     def test_critical_search_failure_exits_cleanly(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli.kleingordon, "_existence_at", lambda *args: False)
+        # a positive binding test: h(e) binds at no coupling
+        monkeypatch.setattr(cli.kleingordon, "_binding_at", lambda *args: 1.0)
         rc = cli.main(["critical", "--set", "potential=exponential", "--set", "m=1"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: no binding found up to v = ")

@@ -1,11 +1,25 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import salpeterbounds as sb
 from salpeterbounds.kleingordon import ConcavityReport, KgStatus, curve_csv_rows
 from salpeterbounds.radial_schrodinger import GridConfig, NoBoundState
 
-from oracles import coulomb_kg_energy, kratzer_ground
+from oracles import (
+    coulomb_kg_energy,
+    kratzer_ground,
+    zero_energy_root,
+    zero_energy_slope,
+    zero_energy_threshold,
+)
+
+# shape f(r) with V = -v f(r), and a radius past which v f is negligible
+# for every coupling the oracles scan
+ZERO_ENERGY_SHAPES = {
+    "exponential": (sb.exponential, lambda r: np.exp(-r), 40.0),
+    "woods-saxon": (sb.woods_saxon, lambda r: expit(-(r - 1.0) / 0.2), 10.0),
+}
 
 
 class TestSpectralCurveCoulomb:
@@ -211,6 +225,30 @@ class TestCriticalCouplings:
     def test_coulomb_rejected(self):
         with pytest.raises(ValueError):
             sb.critical_coupling_lower(sb.coulomb(0.4), 1.0)
+
+    @pytest.mark.parametrize("kind", sorted(ZERO_ENERGY_SHAPES))
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_matches_zero_energy_ode(self, kind, side):
+        make, shape, r_end = ZERO_ENERGY_SHAPES[kind]
+        search = sb.critical_coupling_lower if side == "lower" else sb.critical_coupling_upper
+        want = zero_energy_threshold(shape, 1.0, side, r_end)
+        assert search(make(1.0), 1.0) == pytest.approx(want, abs=1e-6)
+
+
+class TestExistenceEdge:
+    @pytest.mark.parametrize("grid, r_end", [
+        (None, 40.0),
+        # the override box cuts the potential at r = 8, which moves the
+        # edge by about 1e-4; the binding test must see that box
+        (GridConfig(8.0, 512), 8.0),
+    ])
+    def test_edge_is_zero_energy_root(self, grid, r_end):
+        # e0 is the e where the zero-energy solution of h(e) leaves the box
+        # flat, u'(R) = 0
+        shape = ZERO_ENERGY_SHAPES["exponential"][1]
+        want = zero_energy_root(lambda e: zero_energy_slope(shape, 3.4, e, r_end), np.linspace(-0.99, 0.99, 12))
+        sol = sb.solve(sb.exponential(3.4), 1.0, grid)
+        assert sol.e0 == pytest.approx(want, abs=1e-9)
 
 
 class TestConcavity:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import jn_zeros
 
 import salpeterbounds as sb
 from salpeterbounds.radial_schrodinger import GridConfig, NoBoundState
@@ -53,6 +57,25 @@ class TestExponentialOracle:
         res = exp_results[2.5]
         doubled = sb.lowest_eigenvalue(exp_well(2.5), GridConfig(320.0, 4096))
         assert abs(doubled.eigenvalue - res.eigenvalue) < res.error_estimate
+
+
+class TestExteriorMatching:
+    @pytest.mark.parametrize("v", [2.5, 4.5])
+    def test_box_at_the_range_is_exact(self, v):
+        # past r = ln(v / 1e-12) the well is below 1e-12, and the matched
+        # decay there makes the small box as good as the half-line
+        res = sb.lowest_eigenvalue(exp_well(v), GridConfig(math.log(v / 1e-12), 1024))
+        assert res.eigenvalue == pytest.approx(EXP_WELL_EIGENVALUE[v], abs=1e-10)
+
+    def test_neumann_sign_is_the_binding_test(self):
+        # -v e^{-r} binds exactly when J_0(2 sqrt(v)) has a zero below 2 sqrt(v)
+        v_c = (jn_zeros(0, 1)[0] / 2.0) ** 2
+
+        def neumann(v):
+            return sb.neumann_eigenvalue(exp_well(v), GridConfig(math.log(v / 1e-12), 1024))
+
+        assert neumann(v_c - 1e-3) > 0 > neumann(v_c + 1e-3)
+        assert brentq(neumann, v_c - 1e-3, v_c + 1e-3, xtol=1e-12) == pytest.approx(v_c, abs=1e-8)
 
 
 class TestKratzerOracle:
