@@ -38,8 +38,7 @@ SCAN_POINTS = 64
 ROOT_XTOL = 1e-10      # intersections and the existence edge
 COUPLING_XTOL = 1e-9   # critical couplings
 
-_H_FAST = 0.05         # two-level spacing for scan-quality F values
-_H_FULL = 0.025        # three-level spacing for refined F values
+_H_FULL = 0.025        # coarsest spacing of the default three-level grid
 _TAIL_EPS = 1e-12      # the box ends where |V| <= this
 _CURVE_SAMPLE_STRIDE = 4
 
@@ -100,19 +99,20 @@ def _coulomb_point(spec: PotentialSpec, e: float) -> SpectralCurvePoint:
 class _CurveEngine:
     """Per-solve evaluator for one potential, with one box for every e.
 
-    The box is [0, tail_radius(spec, 1e-12)], solved on a fast two-level
-    grid for scans and a full three-level grid for refined values; a
-    caller's grid override replaces both.
+    Refined values use the caller's grid, or by default the box
+    [0, tail_radius(spec, 1e-12)] on a three-level grid; scans use a coarse
+    copy with half the points and one level fewer.
     """
 
     def __init__(self, spec: PotentialSpec, grid: GridConfig | None = None):
         self.spec = spec
         if grid is None:
             r_max = potentials.tail_radius(spec, _TAIL_EPS)
-            self.fast = self._grid(r_max, _H_FAST, levels=2)
-            self.full = self._grid(r_max, _H_FULL, levels=3)
-        else:
-            self.fast = self.full = grid
+            # 64 is the fewest points GridConfig accepts
+            grid = GridConfig(r_max, max(64, math.ceil(r_max / _H_FULL)), refinement_levels=3)
+        self.full = grid
+        self.fast = GridConfig(grid.r_max, max(64, grid.n_points // 2), max(1, grid.refinement_levels - 1))
+        self.binding = functools.cache(self._binding)
 
     def _w(self, e: float) -> Callable:
         spec = self.spec
@@ -121,12 +121,7 @@ class _CurveEngine:
             return 2.0 * e * V - V * V
         return W
 
-    @staticmethod
-    def _grid(r_max: float, h: float, levels: int) -> GridConfig:
-        # 64 is the fewest points GridConfig accepts
-        return GridConfig(r_max, max(64, math.ceil(r_max / h)), refinement_levels=levels)
-
-    def binding(self, e: float) -> float:
+    def _binding(self, e: float) -> float:
         """Signed binding test of h(e): negative exactly when it binds."""
         return neumann_eigenvalue(self._w(e), self.full)
 
@@ -135,10 +130,9 @@ class _CurveEngine:
 
         h(hi) must bind.
         """
-        binding = functools.cache(self.binding)
-        if binding(lo) < 0:
+        if self.binding(lo) < 0:
             return None
-        return float(brentq(binding, lo, hi, xtol=ROOT_XTOL))
+        return float(brentq(self.binding, lo, hi, xtol=ROOT_XTOL))
 
     def f(self, e: float, grid: GridConfig) -> float | None:
         """F(e) on one of the engine's grids, None where h(e) does not bind."""
@@ -217,8 +211,9 @@ def solve(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> KgSo
     The existence edge e0 of F is located first, as the root of the binding
     test (existence is monotone in e because dW/de = 2V <= 0);
     G(e) = F(e) - e^2 + m^2 is then scanned on the defined part of the
-    window and the leftmost sign change is refined.  No sign change means either supercriticality (F defined at the left edge:
-    the intersection slipped below -m) or no binding.
+    window and the leftmost sign change is refined.  No sign change means
+    either supercriticality (F defined at the left edge: the intersection
+    slipped below -m) or no binding.
     """
     if not (np.isfinite(m) and m > 0):
         raise ValueError(f"mass must be positive, got {m}")
@@ -294,21 +289,24 @@ class NonBindingSearchError(Exception):
     """Coupling bracketing failed; the configured search range is exhausted."""
 
 
-def _binding_at(spec: PotentialSpec, v: float, e: float, grid: GridConfig | None) -> float:
+def _binding_at(spec: PotentialSpec, e: float, grid: GridConfig, v: float) -> float:
     return _CurveEngine(PotentialSpec(spec.kind, v, spec.a, spec.b), grid).binding(e)
 
 
 def _critical_coupling(spec: PotentialSpec, m: float, e_probe: float, grid: GridConfig | None) -> float:
-    """The v where the binding test of h(e_probe) changes sign, by brentq."""
+    """The v where the binding test of h(e_probe) changes sign, by brentq.
+
+    Every v is probed on one grid, the caller's or the default grid of the
+    bracket's upper v, whose box covers the range of V for every smaller v;
+    on a fixed grid the test is smooth in v.
+    """
     if spec.kind is Kind.COULOMB:
         raise ValueError("critical couplings are defined for the short-range kinds only")
 
-    @functools.cache
-    def probe(v: float) -> float:
-        return _binding_at(spec, v, e_probe, grid)
-
     hi = max(2.0 * m, 4.0)
     for _ in range(40):
+        box = grid or _CurveEngine(PotentialSpec(spec.kind, hi, spec.a, spec.b)).full
+        probe = functools.cache(functools.partial(_binding_at, spec, e_probe, box))
         if probe(hi) < 0:
             break
         hi *= 2.0

@@ -80,9 +80,10 @@ class SchrodingerResult:
     """Extrapolated ground eigenvalue plus the finest-level eigenfunction.
 
     The eigenfunction holds u at the nodes r_i = i * spacing up to and
-    including r_max, where u need not vanish.  It is L2-normalized with the
-    trapezoid measure on [0, r_max] (u(0) = 0, half weight at r_max) and is
-    nodeless up to roundoff in the far tail.
+    including r_max, where u need not vanish.  It is L2-normalized on the
+    half-line: the trapezoid measure on [0, r_max] (u(0) = 0, half weight
+    at r_max) plus u(r_max)^2 / (2 kappa) for the decay e^{-kappa r}
+    beyond r_max.  It is nodeless up to roundoff in the far tail.
     error_estimate spans the whole Richardson tableau: it dominates the
     discretization deficit of every un-extrapolated level.
     """
@@ -172,31 +173,25 @@ def _robin_levels(W: Callable, grid: GridConfig, inverse_square_origin: float | 
     return levels, at
 
 
-def _matched_kappa(levels, robin: Callable[[float], list[float]], neumann: float) -> float:
+def _matched_kappa(robin: Callable[[float], list[float]], neumann: float) -> float:
     """kappa solving L(kappa) + kappa^2 = 0, L(kappa) the extrapolated robin(kappa).
 
-    L rises from the Neumann eigenvalue at kappa = 0 to the Dirichlet one
-    (end node dropped) as kappa grows, which brackets the root; when the
-    two agree to _MATCH_TOL, u(r_max) is negligible and kappa = 0 serves.
-    Matching after extrapolating keeps kappa smooth down to the existence
-    edge, where coarse levels bind far more strongly than the limit.
+    L rises from the Neumann eigenvalue at kappa = 0, so the mismatch runs
+    from neumann < 0 at kappa = 0 to L(k) - neumann >= 0 at
+    k = sqrt(-neumann), which brackets the root.  Matching after
+    extrapolating keeps kappa smooth down to the existence edge, where
+    coarse levels bind far more strongly than the limit.
     """
-    dirichlet = _richardson_diagonal([_lowest(diag[:-1], off[:-1]) for diag, off, _, _ in levels])[-1]
-    lo, hi = math.sqrt(max(-dirichlet, 0.0)), math.sqrt(-neumann)
-    xtol = _MATCH_TOL / (2.0 * hi)
-    if hi - lo <= xtol:
-        return 0.0
+    hi = math.sqrt(-neumann)
 
     def mismatch(kappa: float) -> float:
         return _richardson_diagonal(robin(kappa))[-1] + kappa * kappa
 
-    # the ends have exact signs in the limit; roundoff can flip only an end
-    # whose mismatch is ~0, which makes that end the root
-    if mismatch(lo) >= 0:
-        return lo
+    # roundoff can flip the sign at hi only when the mismatch there is ~0,
+    # that is when u(r_max) is negligible and hi is the root
     if mismatch(hi) <= 0:
         return hi
-    return float(brentq(mismatch, lo, hi, xtol=xtol))
+    return float(brentq(mismatch, 0.0, hi, xtol=_MATCH_TOL / (2.0 * hi)))
 
 
 def neumann_eigenvalue(
@@ -208,8 +203,8 @@ def neumann_eigenvalue(
 
     This is the binding test: when W vanishes beyond r_max, -u'' + W u on
     the half-line has a bound state exactly when this value is negative.
-    It is signed and smooth in the parameters of W, so thresholds are its
-    roots.
+    On a fixed grid it is signed and smooth in the parameters of W, so
+    thresholds are its roots.
     """
     _, robin = _robin_levels(W, grid, inverse_square_origin)
     return _richardson_diagonal(robin(0.0))[-1]
@@ -239,7 +234,7 @@ def lowest_eigenvalue(
     neumann = _richardson_diagonal(robin(0.0))[-1]
     if neumann >= 0:
         raise NoBoundState(f"extrapolated Neumann eigenvalue {neumann:.6g} >= 0: W does not bind", lowest=neumann)
-    kappa = _matched_kappa(matrices, robin, neumann)
+    kappa = _matched_kappa(robin, neumann)
     levels = robin(kappa)
     diagonal = _richardson_diagonal(levels)
     eigenvalue = diagonal[-1]
@@ -262,9 +257,10 @@ def lowest_eigenvalue(
     vec = eigh_tridiagonal(_robin(diag, h, kappa), off, select="i", select_range=(0, 0))[1][:, 0]
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
-    # h |vec|^2 is the trapezoid norm of u once the end node is unscaled
-    vec = vec / np.sqrt(h * np.dot(vec, vec))
+    # once the end node is unscaled, h |vec|^2 is the trapezoid norm of u
+    # on the box, and u(r_max)^2 / (2 kappa) the norm of its exterior decay
     vec[-1] *= math.sqrt(2.0)
+    vec = vec / np.sqrt(h * (np.dot(vec, vec) - 0.5 * vec[-1] ** 2) + vec[-1] ** 2 / (2.0 * kappa))
     return SchrodingerResult(
         eigenvalue=eigenvalue,
         eigenfunction=vec,
@@ -278,7 +274,11 @@ def lowest_eigenvalue(
 
 def expectation(result: SchrodingerResult, g: Callable) -> float:
     """Trapezoid-rule expectation integral of g(r) against the stored u^2,
-    with half weight at the node at r_max."""
+    with half weight at the node at r_max.
+
+    It integrates over the box only, so it is the half-line expectation
+    when g vanishes beyond r_max, as W does.
+    """
     if not result.converged:
         raise ValueError("expectation requires a converged result")
     values = np.asarray(g(result.radii), dtype=float)

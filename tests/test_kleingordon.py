@@ -83,6 +83,18 @@ class TestSpectralCurveShortRange:
             fd = (sb.F(spec, e + step).F - sb.F(spec, e - step).F) / (2.0 * step)
             assert abs(pt.F_prime - fd) <= 1e-4 * max(1.0, abs(pt.F_prime))
 
+    @pytest.mark.parametrize("spec, e", [
+        (sb.exponential(2.5), 0.0),    # e0 + 0.027
+        (sb.woods_saxon(1.0), 0.99),   # at e_kg, m = 1
+    ])
+    def test_slope_identity_for_weak_binding(self, spec, e):
+        # weakly bound states carry much of their norm past the small box,
+        # in the matched decay, and <V> must be normalized with it
+        pt = sb.F(spec, e)
+        step = 1e-3
+        fd = (sb.F(spec, e + step).F - sb.F(spec, e - step).F) / (2.0 * step)
+        assert abs(pt.F_prime - fd) <= 1e-4 * max(1.0, abs(pt.F_prime))
+
 
 class TestSolveCoulomb:
     def test_closed_form_energy(self):

@@ -77,6 +77,20 @@ class TestExteriorMatching:
         assert neumann(v_c - 1e-3) > 0 > neumann(v_c + 1e-3)
         assert brentq(neumann, v_c - 1e-3, v_c + 1e-3, xtol=1e-12) == pytest.approx(v_c, abs=1e-8)
 
+    def test_norm_includes_the_exterior_decay(self):
+        # v = 1.5 barely binds (kappa = 0.0145): about half of the norm lies
+        # past the box, in the matched decay
+        v = 1.5
+        small = sb.lowest_eigenvalue(exp_well(v), GridConfig(math.log(v / 1e-12), 1024))
+        large = sb.lowest_eigenvalue(exp_well(v), GridConfig(600.0, 32768))
+        kappa = math.sqrt(-small.eigenvalue)
+        exterior = small.eigenfunction[-1] ** 2 / (2.0 * kappa)
+        assert exterior > 0.4
+        # kappa is matched to about 1e-13 in lam, i.e. 1e-11 relative here
+        assert sb.expectation(small, np.ones_like) + exterior == pytest.approx(1.0, abs=1e-9)
+        decay = lambda r: np.exp(-r)
+        assert sb.expectation(small, decay) == pytest.approx(sb.expectation(large, decay), rel=1e-4)
+
 
 class TestKratzerOracle:
     A, B = 0.8, -0.16
