@@ -10,6 +10,11 @@ Every e is solved in one box that covers the range of V, closed by the
 exact exterior matching of radial_schrodinger.  Its signed Neumann
 eigenvalue is the binding test: the no-binding verdict is its sign, and
 the edge and both critical couplings are its roots, found by brentq.
+
+h(e) is affine in e, so F (taken as the continuum edge 0 below e0) is a
+minimum of affine functions and G(e) = F(e) - e^2 + m^2 is concave.  solve
+brackets the roots of G without a scan: from e0 when the edge is in the
+window, where G(e0) > 0, and otherwise on both sides of G's maximum.
 """
 
 from __future__ import annotations
@@ -33,14 +38,12 @@ from .radial_schrodinger import (
     neumann_eigenvalue,
 )
 
-WINDOW_MARGIN = 1e-6   # relative margin keeping the scan inside the open window
-SCAN_POINTS = 64
+WINDOW_MARGIN = 1e-6   # relative margin keeping the search inside the open window
 ROOT_XTOL = 1e-10      # intersections and the existence edge
 COUPLING_XTOL = 1e-9   # critical couplings
 
 _H_FULL = 0.025        # coarsest spacing of the default three-level grid
 _TAIL_EPS = 1e-12      # the box ends where |V| <= this
-_CURVE_SAMPLE_STRIDE = 4
 
 
 class KgStatus(Enum):
@@ -66,7 +69,9 @@ class KgSolution:
 
     status BOUND carries the smallest intersection e in (-m, m); a second
     intersection, when present, is kept in secondary_e.  e0 is the zero of
-    F (the existence edge) when it falls inside the scanned window.
+    F (the existence edge) when it falls inside the window.  curve_samples
+    are the points of F that the root searches evaluated, sorted by e; they
+    include e itself and so bracket it.
     """
 
     e: float | None
@@ -97,12 +102,9 @@ def _coulomb_point(spec: PotentialSpec, e: float) -> SpectralCurvePoint:
 
 
 class _CurveEngine:
-    """Per-solve evaluator for one potential, with one box for every e.
-
-    Refined values use the caller's grid, or by default the box
-    [0, tail_radius(spec, 1e-12)] on a three-level grid; scans use a coarse
-    copy with half the points and one level fewer.
-    """
+    """Per-solve evaluator for one potential, with one grid for every e:
+    the caller's, or by default the box [0, tail_radius(spec, 1e-12)] on a
+    three-level grid."""
 
     def __init__(self, spec: PotentialSpec, grid: GridConfig | None = None):
         self.spec = spec
@@ -111,7 +113,6 @@ class _CurveEngine:
             # 64 is the fewest points GridConfig accepts
             grid = GridConfig(r_max, max(64, math.ceil(r_max / _H_FULL)), refinement_levels=3)
         self.full = grid
-        self.fast = GridConfig(grid.r_max, max(64, grid.n_points // 2), max(1, grid.refinement_levels - 1))
         self.binding = functools.cache(self._binding)
 
     def _w(self, e: float) -> Callable:
@@ -133,13 +134,6 @@ class _CurveEngine:
         if self.binding(lo) < 0:
             return None
         return float(brentq(self.binding, lo, hi, xtol=ROOT_XTOL))
-
-    def f(self, e: float, grid: GridConfig) -> float | None:
-        """F(e) on one of the engine's grids, None where h(e) does not bind."""
-        try:
-            return lowest_eigenvalue(self._w(e), grid).eigenvalue
-        except NoBoundState:
-            return None
 
     def point(self, e: float) -> SpectralCurvePoint:
         res = lowest_eigenvalue(self._w(e), self.full)
@@ -196,6 +190,10 @@ def curve(spec: PotentialSpec, e_values, grid: GridConfig | None = None) -> list
     return _sample(engine.point, [e for e in e_values if e0 is None or e > e0])
 
 
+def _continuum_point(e: float) -> SpectralCurvePoint:
+    return SpectralCurvePoint(e=e, F=0.0, F_prime=0.0, mean_V=0.0, delta=e)
+
+
 def _solve_coulomb(spec: PotentialSpec, m: float) -> KgSolution:
     gamma = _kratzer_gamma(spec.v)
     e = m / math.sqrt(1.0 + (spec.v / gamma) ** 2)
@@ -208,12 +206,12 @@ def _solve_coulomb(spec: PotentialSpec, m: float) -> KgSolution:
 def solve(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> KgSolution:
     """Smallest root of F(e) = e^2 - m^2 in (-m, m), with classification.
 
-    The existence edge e0 of F is located first, as the root of the binding
-    test (existence is monotone in e because dW/de = 2V <= 0);
-    G(e) = F(e) - e^2 + m^2 is then scanned on the defined part of the
-    window and the leftmost sign change is refined.  No sign change means
-    either supercriticality (F defined at the left edge: the intersection
-    slipped below -m) or no binding.
+    G(e) = F(e) - e^2 + m^2 is concave, so root searches find every root.
+    With the existence edge e0 (the root of the binding test) inside the
+    window, G(e0) = m^2 - e0^2 > 0: one root in (e0, m) when G < 0 at the
+    right end, else no binding.  Otherwise G < 0 at both ends, and the
+    maximum of G, where G' = F' - 2e vanishes, has a root on each side if it
+    is positive; if not, the intersection slipped below -m: supercritical.
     """
     if not (np.isfinite(m) and m > 0):
         raise ValueError(f"mass must be positive, got {m}")
@@ -231,56 +229,47 @@ def solve(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> KgSo
         return KgSolution(e=None, m=m, status=KgStatus.NO_BINDING, e0=None, delta_at_e=None)
 
     e0 = engine.edge(lo, hi)
-    edge_in_window = e0 is not None
-    start = e0 if edge_in_window else lo
-    # Near the edge F ~ 0 while the parabola stays strictly negative, so a
-    # few extra samples there make the sign change impossible to miss.
-    scan = list(np.linspace(start, hi, SCAN_POINTS))
-    if edge_in_window:
-        extras = {start + 1e-6 * m, start + 1e-4 * m}
-        scan = sorted(set(scan) | {x for x in extras if x < hi})
-    g_vals: list[tuple[float, float]] = []
-    for e in scan:
-        f_val = engine.f(e, engine.fast)
-        if f_val is not None:
-            g_vals.append((e, f_val - e * e + m * m))
+    # where h(e) does not bind, F is the continuum edge 0, as at e0 itself
+    points = {} if e0 is None else {e0: _continuum_point(e0)}
 
-    @functools.cache
-    def g_full(e: float) -> float:
-        f_val = engine.f(e, engine.full)
-        if f_val is None:
-            # brentq may step within roundoff of the existence edge
-            return -(e * e) + m * m
-        return f_val - e * e + m * m
+    def at(e: float) -> SpectralCurvePoint:
+        if e not in points:
+            try:
+                points[e] = engine.point(e)
+            except NoBoundState:
+                # brentq may step within roundoff of the existence edge
+                points[e] = _continuum_point(e)
+        return points[e]
 
-    roots: list[float] = []
-    for (e1, g1), (e2, g2) in zip(g_vals, g_vals[1:]):
-        if len(roots) >= 2:
-            break
-        if g1 > 0.0 >= g2 or g1 >= 0.0 > g2 or g1 < 0.0 <= g2 or g1 <= 0.0 < g2:
-            ga, gb = g_full(e1), g_full(e2)
-            if ga * gb > 0:
-                continue
-            roots.append(float(brentq(g_full, e1, e2, xtol=ROOT_XTOL)))
+    def g(e: float) -> float:
+        return at(e).F - e * e + m * m
 
-    if not roots:
-        defined = len(g_vals)
-        if defined >= 2 and not edge_in_window and all(g < 0 for _, g in g_vals):
+    def g_prime(e: float) -> float:
+        return at(e).F_prime - 2.0 * e
+
+    left = lo if e0 is None else e0
+    if max(g(left), g(hi)) < 0:
+        # G' falls through 0 at the maximum of G; without a sign change the
+        # maximum is at an end, where G < 0
+        peak = float(brentq(g_prime, lo, hi, xtol=ROOT_XTOL)) if g_prime(lo) > 0 > g_prime(hi) else lo
+        if g(peak) <= 0:
             return KgSolution(e=None, m=m, status=KgStatus.SUPERCRITICAL, e0=None, delta_at_e=None)
+        roots = [float(brentq(g, lo, peak, xtol=ROOT_XTOL)), float(brentq(g, peak, hi, xtol=ROOT_XTOL))]
+    elif g(left) * g(hi) < 0:
+        roots = [float(brentq(g, left, hi, xtol=ROOT_XTOL))]
+    else:
+        # G >= 0 at both ends, so throughout
         return KgSolution(e=None, m=m, status=KgStatus.NO_BINDING, e0=e0, delta_at_e=None)
 
     e_star = roots[0]
-    pt = engine.point(e_star)
-    samples = _sample(engine.point, [e for e, _ in g_vals[::_CURVE_SAMPLE_STRIDE]])
-    samples.append(pt)
-    samples.sort(key=lambda p: p.e)
+    pt = at(e_star)
     return KgSolution(
         e=e_star,
         m=m,
         status=KgStatus.BOUND,
         e0=e0,
         delta_at_e=pt.delta,
-        curve_samples=samples,
+        curve_samples=sorted((p for p in points.values() if p.F < 0), key=lambda p: p.e),
         secondary_e=roots[1] if len(roots) > 1 else None,
     )
 

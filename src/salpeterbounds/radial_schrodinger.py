@@ -9,7 +9,9 @@ Sturm-sequence bisection.  The grid is refined with exact spacing halvings,
 the eigenvalue sequence for a given kappa is Richardson extrapolated to
 L(kappa), and kappa is the root of L(kappa) + kappa^2 = 0.  The Neumann
 (kappa = 0) value L(0) is the exact binding test: it is negative exactly
-when the half-line operator has a bound state.
+when the half-line operator has a bound state.  The eigenfunction comes
+from inverse iteration at the finest level's eigenvalue, already found
+while matching kappa.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstein
 from scipy.optimize import brentq
 
 # NonConvergence fires when the two best extrapolants disagree by more
@@ -226,8 +229,9 @@ def lowest_eigenvalue(
     renormalization.
 
     Raises NoBoundState when the binding test (neumann_eigenvalue) or the
-    extrapolated eigenvalue is not negative, and NonConvergence when the
-    last two extrapolants disagree beyond 1e3 * TARGET_TOL.
+    extrapolated eigenvalue is not negative or the matched kappa is 0, and
+    NonConvergence when the last two extrapolants disagree beyond
+    1e3 * TARGET_TOL or inverse iteration fails.
     level_eigenvalues are the per-level eigenvalues at the matched kappa.
     """
     matrices, robin = _robin_levels(W, grid, inverse_square_origin)
@@ -240,6 +244,10 @@ def lowest_eigenvalue(
     eigenvalue = diagonal[-1]
     if eigenvalue >= 0:
         raise NoBoundState(f"extrapolated lowest eigenvalue {eigenvalue:.6g} >= 0", lowest=eigenvalue)
+    # at the existence edge the root can fall below brentq's tolerance;
+    # -kappa^2 = 0 is the continuum edge, not a bound state
+    if kappa == 0.0:
+        raise NoBoundState("matched kappa is 0: W binds only at the continuum edge", lowest=eigenvalue)
     scale = max(1.0, abs(eigenvalue))
     # with two levels the diagonal difference is dominated by the raw
     # coarse-grid deficit, so the disagreement gate needs three or more
@@ -254,7 +262,14 @@ def lowest_eigenvalue(
     error_estimate = abs(eigenvalue - levels[0]) + 2.0 * tail + 1e-13 * scale
 
     diag, off, r, h = matrices[-1]
-    vec = eigh_tridiagonal(_robin(diag, h, kappa), off, select="i", select_range=(0, 0))[1][:, 0]
+    # inverse iteration at the eigenvalue found while matching kappa: the
+    # stein half of eigh_tridiagonal's stebz + stein route, on one block
+    # since no off-diagonal vanishes
+    n = diag.size
+    vecs, info = dstein(_robin(diag, h, kappa), off, [levels[-1]], np.ones(n, np.int32), np.full(n, n, np.int32))
+    if info != 0:
+        raise NonConvergence(f"inverse iteration for the eigenvector failed (stein info = {info})")
+    vec = vecs[:, 0]
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
     # once the end node is unscaled, h |vec|^2 is the trapezoid norm of u

@@ -189,9 +189,10 @@ def ground_energy(
     |E(2N, 2R) - E(2N, R)| < tol: the box doubling is probed at the doubled
     basis so it keeps the already-validated momentum cutoff N pi / R while
     testing the wall.  Failing either test doubles N.  Raises NonConvergence
-    when N would exceed basis_max; for the Coulomb kind near its critical
-    coupling 2/pi the message flags the characteristic unbounded downward
-    drift of E with N.
+    when N would exceed basis_max, naming the box R and the momentum cutoff
+    N pi / R reached; for a Coulomb coupling from 1/2 up to the critical
+    2/pi the message also flags the characteristic unbounded downward drift
+    of E with N.
     """
     report = potentials.validate(spec, Theory.SALPETER)
     if not report.accepted:
@@ -220,8 +221,9 @@ def ground_energy(
         n *= 2
         if 2 * n > basis_max:
             drops = [history[i + 1][2] - history[i][2] for i in range(len(history) - 1)]
-            msg = f"doubling test still fails at N = {n} (history: {history})"
-            if spec.kind is Kind.COULOMB and all(step < 0 for step in drops):
+            msg = (f"doubling test still fails at N = {n} in the box R = {r_box:g}, momentum cutoff "
+                   f"N pi / R = {n * math.pi / r_box:.4g} (history: {history})")
+            if spec.kind is Kind.COULOMB and spec.v >= 0.5 and all(step < 0 for step in drops):
                 msg += (
                     "; E decreases without stabilizing as the basis grows, the "
                     f"signature of a Coulomb coupling {spec.v} near the critical 2/pi"

@@ -109,3 +109,44 @@ def zero_energy_threshold(f, m: float, side: str, r_end: float) -> float:
     the smallest v where h(e) binds on the half-line."""
     e = m if side == "lower" else -m
     return zero_energy_root(lambda v: zero_energy_slope(f, v, e, r_end), np.geomspace(0.1, 20.0, 24))
+
+
+
+def kg_energy(f, v: float, m: float, r_end: float, grid=None) -> float | None:
+    """Smallest e in (-m, m) with a nodeless Klein-Gordon s-wave bound state
+    in V = -v f(r), by shooting -u'' + (m^2 - (e - V)^2) u = 0.
+
+    u(0) = 0, u'(0) = 1.  With V set to zero beyond r_end the bound state
+    decays as e^{-kappa r}, kappa = sqrt(m^2 - e^2).  By Sturm oscillation
+    h(e) = p^2 + 2eV - V^2 has no eigenvalue below -kappa^2 = e^2 - m^2
+    exactly when u has no node in (0, r_end) and the mismatch
+    (u' + kappa u) / |(u, u')| at r_end is positive; the energies are where
+    that indicator changes sign.  The first sign change along grid (by
+    default 25 points across the window) is refined by brentq.  Returns None
+    when there is none (no binding or supercritical).
+    """
+    def indicator(e):
+        kappa = math.sqrt(m * m - e * e)
+
+        def rhs(r, y):
+            w = e + v * f(r)
+            return (y[1], (m * m - w * w) * y[0])
+
+        sol = solve_ivp(rhs, (0.0, r_end), [0.0, 1.0], method="DOP853", rtol=1e-12, atol=1e-14)
+        if not sol.success:
+            raise RuntimeError(f"shooting failed: {sol.message}")
+        if np.any(sol.y[0, 1:] <= 0.0):
+            return -1.0
+        u, du = sol.y[0, -1], sol.y[1, -1]
+        return (du + kappa * u) / math.hypot(u, du)
+
+    if grid is None:
+        edge = m * (1.0 - 1e-9)
+        grid = np.linspace(-edge, edge, 25)
+    prev_x, prev_s = grid[0], indicator(grid[0])
+    for x in grid[1:]:
+        s = indicator(x)
+        if (prev_s > 0.0) != (s > 0.0):
+            return brentq(indicator, prev_x, x, xtol=1e-14, rtol=4 * np.finfo(float).eps)
+        prev_x, prev_s = x, s
+    return None

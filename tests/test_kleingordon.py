@@ -1,13 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
 import salpeterbounds as sb
+from salpeterbounds import kleingordon
 from salpeterbounds.kleingordon import ConcavityReport, KgStatus, curve_csv_rows
 from salpeterbounds.radial_schrodinger import GridConfig, NoBoundState
 
 from oracles import (
     coulomb_kg_energy,
+    kg_energy,
     kratzer_ground,
     zero_energy_root,
     zero_energy_slope,
@@ -152,6 +156,68 @@ class TestSolveExponential:
         assert all(p.F < 0 for p in sol.curve_samples)
 
 
+# every branch of solve's classification: the edge inside the window (one
+# intersection), two intersections near -m, supercritical, no binding (h(m)
+# does not bind, or it binds so weakly that G > 0 up to the window's end)
+SOLVE_CASES = [
+    ("exponential", 2.5, 0.8, KgStatus.BOUND),
+    ("exponential", 2.5, 1.0, KgStatus.BOUND),
+    ("exponential", 4.5, 0.8, KgStatus.BOUND),
+    ("exponential", 4.5, 1.0, KgStatus.BOUND),
+    ("woods-saxon", 2.0, 1.0, KgStatus.BOUND),
+    ("woods-saxon", 3.77, 1.0, KgStatus.BOUND),
+    ("exponential", 6.0, 1.0, KgStatus.SUPERCRITICAL),
+    ("woods-saxon", 3.8, 1.0, KgStatus.SUPERCRITICAL),
+    ("exponential", 0.01, 1.0, KgStatus.NO_BINDING),
+    ("exponential", 0.8, 0.8, KgStatus.NO_BINDING),
+    ("exponential", 0.67301, 1.0, KgStatus.NO_BINDING),
+]
+
+
+def _oracle_grid(m):
+    # the window, plus points close to -m, where two intersections can sit
+    # a few hundredths apart
+    edge = m * (1.0 - 1e-9)
+    return np.union1d(np.linspace(-edge, edge, 25), -m + m * np.geomspace(1e-9, 0.2, 12))
+
+
+class TestSolveClassification:
+    @pytest.mark.parametrize("kind, v, m, status", SOLVE_CASES)
+    def test_matches_shooting_oracle(self, kind, v, m, status):
+        make, shape, r_end = ZERO_ENERGY_SHAPES[kind]
+        sol = sb.solve(make(v), m)
+        assert sol.status is status
+        want = kg_energy(shape, v, m, r_end, _oracle_grid(m))
+        if status is KgStatus.BOUND:
+            assert sol.e == pytest.approx(want, abs=1e-8)
+            es = [p.e for p in sol.curve_samples]
+            assert min(es) <= sol.e <= max(es)
+        else:
+            assert sol.e is None and want is None
+
+    def test_second_intersection_lies_on_the_parabola(self):
+        spec = sb.woods_saxon(3.77)
+        sol = sb.solve(spec, 1.0)
+        assert sol.secondary_e is not None and sol.secondary_e > sol.e
+        pt = sb.F(spec, sol.secondary_e)
+        assert abs(pt.F - (sol.secondary_e**2 - 1.0)) <= 1e-8
+
+    @pytest.mark.parametrize("spec", [sb.exponential(3.4), sb.woods_saxon(2.0)])
+    def test_root_search_cost(self, spec, monkeypatch):
+        # concavity of G leaves one bracketed root search: a handful of
+        # eigenvalue solves, not a scan of the window
+        calls = []
+        real = kleingordon.lowest_eigenvalue
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kleingordon, "lowest_eigenvalue", counted)
+        assert sb.solve(spec, 1.0).status is KgStatus.BOUND
+        assert len(calls) <= 16
+
+
 class TestSupercritical:
     def test_beyond_threshold(self):
         sol = sb.solve(sb.exponential(6.0), 1.0)
@@ -261,6 +327,17 @@ class TestExistenceEdge:
         want = zero_energy_root(lambda e: zero_energy_slope(shape, 3.4, e, r_end), np.linspace(-0.99, 0.99, 12))
         sol = sb.solve(sb.exponential(3.4), 1.0, grid)
         assert sol.e0 == pytest.approx(want, abs=1e-9)
+
+    def test_edge_itself_is_not_bound(self):
+        # at its own edge the matched kappa falls below the root tolerance;
+        # -kappa^2 = 0 is the continuum edge, not a bound state, and no
+        # division by kappa may warn
+        spec = sb.exponential(0.8)
+        e0 = sb.solve(spec, 1.0).e0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoBoundState):
+                sb.F(spec, e0)
 
 
 class TestConcavity:

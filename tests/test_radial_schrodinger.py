@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.special import jn_zeros
 
 import salpeterbounds as sb
+from salpeterbounds import radial_schrodinger
 from salpeterbounds.radial_schrodinger import GridConfig, NoBoundState
 
 from oracles import EXP_WELL_EIGENVALUE, bessel_ground_eigenvalue, kratzer_ground
@@ -141,6 +143,16 @@ class TestEigenfunction:
         for res in exp_results.values():
             u = res.eigenfunction
             assert np.all(u > -1e-12 * u.max())
+
+    def test_inverse_iteration_matches_eigh_tridiagonal(self, exp_results, monkeypatch):
+        # the vector comes from stein at the eigenvalue already found, the
+        # second half of eigh_tridiagonal's own stebz + stein route
+        def full_route(diag, off, eigenvalues, iblock, isplit):
+            return eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[1], 0
+
+        monkeypatch.setattr(radial_schrodinger, "dstein", full_route)
+        ref = sb.lowest_eigenvalue(exp_well(4.5), GridConfig(65.0, 4096))
+        assert np.array_equal(exp_results[4.5].eigenfunction, ref.eigenfunction)
 
     def test_rayleigh_quotient_consistency(self, exp_results):
         for v, res in exp_results.items():

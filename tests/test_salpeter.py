@@ -124,6 +124,16 @@ class TestGroundEnergy:
         with pytest.raises(NonConvergence):
             sb.ground_energy(sb.exponential(4.5), 1.0, tol=1e-12, basis_max=64)
 
+    def test_nonconvergence_names_box_and_cutoff(self):
+        # below v = 1/2 a Coulomb failure comes from the box clamp, which
+        # caps the momentum cutoff N pi / R, not from the critical coupling
+        with pytest.raises(NonConvergence) as info:
+            sb.ground_energy(sb.coulomb(0.2), 1.0, basis_max=512)
+        msg = str(info.value)
+        assert "R = 800" in msg
+        assert f"N pi / R = {512 * math.pi / 800:.4g}" in msg
+        assert "2/pi" not in msg
+
     def test_default_box_covers_tail_and_decay(self):
         r_box = default_box_radius(sb.exponential(4.5), 1.0)
         assert r_box >= sb.tail_radius(sb.exponential(4.5), 1e-12)
