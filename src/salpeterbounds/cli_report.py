@@ -352,7 +352,6 @@ def _cmd_salpeter(cfg: SweepConfig, out=None) -> int:
     m = cfg.single_mass()
     sol = salpeter.ground_energy(spec, m, cfg=cfg.basis_override(spec, m))
     print(f"E={sol.E:.12g}", file=out)
-    print(f"converged={sol.converged}", file=out)
     print(f"basis_tail={sol.basis_tail:.3e}", file=out)
     for n, r_box, energy in sol.convergence_history:
         print(f"history N={n} R={r_box:.6g} E={energy:.12g}", file=out)

@@ -43,7 +43,6 @@ ROOT_XTOL = 1e-10      # intersections and the existence edge
 COUPLING_XTOL = 1e-9   # critical couplings
 
 _H_FULL = 0.025        # coarsest spacing of the default three-level grid
-_TAIL_EPS = 1e-12      # the box ends where |V| <= this
 
 
 class KgStatus(Enum):
@@ -83,35 +82,43 @@ class KgSolution:
     secondary_e: float | None = None
 
 
-def _kratzer_gamma(v: float) -> float:
-    if v >= 0.5:
-        raise ValueError(f"Coulomb coupling {v} >= 1/2: no Klein-Gordon ground state")
-    return 0.5 + math.sqrt(0.25 - v * v)
+class _CoulombCurve:
+    """The Coulomb curve in closed form.
 
+    h(e) = p^2 - 2ev/r - v^2/r^2 is exactly solvable (the -A/r + B/r^2
+    form with A = 2ev, B = -v^2); it binds only for e > 0, where the ground
+    eigenvalue is -(e v / gamma)^2, gamma = 1/2 + sqrt(1/4 - v^2).  So the
+    binding test is -e and the existence edge is exactly 0.
+    """
 
-def _coulomb_point(spec: PotentialSpec, e: float) -> SpectralCurvePoint:
-    # h(e) = p^2 - 2ev/r - v^2/r^2 is exactly solvable; it binds only for
-    # e > 0, where the ground eigenvalue is -(e v / gamma)^2.
-    gamma = _kratzer_gamma(spec.v)
-    if e <= 0:
-        raise NoBoundState(f"Coulomb h(e) has no bound state for e = {e} <= 0")
-    ratio = spec.v / gamma
-    f_val = -((e * ratio) ** 2)
-    f_prime = -2.0 * e * ratio * ratio
-    return SpectralCurvePoint(e=e, F=f_val, F_prime=f_prime, mean_V=0.5 * f_prime, delta=e - 0.5 * f_prime)
+    def __init__(self, spec: PotentialSpec):
+        self.ratio = spec.v / (0.5 + math.sqrt(0.25 - spec.v * spec.v))
+
+    def binding(self, e: float) -> float:
+        return -e
+
+    def edge(self, lo: float, hi: float) -> float | None:
+        return None if lo > 0 else 0.0
+
+    def point(self, e: float) -> SpectralCurvePoint:
+        if e <= 0:
+            raise NoBoundState(f"Coulomb h(e) has no bound state for e = {e} <= 0")
+        f_val = -((e * self.ratio) ** 2)
+        f_prime = -2.0 * e * self.ratio * self.ratio
+        return SpectralCurvePoint(e=e, F=f_val, F_prime=f_prime, mean_V=0.5 * f_prime, delta=e - 0.5 * f_prime)
 
 
 class _CurveEngine:
     """Per-solve evaluator for one potential, with one grid for every e:
-    the caller's, or by default the box [0, tail_radius(spec, 1e-12)] on a
-    three-level grid."""
+    the caller's, or by default the box [0, tail_radius(spec, TAIL_EPS)] on
+    the three-level grid."""
 
     def __init__(self, spec: PotentialSpec, grid: GridConfig | None = None):
         self.spec = spec
         if grid is None:
-            r_max = potentials.tail_radius(spec, _TAIL_EPS)
+            r_max = potentials.tail_radius(spec, potentials.TAIL_EPS)
             # 64 is the fewest points GridConfig accepts
-            grid = GridConfig(r_max, max(64, math.ceil(r_max / _H_FULL)), refinement_levels=3)
+            grid = GridConfig(r_max, max(64, math.ceil(r_max / _H_FULL)))
         self.full = grid
         self.binding = functools.cache(self._binding)
 
@@ -143,6 +150,15 @@ class _CurveEngine:
         return SpectralCurvePoint(e=e, F=res.eigenvalue, F_prime=f_prime, mean_V=mean_v, delta=e - 0.5 * f_prime)
 
 
+def _engine(spec: PotentialSpec, grid: GridConfig | None) -> _CurveEngine | _CoulombCurve:
+    """The curve of an admissible spec: closed form for the Coulomb kind,
+    which ignores grid, else on the grid.  Raises ValueError otherwise."""
+    report = potentials.validate(spec, Theory.KLEIN_GORDON)
+    if not report.accepted:
+        raise ValueError(report.reason)
+    return _CoulombCurve(spec) if spec.kind is Kind.COULOMB else _CurveEngine(spec, grid)
+
+
 def _sample(point: Callable[[float], SpectralCurvePoint], e_values) -> list[SpectralCurvePoint]:
     """point(e) for each e, skipping those where h(e) has no bound state."""
     points = []
@@ -157,16 +173,10 @@ def _sample(point: Callable[[float], SpectralCurvePoint], e_values) -> list[Spec
 def F(spec: PotentialSpec, e: float, grid: GridConfig | None = None) -> SpectralCurvePoint:
     """Lowest eigenvalue of h(e) = p^2 + 2eV - V^2 plus slope data.
 
-    The Coulomb kind bypasses the grid: its h(e) reduces to the exactly
-    solvable -A/r + B/r^2 form with A = 2ev, B = -v^2.  Raises NoBoundState
-    where the curve does not exist.
+    The Coulomb kind is in closed form and bypasses the grid.  Raises
+    NoBoundState where the curve does not exist.
     """
-    report = potentials.validate(spec, Theory.KLEIN_GORDON)
-    if not report.accepted:
-        raise ValueError(report.reason)
-    if spec.kind is Kind.COULOMB:
-        return _coulomb_point(spec, e)
-    return _CurveEngine(spec, grid).point(e)
+    return _engine(spec, grid).point(e)
 
 
 def curve(spec: PotentialSpec, e_values, grid: GridConfig | None = None) -> list[SpectralCurvePoint]:
@@ -177,13 +187,8 @@ def curve(spec: PotentialSpec, e_values, grid: GridConfig | None = None) -> list
     zero of the signed binding test) replaces a per-point probe when part
     of the range is undefined.
     """
-    report = potentials.validate(spec, Theory.KLEIN_GORDON)
-    if not report.accepted:
-        raise ValueError(report.reason)
+    engine = _engine(spec, grid)
     e_values = sorted(float(e) for e in e_values)
-    if spec.kind is Kind.COULOMB:
-        return _sample(lambda e: _coulomb_point(spec, e), e_values)
-    engine = _CurveEngine(spec, grid)
     if engine.binding(e_values[-1]) >= 0:
         return []
     e0 = engine.edge(e_values[0], e_values[-1])
@@ -194,12 +199,12 @@ def _continuum_point(e: float) -> SpectralCurvePoint:
     return SpectralCurvePoint(e=e, F=0.0, F_prime=0.0, mean_V=0.0, delta=e)
 
 
-def _solve_coulomb(spec: PotentialSpec, m: float) -> KgSolution:
-    gamma = _kratzer_gamma(spec.v)
-    e = m / math.sqrt(1.0 + (spec.v / gamma) ** 2)
-    pt = _coulomb_point(spec, e)
+def _solve_coulomb(curve: _CoulombCurve, m: float) -> KgSolution:
+    # F(e) = -(e v / gamma)^2 meets e^2 - m^2 in closed form
+    e = m / math.sqrt(1.0 + curve.ratio ** 2)
+    pt = curve.point(e)
     es = np.linspace(e / 8.0, m * (1.0 - WINDOW_MARGIN), 33)
-    samples = [_coulomb_point(spec, float(x)) for x in es]
+    samples = [curve.point(float(x)) for x in es]
     return KgSolution(e=e, m=m, status=KgStatus.BOUND, e0=0.0, delta_at_e=pt.delta, curve_samples=samples)
 
 
@@ -215,13 +220,10 @@ def solve(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> KgSo
     """
     if not (np.isfinite(m) and m > 0):
         raise ValueError(f"mass must be positive, got {m}")
-    report = potentials.validate(spec, Theory.KLEIN_GORDON)
-    if not report.accepted:
-        raise ValueError(report.reason)
-    if spec.kind is Kind.COULOMB:
-        return _solve_coulomb(spec, m)
+    engine = _engine(spec, grid)
+    if isinstance(engine, _CoulombCurve):
+        return _solve_coulomb(engine, m)
 
-    engine = _CurveEngine(spec, grid)
     eps = WINDOW_MARGIN * m
     hi = m - eps
     lo = -m + eps
@@ -359,10 +361,7 @@ def concavity_scan(
     e_grid = [float(e) for e in e_grid]
     if len(e_grid) < 3:
         raise ValueError("e_grid needs at least 3 points")
-    if spec.kind is Kind.COULOMB:
-        pts = _sample(lambda e: _coulomb_point(spec, e), e_grid)
-    else:
-        pts = _sample(_CurveEngine(spec, grid).point, e_grid)
+    pts = _sample(_engine(spec, grid).point, e_grid)
     mid_viol: list[tuple[float, float]] = []
     dprime: list[tuple[float, float]] = []
     for left, center, right in zip(pts, pts[1:], pts[2:]):

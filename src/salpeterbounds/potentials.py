@@ -121,6 +121,10 @@ def validate(spec: PotentialSpec, theory: Theory) -> ValidityReport:
     return ValidityReport(True)
 
 
+# The solvers truncate the domain where |V| first falls to this.
+TAIL_EPS = 1e-12
+
+
 def tail_radius(spec: PotentialSpec, epsilon: float) -> float:
     """Smallest convenient R with |V(R)| <= epsilon, for domain truncation.
 

@@ -55,27 +55,22 @@ class GridConfig:
     """Uniform-grid discretization parameters.
 
     The coarsest level has spacing r_max / (n_points + 1) and n_points
-    interior nodes plus the node at r_max; each refinement level maps
-    n -> 2n + 1 so the spacing halves exactly.
+    interior nodes plus the node at r_max; each of the two refinement
+    levels maps n -> 2n + 1 so the spacing halves exactly.
     """
 
     r_max: float
     n_points: int = 4096
-    refinement_levels: int = 3
 
     def __post_init__(self):
         if not (np.isfinite(self.r_max) and self.r_max > 0):
             raise ValueError(f"r_max must be positive, got {self.r_max}")
         if self.n_points < 64:
             raise ValueError(f"n_points must be >= 64, got {self.n_points}")
-        if not (1 <= self.refinement_levels <= 8):
-            raise ValueError(f"refinement_levels must be in 1..8, got {self.refinement_levels}")
 
     def level_sizes(self) -> list[int]:
-        sizes = [self.n_points]
-        for _ in range(self.refinement_levels - 1):
-            sizes.append(2 * sizes[-1] + 1)
-        return sizes
+        n = self.n_points
+        return [n, 2 * n + 1, 4 * n + 3]
 
 
 @dataclass
@@ -96,7 +91,6 @@ class SchrodingerResult:
     radii: np.ndarray
     spacing: float
     error_estimate: float
-    converged: bool
     level_eigenvalues: list[float] = field(default_factory=list)
 
 
@@ -249,16 +243,14 @@ def lowest_eigenvalue(
     if kappa == 0.0:
         raise NoBoundState("matched kappa is 0: W binds only at the continuum edge", lowest=eigenvalue)
     scale = max(1.0, abs(eigenvalue))
-    # with two levels the diagonal difference is dominated by the raw
-    # coarse-grid deficit, so the disagreement gate needs three or more
-    if len(diagonal) > 2 and abs(diagonal[-1] - diagonal[-2]) > 1e3 * TARGET_TOL * scale:
+    tail = abs(diagonal[-1] - diagonal[-2])
+    if tail > 1e3 * TARGET_TOL * scale:
         raise NonConvergence(
             f"extrapolation levels disagree: {diagonal[-2]!r} vs {diagonal[-1]!r}"
         )
     # Error estimate spanning the tableau: the coarsest raw level carries the
     # largest discretization deficit, so |best - coarsest| bounds them all;
     # the diagonal difference covers the extrapolant's own uncertainty.
-    tail = abs(diagonal[-1] - diagonal[-2]) if len(diagonal) > 1 else abs(eigenvalue) * 1e-8
     error_estimate = abs(eigenvalue - levels[0]) + 2.0 * tail + 1e-13 * scale
 
     diag, off, r, h = matrices[-1]
@@ -282,7 +274,6 @@ def lowest_eigenvalue(
         radii=r,
         spacing=h,
         error_estimate=error_estimate,
-        converged=True,
         level_eigenvalues=levels,
     )
 
@@ -294,8 +285,6 @@ def expectation(result: SchrodingerResult, g: Callable) -> float:
     It integrates over the box only, so it is the half-line expectation
     when g vanishes beyond r_max, as W does.
     """
-    if not result.converged:
-        raise ValueError("expectation requires a converged result")
     values = np.asarray(g(result.radii), dtype=float)
     if values.shape != result.radii.shape or not np.all(np.isfinite(values)):
         raise ValueError("g must be finite on the grid")

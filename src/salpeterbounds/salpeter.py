@@ -43,7 +43,6 @@ _GL_NODES = 16
 _DEFAULT_N = 256
 _BOX_FLOOR = 30.0
 _BOX_CAP = 800.0
-_TAIL_EPS = 1e-12
 # quadrature nodes per block of the moment products
 _MOMENT_CHUNK = 4096
 
@@ -52,23 +51,16 @@ DOUBLING_TOL = 1e-7
 
 @dataclass(frozen=True)
 class BasisConfig:
-    """Sine-basis parameters: box radius R, basis size N, quadrature nodes."""
+    """Sine-basis parameters: box radius R and basis size N."""
 
     box_radius: float
     basis_size: int = _DEFAULT_N
-    quad_points: int | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.box_radius) and self.box_radius > 0):
             raise ValueError(f"box_radius must be positive, got {self.box_radius}")
         if self.basis_size < 32:
             raise ValueError(f"basis_size must be >= 32, got {self.basis_size}")
-        if self.quad_points is None:
-            object.__setattr__(self, "quad_points", _GL_NODES * max(32, 2 * self.basis_size))
-        if self.quad_points < 4 * self.basis_size:
-            raise ValueError(
-                f"quad_points = {self.quad_points} cannot resolve the fastest mode; need >= {4 * self.basis_size}"
-            )
 
 
 @dataclass
@@ -82,12 +74,14 @@ class SalpeterSolution:
     E: float
     m: float
     basis_tail: float
-    converged: bool
     convergence_history: list[tuple[int, float, float]] = field(default_factory=list)
 
 
-def _mesh(r_max: float, quad_points: int):
-    panels = max(1, int(math.ceil(quad_points / _GL_NODES)))
+def _mesh(r_max: float, basis_size: int):
+    """Composite Gauss-Legendre nodes and weights on [0, r_max]: max(32, 2N)
+    panels of _GL_NODES nodes, two panels per period of the fastest cosine
+    moment, cos(2N theta)."""
+    panels = max(32, 2 * basis_size)
     x, w = leggauss(_GL_NODES)
     edges = np.linspace(0.0, r_max, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -129,7 +123,6 @@ def ground_energy_at(
     m: float,
     basis_size: int,
     box_radius: float,
-    quad_points: int | None = None,
 ) -> tuple[float, np.ndarray]:
     """Single diagonalization at fixed (N, R); spec None means V = 0.
 
@@ -139,7 +132,7 @@ def ground_energy_at(
     """
     if not (np.isfinite(m) and m > 0):
         raise ValueError(f"mass must be positive, got {m}")
-    cfg = BasisConfig(box_radius, basis_size, quad_points)
+    cfg = BasisConfig(box_radius, basis_size)
     n = cfg.basis_size
     modes = np.arange(1, n + 1)
     kinetic = np.sqrt((modes * np.pi / cfg.box_radius) ** 2 + m * m)
@@ -147,7 +140,7 @@ def ground_energy_at(
         coeffs = np.zeros(n)
         coeffs[0] = 1.0
         return float(kinetic[0]), coeffs
-    r, wt = _mesh(cfg.box_radius, cfg.quad_points)
+    r, wt = _mesh(cfg.box_radius, n)
     v_vals = potentials.evaluate(spec, r)
     theta = np.pi * r / cfg.box_radius
     d = _cosine_moments(wt * v_vals, theta, 2 * n + 1) / cfg.box_radius
@@ -168,8 +161,10 @@ def default_box_radius(spec: PotentialSpec, m: float) -> float:
     A small pre-diagonalization estimates E, hence the asymptotic decay
     rate kappa = sqrt(m^2 - E^2); the box keeps kappa * R >= 25 so the
     Dirichlet wall shifts E by ~exp(-50) while the modes stay affordable.
+    The Coulomb tail v / r never falls below TAIL_EPS within the cap, so
+    its box comes from the decay length alone.
     """
-    tail = potentials.tail_radius(spec, _TAIL_EPS)
+    tail = 0.0 if spec.kind is Kind.COULOMB else potentials.tail_radius(spec, potentials.TAIL_EPS)
     e_pre, _ = ground_energy_at(spec, m, 128, max(tail, 40.0))
     kappa_sq = m * m - e_pre * e_pre
     kappa = math.sqrt(kappa_sq) if kappa_sq > 2.5e-3 * m * m else 0.05 * m
@@ -214,7 +209,6 @@ def ground_energy(
                     E=energy_2n,
                     m=m,
                     basis_tail=abs(coeffs_2n[-1]),
-                    converged=True,
                     convergence_history=history,
                 )
         energy = energy_2n
@@ -258,8 +252,6 @@ def squared_inequality_check(
     a solver bug, not physics.  When h(E) has no bound state the check is
     skipped and reported as such.
     """
-    if not solution.converged:
-        raise ValueError("squared_inequality_check requires a converged solution")
     energy, m = solution.E, solution.m
     lhs = energy * energy - m * m
     try:

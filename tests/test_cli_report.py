@@ -310,7 +310,7 @@ class TestMainEntry:
 
         def fake_ground_energy(spec, m, cfg=None):
             seen.append(cfg)
-            return cli.salpeter.SalpeterSolution(E=0.99, m=m, basis_tail=0.0, converged=True)
+            return cli.salpeter.SalpeterSolution(E=0.99, m=m, basis_tail=0.0)
 
         monkeypatch.setattr(cli.salpeter, "ground_energy", fake_ground_energy)
         rc = cli.main([
@@ -329,4 +329,3 @@ class TestMainEntry:
         assert rc == 0
         out = capsys.readouterr().out
         assert "E=-0.28599" in out
-        assert "converged=True" in out

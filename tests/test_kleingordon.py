@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -355,6 +356,11 @@ class TestConcavity:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             sb.concavity_scan(sb.exponential(4.5), [0.1, 0.2])
+
+    def test_rejects_inadmissible_coulomb(self):
+        reason = sb.validate(sb.coulomb(0.6), sb.Theory.KLEIN_GORDON).reason
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            sb.concavity_scan(sb.coulomb(0.6), np.linspace(0.1, 1.0, 10))
 
 
 class TestCsvExport:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import salpeterbounds as sb
-from oracles import cosine_moment
+from oracles import cosine_moment, coulomb_kg_energy
 from salpeterbounds import potentials, salpeter
 from salpeterbounds.radial_schrodinger import GridConfig, NonConvergence
 from salpeterbounds.salpeter import BasisConfig, default_box_radius
@@ -12,16 +12,12 @@ from salpeterbounds.salpeter import BasisConfig, default_box_radius
 
 class TestBasisConfig:
     def test_defaults_derive_quadrature(self):
-        cfg = BasisConfig(30.0, 256)
-        assert cfg.quad_points == 16 * 512
+        r, wt = salpeter._mesh(30.0, 256)
+        assert r.size == wt.size == 16 * 512
 
     def test_rejects_small_basis(self):
         with pytest.raises(ValueError):
             BasisConfig(30.0, 16)
-
-    def test_rejects_coarse_quadrature(self):
-        with pytest.raises(ValueError):
-            BasisConfig(30.0, 256, quad_points=512)
 
     def test_rejects_bad_box(self):
         with pytest.raises(ValueError):
@@ -29,7 +25,7 @@ class TestBasisConfig:
 
 
 def _moment_inputs(spec, n, r_box):
-    r, wt = salpeter._mesh(r_box, BasisConfig(r_box, n).quad_points)
+    r, wt = salpeter._mesh(r_box, n)
     return wt * potentials.evaluate(spec, r), np.pi * r / r_box
 
 
@@ -79,7 +75,6 @@ class TestFreeBox:
 class TestGroundEnergy:
     def test_exponential_converges(self, srs_exponential_45):
         sol = srs_exponential_45
-        assert sol.converged
         assert -1.0 < sol.E < 1.0
         assert sol.basis_tail < 1e-6
 
@@ -125,14 +120,23 @@ class TestGroundEnergy:
             sb.ground_energy(sb.exponential(4.5), 1.0, tol=1e-12, basis_max=64)
 
     def test_nonconvergence_names_box_and_cutoff(self):
-        # below v = 1/2 a Coulomb failure comes from the box clamp, which
-        # caps the momentum cutoff N pi / R, not from the critical coupling
+        # below v = 1/2 a Coulomb failure is not blamed on the critical
+        # coupling; the message names the box and the momentum cutoff
+        r_box = default_box_radius(sb.coulomb(0.2), 1.0)
         with pytest.raises(NonConvergence) as info:
             sb.ground_energy(sb.coulomb(0.2), 1.0, basis_max=512)
         msg = str(info.value)
-        assert "R = 800" in msg
-        assert f"N pi / R = {512 * math.pi / 800:.4g}" in msg
+        assert f"R = {r_box:g}" in msg
+        assert f"N pi / R = {512 * math.pi / r_box:.4g}" in msg
         assert "2/pi" not in msg
+
+    def test_coulomb_box_from_decay_length(self):
+        # the 1/r tail never reaches 1e-12 inside the cap, so it must not
+        # set the box; v = 0.08 converges only in the decay-length box
+        v = 0.08
+        sol = sb.ground_energy(sb.coulomb(v), 1.0)
+        assert sol.convergence_history[0][1] < 800.0
+        assert coulomb_kg_energy(v, 1.0) <= sol.E <= 1.0 - v * v / 2.0
 
     def test_default_box_covers_tail_and_decay(self):
         r_box = default_box_radius(sb.exponential(4.5), 1.0)
@@ -156,13 +160,8 @@ class TestSquaredInequality:
     def test_skipped_when_curve_undefined(self):
         # at v = 0.5 the operator h(e) never binds near e = 1, so F(E) is
         # undefined; hand the check a converged stand-in solution there
-        fake = sb.SalpeterSolution(E=0.999, m=1.0, basis_tail=0.0, converged=True)
+        fake = sb.SalpeterSolution(E=0.999, m=1.0, basis_tail=0.0)
         rep = sb.squared_inequality_check(fake, sb.exponential(0.5))
         assert rep.skipped
         assert rep.F_at_E is None and rep.slack is None
         assert "undefined" in rep.note
-
-    def test_requires_converged_solution(self):
-        stale = sb.SalpeterSolution(E=0.5, m=1.0, basis_tail=0.0, converged=False)
-        with pytest.raises(ValueError):
-            sb.squared_inequality_check(stale, sb.exponential(4.5))
