@@ -204,6 +204,7 @@ class TestGridConfig:
         {"r_max": -1.0},
         {"r_max": 10.0, "n_points": 32},
         {"r_max": float("nan")},
+        {"r_max": float("inf")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
