@@ -272,7 +272,7 @@ def _fcurve_lines(cfg: SweepConfig, v: float, e_values: list[float]) -> list[str
 
 def run_fcurves(cfg: SweepConfig) -> list[Path]:
     """Spectral-curve data: one F(e) file per coupling, the parabola family
-    g(e) = e^2 - m^2 per mass, and intersection records for small grids."""
+    g(e) = e^2 - m^2 per mass, and one intersection record per (v, m)."""
     if cfg.out is None:
         raise ConfigError("fcurves needs an output directory: set out = <path>")
     out_dir = Path(cfg.out)
@@ -281,7 +281,10 @@ def run_fcurves(cfg: SweepConfig) -> list[Path]:
     couplings = cfg.coupling_grid()
     m_top = max(masses)
     margin = 1e-6 * m_top
-    e_values = [float(x) for x in np.linspace(-m_top + margin, m_top - margin, cfg.e_steps)]
+    # antisymmetrized so that the grid is symmetric about 0 and an odd grid
+    # holds e = 0 exactly, where the Coulomb curve starts
+    grid = np.linspace(-m_top + margin, m_top - margin, cfg.e_steps)
+    e_values = [float(x) for x in 0.5 * (grid - grid[::-1])]
     written: list[Path] = []
 
     with ThreadPoolExecutor(max_workers=cfg.effective_threads()) as pool:
@@ -301,15 +304,13 @@ def run_fcurves(cfg: SweepConfig) -> list[Path]:
 
     pairs = [(v, m) for v in couplings for m in masses]
     inter_lines = ["v,m,e,status"]
-    if len(pairs) <= 16:
-        def record(pair):
-            v, m = pair
-            sol = kleingordon.solve(cfg.potential(v), m, cfg.grid_override())
-            return f"{v:.12g},{m:.12g},{_fmt(sol.e)},{sol.status.value}"
-        with ThreadPoolExecutor(max_workers=cfg.effective_threads()) as pool:
-            inter_lines += list(pool.map(record, pairs))
-    else:
-        inter_lines.insert(0, "# status=skipped (grid too large; use the bounds subcommand)")
+
+    def record(pair):
+        v, m = pair
+        sol = kleingordon.solve(cfg.potential(v), m, cfg.grid_override())
+        return f"{v:.12g},{m:.12g},{_fmt(sol.e)},{sol.status.value}"
+    with ThreadPoolExecutor(max_workers=cfg.effective_threads()) as pool:
+        inter_lines += list(pool.map(record, pairs))
     intersections = out_dir / "intersections.csv"
     intersections.write_text("\n".join(inter_lines) + "\n", encoding="utf-8")
     written.append(intersections)

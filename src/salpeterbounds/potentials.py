@@ -80,8 +80,9 @@ def evaluate(spec: PotentialSpec, r):
     """V(r) = v*f(r) at radius r (scalar or array), always <= 0.
 
     Raises ValueError for nonpositive or non-finite radii; the Coulomb
-    kind additionally rejects r below COULOMB_MIN_RADIUS so that a
-    near-origin sample cannot overflow downstream quadratures.
+    kind additionally rejects r below COULOMB_MIN_RADIUS, where -v/r nears
+    overflow.  No solver samples the Coulomb kind: its Klein-Gordon curve
+    and its sine-basis moments are closed forms.
     """
     r_arr = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r_arr)):

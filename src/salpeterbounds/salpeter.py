@@ -2,26 +2,33 @@
 
 In the Dirichlet sine modes on [0, R] the relativistic kinetic operator is
 exactly diagonal, sqrt((n pi / R)^2 + m^2), so the only work is the potential
-matrix.  With theta = pi r / R, products of modes reduce to cosines and
+matrix.  Products of modes reduce to cosines, and with k = n pi / R
 
-    V_jk = D(|j-k|) - D(j+k),    D(n) = (1/R) int_0^R V(r) (cos(n theta) - 1) dr.
+    V_jk = D(|j-k|) - D(j+k),    D(n) = (1/R) int_0^R V(r) (cos(k r) - 1) dr.
 
 Keeping the "-1" inside the integrand makes every D finite even for the
 Coulomb kind (the bare cosine integrals diverge; the constants cancel in the
-difference).  The integrals share one composite Gauss-Legendre mesh fine
-enough for the fastest mode, so assembly is deterministic and spectrally
-accurate.
+difference), and D(0) = 0.  All three shapes have exact moments on [0, R]:
 
-All 2N + 1 moments come from one blocked product rather than a loop over n.
-With B = ceil(sqrt(2N + 1)) and n = qB + j (0 <= j < B),
+    Coulomb      D(n) = (v/R) Cin(n pi),  Cin(x) = gamma + ln x - Ci(x);
+    exponential  D(n) = -(v/R) [(1 - (-1)^n e^{-R}) / (1 + k^2) - (1 - e^{-R})];
+    Woods-Saxon  D(n) = -(v/R) [C(k) - C(0)],  C(k) = int_0^R f(r) cos(k r) dr.
 
-    cos(n theta) = cos(qB theta) cos(j theta) - sin(qB theta) sin(j theta),
+For Woods-Saxon, f = f_s + g with the symmetrized Fermi function
+f_s(r) = sinh(a/b) / (cosh(r/b) + cosh(a/b)), whose half-line cosine
+transform is pi b sin(k a) / sinh(pi b k), and g(r) = 1 / (1 + e^{(r+a)/b}),
+whose transform is the alternating series
 
-so the weighted sums over the nodes are two (Q x nodes) @ (nodes x B) matrix
-products, and only about 2 sqrt(2N) cosines and sines are taken per node
-instead of 2N + 1.  The nodes are visited in fixed chunks so that no
-nodes x modes table is ever held; the "-1" is applied once at the end as the
-plain weighted sum.  The potential matrix is then built from two strided
+    S(c) = sum_q (-1)^{q+1} e^{-q c / b} lam_q / (lam_q^2 + k^2),  lam_q = q / b,
+
+at c = a.  For r > R > a, f is the same series in e^{-(r-a)/b}, and
+cos(k r) = (-1)^n cos(k (r - R)), so the exterior part is (-1)^n S(R - a) and
+
+    C(k) = pi b sin(k a) / sinh(pi b k) + S(a) - (-1)^n S(R - a),
+    C(0) = a + b ln(1 + e^{-a/b}) - b ln(1 + e^{-(R-a)/b}).
+
+Each series keeps ceil(40 b / c) terms, so the first omitted one carries
+e^{-q c / b} < e^{-40}.  The potential matrix is then built from two strided
 views of D (a Toeplitz and a Hankel part) with a single N x N subtraction.
 """
 
@@ -32,19 +39,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh
+from scipy.special import sici
 
 from . import kleingordon, potentials
 from .potentials import Kind, PotentialSpec, Theory
 from .radial_schrodinger import GridConfig, NoBoundState, NonConvergence
 
-_GL_NODES = 16
 _DEFAULT_N = 256
 _BOX_FLOOR = 30.0
 _BOX_CAP = 800.0
-# quadrature nodes per block of the moment products
-_MOMENT_CHUNK = 4096
 
 DOUBLING_TOL = 1e-7
 
@@ -77,37 +81,38 @@ class SalpeterSolution:
     convergence_history: list[tuple[int, float, float]] = field(default_factory=list)
 
 
-def _mesh(r_max: float, basis_size: int):
-    """Composite Gauss-Legendre nodes and weights on [0, r_max]: max(32, 2N)
-    panels of _GL_NODES nodes, two panels per period of the fastest cosine
-    moment, cos(2N theta)."""
-    panels = max(32, 2 * basis_size)
-    x, w = leggauss(_GL_NODES)
-    edges = np.linspace(0.0, r_max, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    r = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wt = (half[:, None] * w[None, :]).ravel()
-    return r, wt
+def _fermi_series(c: float, b: float, k: np.ndarray) -> np.ndarray:
+    """S(c) = int_0^inf cos(k r) / (1 + e^{(r+c)/b}) dr to ceil(40 b / c) terms, added
+    smallest first and one at a time, so memory stays O(len(k)) even for b >> c."""
+    total = np.zeros_like(k)
+    for q in range(math.ceil(40.0 * b / c), 0, -1):
+        lam = q / b
+        total += (-1.0) ** (q + 1) * math.exp(-q * c / b) * lam / (lam * lam + k * k)
+    return total
 
 
-def _cosine_moments(base: np.ndarray, theta: np.ndarray, count: int) -> np.ndarray:
-    """sum_i base_i (cos(n theta_i) - 1) for n = 0 .. count - 1."""
-    block = math.isqrt(count - 1) + 1
-    rows = -(-count // block)
-    slow = block * np.arange(rows)
-    fast = np.arange(block)
-    acc = np.zeros((rows, block))
-    for start in range(0, theta.size, _MOMENT_CHUNK):
-        t = theta[start:start + _MOMENT_CHUNK]
-        b = base[start:start + _MOMENT_CHUNK]
-        slow_t = np.multiply.outer(slow, t)
-        fast_t = np.multiply.outer(t, fast)
-        acc += (b * np.cos(slow_t)) @ np.cos(fast_t)
-        acc -= (b * np.sin(slow_t)) @ np.sin(fast_t)
-    # row q = 0, column j = 0 is the plain weighted sum, which the "-1" removes
-    moments = acc.ravel()[:count]
-    return moments - moments[0]
+def _moments(spec: PotentialSpec, r_box: float, count: int) -> np.ndarray:
+    """D(n) = (1/R) int_0^R V(r) (cos(n pi r / R) - 1) dr for n = 0 .. count - 1,
+    in closed form (see the module docstring)."""
+    n = np.arange(1, count)
+    k = n * np.pi / r_box
+    if spec.kind is Kind.COULOMB:
+        cin = np.euler_gamma + np.log(n * np.pi) - sici(n * np.pi)[1]
+        return np.concatenate(([0.0], spec.v / r_box * cin))
+    parity = 1.0 - 2.0 * (n % 2)
+    if spec.kind is Kind.EXPONENTIAL:
+        wave = (1.0 - parity * math.exp(-r_box)) / (1.0 + k * k)
+        plain = -math.expm1(-r_box)
+    else:
+        a, b = spec.a, spec.b
+        if r_box <= a:
+            raise ValueError(f"box radius {r_box} must exceed the Woods-Saxon radius a = {a}")
+        # pi b sin(k a) / sinh(pi b k) through e^{-pi b k}, which cannot overflow
+        decay = np.exp(-np.pi * b * k)
+        wave = (2.0 * np.pi * b * np.sin(k * a) * decay / -np.expm1(-2.0 * np.pi * b * k)
+                + _fermi_series(a, b, k) - parity * _fermi_series(r_box - a, b, k))
+        plain = a + b * math.log1p(math.exp(-a / b)) - b * math.log1p(math.exp(-(r_box - a) / b))
+    return np.concatenate(([0.0], -spec.v / r_box * (wave - plain)))
 
 
 def _potential_matrix(d: np.ndarray) -> np.ndarray:
@@ -140,11 +145,7 @@ def ground_energy_at(
         coeffs = np.zeros(n)
         coeffs[0] = 1.0
         return float(kinetic[0]), coeffs
-    r, wt = _mesh(cfg.box_radius, n)
-    v_vals = potentials.evaluate(spec, r)
-    theta = np.pi * r / cfg.box_radius
-    d = _cosine_moments(wt * v_vals, theta, 2 * n + 1) / cfg.box_radius
-    h_mat = _potential_matrix(d)
+    h_mat = _potential_matrix(_moments(spec, cfg.box_radius, 2 * n + 1))
     h_mat[np.diag_indices(n)] += kinetic
     # H is symmetric, so its transpose is the same matrix in the Fortran
     # order that LAPACK can overwrite without making a copy first

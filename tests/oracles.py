@@ -75,6 +75,19 @@ def cosine_moment(f, r_max: float, n: int) -> float:
     return wave - quad(f, 0.0, r_max, **opts)[0]
 
 
+def coulomb_cosine_moment(v: float, n: int) -> float:
+    """int_0^R (-v/r) (cos(n pi r / R) - 1) dr = v int_0^{n pi} (1 - cos x) / x dx,
+    by quad over each half-period [j pi, (j + 1) pi]; independent of R.
+
+    1 - cos x is written 2 sin^2(x/2) so that nothing cancels near x = 0.
+    """
+    def integrand(x):
+        return 2.0 * math.sin(0.5 * x) ** 2 / x
+
+    opts = {"epsabs": 1e-13, "epsrel": 0.0}
+    return v * sum(quad(integrand, j * math.pi, (j + 1) * math.pi, **opts)[0] for j in range(n))
+
+
 def zero_energy_slope(f, v: float, e: float, r_end: float) -> float:
     """u'(r_end) / |(u, u')| for -u'' + (2eV - V^2) u = 0, V = -v f(r).
 

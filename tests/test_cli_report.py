@@ -170,9 +170,26 @@ class TestRunFcurves:
         assert curve[0].startswith("# v=0.3 status=ok")
         assert curve[1] == "e,F,F_prime,delta"
         assert len(curve) > 2
+        # the odd e-grid holds e = 0 exactly, where the curve starts, so no
+        # roundoff point just above 0 is written
+        energies = [float(line.split(",")[0]) for line in curve[2:]]
+        assert not any(0.0 < e < 1e-12 for e in energies)
         inter = (out_dir / "intersections.csv").read_text().splitlines()
         assert inter[0] == "v,m,e,status"
         assert len(inter) == 3
+        assert all(line.endswith("bound") for line in inter[1:])
+
+    def test_intersection_for_every_pair(self, tmp_path):
+        # more than 16 (v, m) pairs still get one intersection row each
+        out_dir = tmp_path / "curves"
+        cfg = parse_config(None, overrides=[
+            "potential=coulomb", "v_min=0.1", "v_max=0.42", "v_steps=17",
+            "m=1", "e_steps=3", f"out={out_dir}",
+        ])
+        run_fcurves(cfg)
+        inter = (out_dir / "intersections.csv").read_text().splitlines()
+        assert inter[0] == "v,m,e,status"
+        assert len(inter) == 18
         assert all(line.endswith("bound") for line in inter[1:])
 
     def test_two_coupling_two_mass_reproduction(self, tmp_path):

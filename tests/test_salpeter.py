@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 import salpeterbounds as sb
-from oracles import cosine_moment, coulomb_kg_energy
-from salpeterbounds import potentials, salpeter
+from oracles import cosine_moment, coulomb_cosine_moment, coulomb_kg_energy
+from salpeterbounds import salpeter
 from salpeterbounds.radial_schrodinger import GridConfig, NonConvergence
 from salpeterbounds.salpeter import BasisConfig, default_box_radius
 
 
 class TestBasisConfig:
-    def test_defaults_derive_quadrature(self):
-        r, wt = salpeter._mesh(30.0, 256)
-        assert r.size == wt.size == 16 * 512
-
     def test_rejects_small_basis(self):
         with pytest.raises(ValueError):
             BasisConfig(30.0, 16)
@@ -24,37 +20,35 @@ class TestBasisConfig:
             BasisConfig(-5.0)
 
 
-def _moment_inputs(spec, n, r_box):
-    r, wt = salpeter._mesh(r_box, n)
-    return wt * potentials.evaluate(spec, r), np.pi * r / r_box
-
-
-def _looped_moments(base, theta, count):
-    """Reference: one cosine pass and dot product per moment."""
-    return np.array([np.dot(base, np.cos(k * theta) - 1.0) for k in range(count)])
-
-
 class TestCosineMoments:
-    N, R = 64, 30.0
+    N = 64
+    ORDERS = (0, 1, 17, 2 * N)
 
     @pytest.mark.parametrize("spec,shape", [
         (sb.exponential(4.5), lambda r: -4.5 * math.exp(-r)),
         (sb.woods_saxon(2.0), lambda r: -2.0 / (1.0 + math.exp((r - 1.0) / 0.2))),
+        (sb.woods_saxon(2.0, 1.0, 1.0), lambda r: -2.0 / (1.0 + math.exp(r - 1.0))),
+        (sb.woods_saxon(2.0, 0.5, 2.0), lambda r: -2.0 / (1.0 + math.exp((r - 0.5) / 2.0))),
     ])
     def test_quadrature_oracle(self, spec, shape):
-        moments = salpeter._cosine_moments(*_moment_inputs(spec, self.N, self.R), 2 * self.N + 1)
-        assert moments.shape == (2 * self.N + 1,)
-        for k in (0, 1, 17, 2 * self.N):
-            assert moments[k] == pytest.approx(cosine_moment(shape, self.R, k), abs=1e-12)
+        # R = 3 leaves a Woods-Saxon tail at the wall that the exterior
+        # series must remove; b >= a makes the series slowest
+        for r_box in (3.0, 30.0):
+            moments = salpeter._moments(spec, r_box, 2 * self.N + 1)
+            assert moments.shape == (2 * self.N + 1,)
+            for k in self.ORDERS:
+                assert moments[k] == pytest.approx(cosine_moment(shape, r_box, k) / r_box, abs=1e-12)
 
-    def test_coulomb_matches_loop(self):
-        # quad cannot take the bare -v/r apart from its cosine, so the
-        # per-moment loop is the reference here
-        base, theta = _moment_inputs(sb.coulomb(0.05), self.N, self.R)
-        count = 2 * self.N + 1
-        d_blocked = salpeter._cosine_moments(base, theta, count) / self.R
-        d_looped = _looped_moments(base, theta, count) / self.R
-        np.testing.assert_allclose(d_blocked, d_looped, rtol=0.0, atol=1e-15)
+    @pytest.mark.parametrize("r_box", [3.0, 30.0])
+    def test_coulomb_oracle(self, r_box):
+        moments = salpeter._moments(sb.coulomb(0.05), r_box, 2 * self.N + 1)
+        for k in self.ORDERS:
+            assert moments[k] == pytest.approx(coulomb_cosine_moment(0.05, k) / r_box, abs=1e-12)
+
+    @pytest.mark.parametrize("r_box", [4.0, 5.0])
+    def test_rejects_box_inside_woods_saxon_radius(self, r_box):
+        with pytest.raises(ValueError):
+            sb.ground_energy_at(sb.woods_saxon(2.0, 5.0, 0.2), 1.0, 64, r_box)
 
     def test_strided_matrix_matches_fancy_index(self):
         n = 37
