@@ -39,7 +39,6 @@ from .radial_schrodinger import (
     neumann_eigenvalue,
 )
 from .salpeter import (
-    BasisConfig,
     SalpeterSolution,
     ground_energy,
     ground_energy_at,
@@ -49,7 +48,6 @@ from .salpeter import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisConfig",
     "CouplingOutOfRange",
     "F",
     "GaussianBoundPoint",

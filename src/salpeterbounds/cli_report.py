@@ -9,7 +9,6 @@ output is byte-identical for any thread count.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -53,7 +52,7 @@ class SweepConfig:
     v_steps: int = 1
     r_max: float | None = None
     grid_points: int | None = None
-    basis_size: int | None = None
+    basis_size: int = salpeter.DEFAULT_BASIS_SIZE
     tol: float = ORDER_TOL
     out: str | None = None
     threads: int = 1
@@ -102,22 +101,7 @@ class SweepConfig:
             return None
         if self.r_max is None:
             raise ConfigError("grid_points override requires r_max as well")
-        return GridConfig(self.r_max, self.grid_points or 4096)
-
-    def basis_override(self, spec: PotentialSpec, m: float) -> salpeter.BasisConfig | None:
-        if self.basis_size is None:
-            return None
-        return salpeter.BasisConfig(salpeter.default_box_radius(spec, m), self.basis_size)
-
-    def effective_threads(self) -> int:
-        env = os.environ.get("SALPETER_THREADS")
-        if env is not None:
-            try:
-                n = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"SALPETER_THREADS must be an integer, got {env!r}") from exc
-            return max(1, n)
-        return max(1, self.threads)
+        return GridConfig(self.r_max) if self.grid_points is None else GridConfig(self.r_max, self.grid_points)
 
 
 def _parse_assignments(pairs: list[tuple[str, str, str]]) -> SweepConfig:
@@ -228,7 +212,7 @@ def _bounds_row(cfg: SweepConfig, v: float, m: float) -> BoundsRow:
     if sol.status is not KgStatus.BOUND:
         return BoundsRow(v, m, None, None, None, sol.e0, None, sol.status.value)
     try:
-        srs = salpeter.ground_energy(spec, m, cfg=cfg.basis_override(spec, m))
+        srs = salpeter.ground_energy(spec, m, cfg.basis_size)
         e_srs = srs.E
     except NonConvergence:
         return BoundsRow(v, m, sol.e, None, None, sol.e0, sol.delta_at_e, "error")
@@ -252,7 +236,7 @@ def run_bounds(cfg: SweepConfig) -> tuple[Path, int]:
         raise ConfigError("bounds needs an output file: set out = <path>")
     m = cfg.single_mass()
     grid = cfg.coupling_grid()
-    with ThreadPoolExecutor(max_workers=cfg.effective_threads()) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, cfg.threads)) as pool:
         rows = list(pool.map(lambda v: _bounds_row(cfg, v, m), grid))
     violations = sum(0 if row.ordering_ok(cfg.tol) else 1 for row in rows)
     out = Path(cfg.out)
@@ -287,7 +271,7 @@ def run_fcurves(cfg: SweepConfig) -> list[Path]:
     e_values = [float(x) for x in 0.5 * (grid - grid[::-1])]
     written: list[Path] = []
 
-    with ThreadPoolExecutor(max_workers=cfg.effective_threads()) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, cfg.threads)) as pool:
         curve_lines = list(pool.map(lambda v: _fcurve_lines(cfg, v, e_values), couplings))
     for v, lines in zip(couplings, curve_lines):
         path = out_dir / f"fcurve_v{v:.6g}.csv"
@@ -297,7 +281,8 @@ def run_fcurves(cfg: SweepConfig) -> list[Path]:
     lines = ["m,e,g"]
     for m in masses:
         for e in e_values:
-            lines.append(f"{m:.12g},{e:.12g},{e * e - m * m:.12g}")
+            # factored: e*e - m*m cancels to roundoff where e nears m
+            lines.append(f"{m:.12g},{e:.12g},{(e - m) * (e + m):.12g}")
     parabolas = out_dir / "parabolas.csv"
     parabolas.write_text("\n".join(lines) + "\n", encoding="utf-8")
     written.append(parabolas)
@@ -309,7 +294,7 @@ def run_fcurves(cfg: SweepConfig) -> list[Path]:
         v, m = pair
         sol = kleingordon.solve(cfg.potential(v), m, cfg.grid_override())
         return f"{v:.12g},{m:.12g},{_fmt(sol.e)},{sol.status.value}"
-    with ThreadPoolExecutor(max_workers=cfg.effective_threads()) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, cfg.threads)) as pool:
         inter_lines += list(pool.map(record, pairs))
     intersections = out_dir / "intersections.csv"
     intersections.write_text("\n".join(inter_lines) + "\n", encoding="utf-8")
@@ -319,8 +304,6 @@ def run_fcurves(cfg: SweepConfig) -> list[Path]:
 
 def run_critical(cfg: SweepConfig, out=None) -> tuple[float, float]:
     """Print binding and supercritical coupling thresholds for the shape."""
-    if out is None:
-        out = sys.stdout
     if cfg.kind is Kind.COULOMB:
         raise ConfigError("criticality is a coupling window for Coulomb, not a spectral threshold")
     m = cfg.single_mass()
@@ -333,48 +316,42 @@ def run_critical(cfg: SweepConfig, out=None) -> tuple[float, float]:
     return lower, upper
 
 
-def _cmd_kg(cfg: SweepConfig, out=None) -> int:
-    if out is None:
-        out = sys.stdout
+def _cmd_kg(cfg: SweepConfig) -> int:
     sol = kleingordon.solve(cfg.potential(cfg.single_coupling()), cfg.single_mass(), cfg.grid_override())
-    print(f"status={sol.status.value}", file=out)
-    print(f"e={_fmt(sol.e)}", file=out)
-    print(f"e0={_fmt(sol.e0)}", file=out)
-    print(f"delta={_fmt(sol.delta_at_e)}", file=out)
+    print(f"status={sol.status.value}")
+    print(f"e={_fmt(sol.e)}")
+    print(f"e0={_fmt(sol.e0)}")
+    print(f"delta={_fmt(sol.delta_at_e)}")
     if sol.secondary_e is not None:
-        print(f"secondary_e={_fmt(sol.secondary_e)}", file=out)
+        print(f"secondary_e={_fmt(sol.secondary_e)}")
     return 0
 
 
-def _cmd_salpeter(cfg: SweepConfig, out=None) -> int:
-    if out is None:
-        out = sys.stdout
+def _cmd_salpeter(cfg: SweepConfig) -> int:
     spec = cfg.potential(cfg.single_coupling())
     m = cfg.single_mass()
-    sol = salpeter.ground_energy(spec, m, cfg=cfg.basis_override(spec, m))
-    print(f"E={sol.E:.12g}", file=out)
-    print(f"basis_tail={sol.basis_tail:.3e}", file=out)
+    sol = salpeter.ground_energy(spec, m, cfg.basis_size)
+    print(f"E={sol.E:.12g}")
+    print(f"basis_tail={sol.basis_tail:.3e}")
     for n, r_box, energy in sol.convergence_history:
-        print(f"history N={n} R={r_box:.6g} E={energy:.12g}", file=out)
+        print(f"history N={n} R={r_box:.6g} E={energy:.12g}")
     return 0
 
 
-def _cmd_gaussian(cfg: SweepConfig, out=None) -> int:
-    if out is None:
-        out = sys.stdout
+def _cmd_gaussian(cfg: SweepConfig) -> int:
     if cfg.kind is not Kind.WOODS_SAXON:
         raise ConfigError("the Gaussian bound is derived for the woods-saxon kind only")
     m = cfg.single_mass()
     v = cfg.single_coupling()
     e_g = gaussian_bound.eg_optimized(m, cfg.a, cfg.b, v)
-    print(f"E_g={e_g:.12g}", file=out)
+    print(f"E_g={e_g:.12g}")
     if cfg.out is not None:
         points = gaussian_bound.optimal_curve(m, cfg.a, cfg.b)
         path = Path(cfg.out)
         path.parent.mkdir(parents=True, exist_ok=True)
         lines = ["s,v,E_g,J1,J2,J3,J4"] + gaussian_bound.curve_csv_rows(points)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"wrote {path}", file=out)
+        print(f"wrote {path}")
     return 0
 
 

@@ -29,10 +29,6 @@ from scipy.optimize import brentq
 # than 1e3 times this target.
 TARGET_TOL = 1e-9
 
-# Node-local renormalization of an inverse-square origin coefficient is
-# numerically meaningful only while the correction beats roundoff.
-_CORRECTION_NODES = 4096
-
 # absolute tolerance on lam = -kappa^2 when kappa is matched; LAPACK's
 # bisection resolves lam only to about 1e-16 * 4 / h^2 anyway
 _MATCH_TOL = 1e-13
@@ -94,25 +90,7 @@ class SchrodingerResult:
     level_eigenvalues: list[float] = field(default_factory=list)
 
 
-def _inverse_square_renormalization(indices: np.ndarray, coefficient: float) -> np.ndarray:
-    """Per-node replacement for an origin coefficient B/r^2.
-
-    Near r = 0 the regular solution behaves like r^gamma with
-    gamma (gamma - 1) = B; the plain three-point stencil misrepresents its
-    second derivative at the first few nodes, which degrades the eigenvalue
-    to far below second order.  Choosing the node value
-    i^(2-gamma) * [ (i+1)^gamma - 2 i^gamma + (i-1)^gamma ]
-    makes the discrete operator annihilate r^gamma exactly, restoring a
-    smooth error expansion.  Requires B > -1/4.
-    """
-    if coefficient <= -0.25:
-        raise ValueError(f"inverse-square coefficient must exceed -1/4, got {coefficient}")
-    gamma = 0.5 + np.sqrt(0.25 + coefficient)
-    i = indices.astype(float)
-    return i ** (2.0 - gamma) * ((i + 1.0) ** gamma - 2.0 * i ** gamma + (i - 1.0) ** gamma)
-
-
-def _assemble(W: Callable, r_max: float, n: int, inverse_square_origin: float | None):
+def _assemble(W: Callable, r_max: float, n: int):
     """Neumann matrix on the nodes r_i = i h, i = 1..n+1, the last at r_max.
 
     A ghost point closes the last row for u'(r_max) = -kappa u(r_max) as
@@ -122,13 +100,8 @@ def _assemble(W: Callable, r_max: float, n: int, inverse_square_origin: float | 
     weight the trapezoid rule gives that node.  Here kappa = 0.
     """
     h = r_max / (n + 1)
-    idx = np.arange(1, n + 2)
-    r = h * idx
+    r = h * np.arange(1, n + 2)
     diag = 2.0 / h**2 + np.asarray(W(r), dtype=float)
-    if inverse_square_origin is not None:
-        k = min(n, _CORRECTION_NODES)
-        btilde = _inverse_square_renormalization(idx[:k], inverse_square_origin)
-        diag[:k] += (btilde - inverse_square_origin) / r[:k] ** 2
     if not np.all(np.isfinite(diag)):
         raise ValueError("W must be finite on the grid")
     off = np.full(n, -1.0 / h**2)
@@ -156,10 +129,10 @@ def _richardson_diagonal(levels: list[float]) -> list[float]:
     return [row[-1] for row in table]
 
 
-def _robin_levels(W: Callable, grid: GridConfig, inverse_square_origin: float | None):
+def _robin_levels(W: Callable, grid: GridConfig):
     """The refinement levels, and kappa -> the lowest eigenvalue at each
     level with u'(r_max) = -kappa u(r_max), memoized."""
-    levels = [_assemble(W, grid.r_max, n, inverse_square_origin) for n in grid.level_sizes()]
+    levels = [_assemble(W, grid.r_max, n) for n in grid.level_sizes()]
     memo: dict[float, list[float]] = {}
 
     def at(kappa: float) -> list[float]:
@@ -191,11 +164,7 @@ def _matched_kappa(robin: Callable[[float], list[float]], neumann: float) -> flo
     return float(brentq(mismatch, 0.0, hi, xtol=_MATCH_TOL / (2.0 * hi)))
 
 
-def neumann_eigenvalue(
-    W: Callable,
-    grid: GridConfig,
-    inverse_square_origin: float | None = None,
-) -> float:
+def neumann_eigenvalue(W: Callable, grid: GridConfig) -> float:
     """Richardson-extrapolated lowest eigenvalue with u'(r_max) = 0.
 
     This is the binding test: when W vanishes beyond r_max, -u'' + W u on
@@ -203,24 +172,18 @@ def neumann_eigenvalue(
     On a fixed grid it is signed and smooth in the parameters of W, so
     thresholds are its roots.
     """
-    _, robin = _robin_levels(W, grid, inverse_square_origin)
+    _, robin = _robin_levels(W, grid)
     return _richardson_diagonal(robin(0.0))[-1]
 
 
-def lowest_eigenvalue(
-    W: Callable,
-    grid: GridConfig,
-    inverse_square_origin: float | None = None,
-) -> SchrodingerResult:
+def lowest_eigenvalue(W: Callable, grid: GridConfig) -> SchrodingerResult:
     """Ground eigenvalue of -d^2/dr^2 + W on the half-line.
 
     u(0) = 0, and at r_max the solution is matched to the free decay
     e^{-kappa r}, kappa = sqrt(-eigenvalue): u'(r_max) = -kappa u(r_max).
     This is exact when W vanishes beyond r_max, so the box need only cover
     the range of W.  W maps an array of radii to an array of values, finite
-    on (0, r_max].  For potentials carrying a B/r^2 origin singularity,
-    pass inverse_square_origin=B to switch on the node-local
-    renormalization.
+    on (0, r_max].
 
     Raises NoBoundState when the binding test (neumann_eigenvalue) or the
     extrapolated eigenvalue is not negative or the matched kappa is 0, and
@@ -228,7 +191,7 @@ def lowest_eigenvalue(
     1e3 * TARGET_TOL or inverse iteration fails.
     level_eigenvalues are the per-level eigenvalues at the matched kappa.
     """
-    matrices, robin = _robin_levels(W, grid, inverse_square_origin)
+    matrices, robin = _robin_levels(W, grid)
     neumann = _richardson_diagonal(robin(0.0))[-1]
     if neumann >= 0:
         raise NoBoundState(f"extrapolated Neumann eigenvalue {neumann:.6g} >= 0: W does not bind", lowest=neumann)

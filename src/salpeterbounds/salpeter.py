@@ -44,27 +44,13 @@ from scipy.special import sici
 
 from . import kleingordon, potentials
 from .potentials import Kind, PotentialSpec, Theory
-from .radial_schrodinger import GridConfig, NoBoundState, NonConvergence
+from .radial_schrodinger import NoBoundState, NonConvergence
 
-_DEFAULT_N = 256
+DEFAULT_BASIS_SIZE = 256
 _BOX_FLOOR = 30.0
 _BOX_CAP = 800.0
 
 DOUBLING_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class BasisConfig:
-    """Sine-basis parameters: box radius R and basis size N."""
-
-    box_radius: float
-    basis_size: int = _DEFAULT_N
-
-    def __post_init__(self):
-        if not (np.isfinite(self.box_radius) and self.box_radius > 0):
-            raise ValueError(f"box_radius must be positive, got {self.box_radius}")
-        if self.basis_size < 32:
-            raise ValueError(f"basis_size must be >= 32, got {self.basis_size}")
 
 
 @dataclass
@@ -124,28 +110,26 @@ def _potential_matrix(d: np.ndarray) -> np.ndarray:
 
 
 def ground_energy_at(
-    spec: PotentialSpec | None,
+    spec: PotentialSpec,
     m: float,
     basis_size: int,
     box_radius: float,
 ) -> tuple[float, np.ndarray]:
-    """Single diagonalization at fixed (N, R); spec None means V = 0.
+    """Single diagonalization with N = basis_size modes in the box R = box_radius.
 
     Returns the lowest eigenvalue and its coefficient vector in the sine
-    modes.  The V = 0 case is the free-box diagnostic with exact answer
-    sqrt((pi/R)^2 + m^2).
+    modes.
     """
     if not (np.isfinite(m) and m > 0):
         raise ValueError(f"mass must be positive, got {m}")
-    cfg = BasisConfig(box_radius, basis_size)
-    n = cfg.basis_size
+    if not (np.isfinite(box_radius) and box_radius > 0):
+        raise ValueError(f"box_radius must be positive, got {box_radius}")
+    if basis_size < 32:
+        raise ValueError(f"basis_size must be >= 32, got {basis_size}")
+    n = basis_size
     modes = np.arange(1, n + 1)
-    kinetic = np.sqrt((modes * np.pi / cfg.box_radius) ** 2 + m * m)
-    if spec is None:
-        coeffs = np.zeros(n)
-        coeffs[0] = 1.0
-        return float(kinetic[0]), coeffs
-    h_mat = _potential_matrix(_moments(spec, cfg.box_radius, 2 * n + 1))
+    kinetic = np.sqrt((modes * np.pi / box_radius) ** 2 + m * m)
+    h_mat = _potential_matrix(_moments(spec, box_radius, 2 * n + 1))
     h_mat[np.diag_indices(n)] += kinetic
     # H is symmetric, so its transpose is the same matrix in the Fortran
     # order that LAPACK can overwrite without making a copy first
@@ -175,12 +159,13 @@ def default_box_radius(spec: PotentialSpec, m: float) -> float:
 def ground_energy(
     spec: PotentialSpec,
     m: float,
-    cfg: BasisConfig | None = None,
+    basis_size: int = DEFAULT_BASIS_SIZE,
     tol: float = DOUBLING_TOL,
     basis_max: int = 2048,
 ) -> SalpeterSolution:
     """Ground energy, converged under basis and box doubling.
 
+    The doubling starts from basis_size modes in the box default_box_radius.
     Convergence requires |E(2N, R) - E(N, R)| < tol and then
     |E(2N, 2R) - E(2N, R)| < tol: the box doubling is probed at the doubled
     basis so it keeps the already-validated momentum cutoff N pi / R while
@@ -193,9 +178,7 @@ def ground_energy(
     report = potentials.validate(spec, Theory.SALPETER)
     if not report.accepted:
         raise ValueError(report.reason)
-    if cfg is None:
-        cfg = BasisConfig(default_box_radius(spec, m))
-    n, r_box = cfg.basis_size, cfg.box_radius
+    n, r_box = basis_size, default_box_radius(spec, m)
     history: list[tuple[int, float, float]] = []
     energy, _ = ground_energy_at(spec, m, n, r_box)
     history.append((n, r_box, energy))
@@ -243,7 +226,6 @@ class SquaredInequalityReport:
 def squared_inequality_check(
     solution: SalpeterSolution,
     spec: PotentialSpec,
-    grid: GridConfig | None = None,
     tol: float = 1e-6,
 ) -> SquaredInequalityReport:
     """Verify E^2 - m^2 >= F(E) by evaluating the spectral curve at e = E.
@@ -256,7 +238,7 @@ def squared_inequality_check(
     energy, m = solution.E, solution.m
     lhs = energy * energy - m * m
     try:
-        point = kleingordon.F(spec, energy, grid)
+        point = kleingordon.F(spec, energy)
     except NoBoundState:
         return SquaredInequalityReport(
             E=energy, m=m, lhs=lhs, F_at_E=None, slack=None, satisfied=None,

@@ -50,12 +50,6 @@ EXP_WELL_EIGENVALUE = {
 }
 
 
-def kratzer_ground(A: float, B: float) -> float:
-    """Ground eigenvalue of -u'' + (-A/r + B/r^2) u: -A^2 / (4 gamma^2)."""
-    gamma = 0.5 + math.sqrt(0.25 + B)
-    return -(A / (2.0 * gamma)) ** 2
-
-
 def coulomb_kg_energy(v: float, m: float) -> float:
     """Closed-form Klein-Gordon ground energy for -v/r: m / sqrt(1 + v^2/gamma^2)."""
     gamma = 0.5 + math.sqrt(0.25 - v * v)

@@ -1,5 +1,7 @@
 import io
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import salpeterbounds.cli_report as cli
@@ -84,14 +86,6 @@ class TestParseConfig:
     def test_bad_override(self):
         with pytest.raises(ConfigError):
             parse_config(None, overrides=["nonsense"])
-
-    def test_threads_env_override(self, monkeypatch):
-        cfg = SweepConfig(threads=2)
-        monkeypatch.setenv("SALPETER_THREADS", "7")
-        assert cfg.effective_threads() == 7
-        monkeypatch.setenv("SALPETER_THREADS", "zap")
-        with pytest.raises(ConfigError):
-            cfg.effective_threads()
 
     def test_grid_override_requires_r_max(self):
         cfg = SweepConfig(grid_points=2048)
@@ -253,6 +247,23 @@ class TestRunFcurves:
         m, e, g = (float(x) for x in rows[1].split(","))
         assert g == pytest.approx(e * e - m * m, rel=1e-12)
 
+    def test_parabola_values_are_exact_near_the_edge(self, tmp_path):
+        # e*e - m*m cancels where e nears m; every printed g must be the
+        # exact g(e) of the grid's float e, rounded to 12 digits
+        out_dir = tmp_path / "curves"
+        cfg = parse_config(None, overrides=[
+            "potential=coulomb", "v=0.4", "m_min=0.8", "m_max=1.0", "m_step=0.2",
+            "e_steps=61", f"out={out_dir}",
+        ])
+        run_fcurves(cfg)
+        grid = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, 61)
+        e_values = [float(x) for x in 0.5 * (grid - grid[::-1])]
+        rows = (out_dir / "parabolas.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 * 61
+        for row, (m, e) in zip(rows, [(m, e) for m in (0.8, 1.0) for e in e_values]):
+            exact = Fraction(e) ** 2 - Fraction(m) ** 2
+            assert row == f"{m:.12g},{e:.12g},{float(exact):.12g}"
+
 
 class TestRunCritical:
     def test_coulomb_is_usage_error(self):
@@ -325,8 +336,8 @@ class TestMainEntry:
     def test_basis_size_override(self, command, tmp_path, monkeypatch):
         seen = []
 
-        def fake_ground_energy(spec, m, cfg=None):
-            seen.append(cfg)
+        def fake_ground_energy(spec, m, basis_size):
+            seen.append(basis_size)
             return cli.salpeter.SalpeterSolution(E=0.99, m=m, basis_tail=0.0)
 
         monkeypatch.setattr(cli.salpeter, "ground_energy", fake_ground_energy)
@@ -335,9 +346,7 @@ class TestMainEntry:
             "--set", "basis_size=64", "--set", f"out={tmp_path / 'bounds.csv'}",
         ])
         assert rc == 0
-        (basis,) = seen
-        assert basis.basis_size == 64
-        assert basis.box_radius == cli.salpeter.default_box_radius(cli.potentials.coulomb(0.3), 1.0)
+        assert seen == [64]
 
     def test_salpeter_single_point(self, capsys):
         rc = cli.main([

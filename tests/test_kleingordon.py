@@ -13,7 +13,6 @@ from salpeterbounds.radial_schrodinger import GridConfig, NoBoundState
 from oracles import (
     coulomb_kg_energy,
     kg_energy,
-    kratzer_ground,
     zero_energy_root,
     zero_energy_slope,
     zero_energy_threshold,
@@ -43,21 +42,6 @@ class TestSpectralCurveCoulomb:
     def test_rejects_supercritical_coupling(self):
         with pytest.raises(ValueError):
             sb.F(sb.coulomb(0.6), 1.0)
-
-    def test_grid_path_cross_validation(self):
-        # the generic finite-difference engine, fed the reduced potential
-        # 2eV - V^2 = -2ev/r - v^2/r^2, must agree with the closed form
-        v = 0.4
-        for e in (0.5, 0.8, 1.0):
-            A, B = 2.0 * e * v, -v * v
-            exact = kratzer_ground(A, B)
-            kappa = np.sqrt(-exact)
-            res = sb.lowest_eigenvalue(
-                lambda r: -A / r + B / r**2,
-                GridConfig(40.0 / kappa, 16384),
-                inverse_square_origin=B,
-            )
-            assert res.eigenvalue == pytest.approx(exact, rel=1e-5)
 
 
 class TestSpectralCurveShortRange:

@@ -10,7 +10,7 @@ import salpeterbounds as sb
 from salpeterbounds import radial_schrodinger
 from salpeterbounds.radial_schrodinger import GridConfig, NoBoundState
 
-from oracles import EXP_WELL_EIGENVALUE, bessel_ground_eigenvalue, kratzer_ground
+from oracles import EXP_WELL_EIGENVALUE, bessel_ground_eigenvalue
 
 
 def exp_well(v):
@@ -96,24 +96,12 @@ class TestExteriorMatching:
 class TestKratzerOracle:
     A, B = 0.8, -0.16
 
-    def test_closed_form(self):
-        assert kratzer_ground(self.A, self.B) == pytest.approx(-0.25, abs=1e-15)
-
-    def test_eigenvalue_with_origin_renormalization(self):
-        res = sb.lowest_eigenvalue(
-            kratzer(self.A, self.B), GridConfig(80.0, 12288), inverse_square_origin=self.B
-        )
-        assert res.eigenvalue == pytest.approx(-0.25, rel=1e-5)
-
     def test_plain_stencil_refuses_to_extrapolate(self):
-        # without the renormalization the r^gamma kink breaks the h^2 error
-        # expansion and the extrapolation-disagreement gate fires
+        # a B/r^2 origin makes u ~ r^gamma with non-integer gamma; that kink
+        # breaks the h^2 error expansion and the extrapolation-disagreement
+        # gate fires instead of returning a wrong eigenvalue
         with pytest.raises(sb.NonConvergence):
             sb.lowest_eigenvalue(kratzer(self.A, self.B), GridConfig(80.0, 4096))
-
-    def test_rejects_supercritical_inverse_square(self):
-        with pytest.raises(ValueError):
-            sb.lowest_eigenvalue(kratzer(0.8, -0.3), GridConfig(80.0, 256), inverse_square_origin=-0.3)
 
 
 class TestNoBoundState:
@@ -170,20 +158,19 @@ class TestExpectation:
 
     def test_hellmann_feynman_slope(self):
         # d lam / d eps of W + 2 eps V equals 2 <V>
-        A, B = 0.8, -0.16
-        grid = GridConfig(80.0, 4096)
-        base = sb.lowest_eigenvalue(kratzer(A, B), grid, inverse_square_origin=B)
-        mean_v = sb.expectation(base, lambda r: -A / (2.0 * r))
+        v = 2.5
+        grid = GridConfig(math.log(v / 1e-12), 4096)
+        # V unlike W in shape, so the slope is not a mere rescaling of lam
+        V = lambda r: -np.exp(-2.0 * r)
+        base = sb.lowest_eigenvalue(exp_well(v), grid)
+        mean_v = sb.expectation(base, V)
         eps = 1e-4
 
         def perturbed(sign):
-            W = lambda r: -A / r + B / r**2 + 2.0 * sign * eps * (-A / (2.0 * r))
-            return sb.lowest_eigenvalue(W, grid, inverse_square_origin=B).eigenvalue
+            return sb.lowest_eigenvalue(lambda r: exp_well(v)(r) + 2.0 * sign * eps * V(r), grid).eigenvalue
 
         slope = (perturbed(+1) - perturbed(-1)) / (2.0 * eps)
-        # the trapezoid expectation integrates an r^(2 gamma - 1) integrand
-        # near the origin, which caps the agreement around h^1.6
-        assert mean_v == pytest.approx(slope / 2.0, rel=5e-4)
+        assert mean_v == pytest.approx(slope / 2.0, rel=1e-4)
 
     def test_rejects_nonfinite_weight(self, exp_results):
         res = exp_results[2.5]

@@ -7,17 +7,17 @@ import salpeterbounds as sb
 from oracles import cosine_moment, coulomb_cosine_moment, coulomb_kg_energy
 from salpeterbounds import salpeter
 from salpeterbounds.radial_schrodinger import GridConfig, NonConvergence
-from salpeterbounds.salpeter import BasisConfig, default_box_radius
+from salpeterbounds.salpeter import default_box_radius
 
 
 class TestBasisConfig:
     def test_rejects_small_basis(self):
-        with pytest.raises(ValueError):
-            BasisConfig(30.0, 16)
+        with pytest.raises(ValueError, match="basis_size"):
+            sb.ground_energy_at(sb.exponential(4.5), 1.0, 16, 30.0)
 
     def test_rejects_bad_box(self):
-        with pytest.raises(ValueError):
-            BasisConfig(-5.0)
+        with pytest.raises(ValueError, match="box_radius"):
+            sb.ground_energy_at(sb.exponential(4.5), 1.0, 64, -5.0)
 
 
 class TestCosineMoments:
@@ -56,14 +56,6 @@ class TestCosineMoments:
         modes = np.arange(1, n + 1)
         fancy = d[np.abs(modes[:, None] - modes[None, :])] - d[modes[:, None] + modes[None, :]]
         assert np.array_equal(salpeter._potential_matrix(d), fancy)
-
-
-class TestFreeBox:
-    @pytest.mark.parametrize("m,R", [(1.0, 30.0), (0.5, 20.0)])
-    def test_exact_lowest_mode(self, m, R):
-        energy, coeffs = sb.ground_energy_at(None, m, 64, R)
-        assert energy == pytest.approx(math.sqrt((math.pi / R) ** 2 + m * m), abs=1e-14)
-        assert coeffs[0] == 1.0
 
 
 class TestGroundEnergy:
