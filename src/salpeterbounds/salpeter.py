@@ -1,8 +1,8 @@
-"""Ground energy of H = sqrt(p^2 + m^2) + V(r) by direct diagonalization.
+"""Ground energy of H = sqrt(p^2 + m^2) + V(r) in a sine basis, matrix-free.
 
 In the Dirichlet sine modes on [0, R] the relativistic kinetic operator is
-exactly diagonal, sqrt((n pi / R)^2 + m^2), so the only work is the potential
-matrix.  Products of modes reduce to cosines, and with k = n pi / R
+exactly diagonal, K_n = sqrt((n pi / R)^2 + m^2).  Products of modes reduce to
+cosines, and with k = n pi / R
 
     V_jk = D(|j-k|) - D(j+k),    D(n) = (1/R) int_0^R V(r) (cos(k r) - 1) dr.
 
@@ -28,18 +28,40 @@ cos(k r) = (-1)^n cos(k (r - R)), so the exterior part is (-1)^n S(R - a) and
     C(0) = a + b ln(1 + e^{-a/b}) - b ln(1 + e^{-(R-a)/b}).
 
 Each series keeps ceil(40 b / c) terms, so the first omitted one carries
-e^{-q c / b} < e^{-40}.  The potential matrix is then built from two strided
-views of D (a Toeplitz and a Hankel part) with a single N x N subtraction.
+e^{-q c / b} < e^{-40}.
+
+H is never formed.  With the odd extension x_{-k} = -x_k, x_0 = 0,
+(V x)_j = sum_{|k| <= N} D(|j-k|) x_k is a convolution, exact as a circular
+one of length 4N, so H x = K x + DST-I(DCT-I(D) * DST-I(x)) / 4N in
+O(N log N); the DST-I of length 2N - 1 is, up to a factor -i, the real FFT
+of the odd extension.
+
+LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517) finds the lowest pair,
+preconditioned by diag(K_j - sigma)^{-1} with sigma = min(rho - |r|,
+K_1 + V_11) for the Rayleigh quotient rho and residual r of the start vector.
+V <= 0 gives V_11 < 0, and K_j >= K_1, so every entry is positive.  Each
+doubling level starts from the last: zero-padded for 2N (rho is the last E,
+|r| is small), mode k moved to mode 2k for 2R (the state plus its mirror
+image at the new wall, an even mix whose rho - |r| is close to E).  A cold
+start is the transform of r e^{-25 r / R}, the decay the box is sized for.
+A level counts only if |H x - E x| <= RESIDUAL_TOL = DOUBLING_TOL / 10, so
+an eigenvalue of H lies within a tenth of the doubling tolerance of E;
+otherwise, or on any LOBPCG accuracy warning, NonConvergence names N, R and
+the residual.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import eigh
+from scipy.fft import dct, dst
+# named eigh because the benchmark tracer (perfbench/tracer.py) times salpeter.eigh
+from scipy.sparse.linalg import lobpcg as eigh
 from scipy.special import sici
 
 from . import kleingordon, potentials
@@ -51,8 +73,11 @@ _BOX_FLOOR = 30.0
 _BOX_CAP = 800.0
 
 DOUBLING_TOL = 1e-7
-
-
+RESIDUAL_TOL = DOUBLING_TOL / 10.0
+_MAX_ITERATIONS = 200
+# catch_warnings swaps process-wide state, so solves on the sweep's worker
+# threads take turns rather than restore each other's filters
+_WARNINGS_LOCK = threading.Lock()
 @dataclass
 class SalpeterSolution:
     """Converged ground energy with the basis-doubling history.
@@ -101,12 +126,16 @@ def _moments(spec: PotentialSpec, r_box: float, count: int) -> np.ndarray:
     return np.concatenate(([0.0], -spec.v / r_box * (wave - plain)))
 
 
-def _potential_matrix(d: np.ndarray) -> np.ndarray:
-    """V_jk = d[|j-k|] - d[j+k] for modes j, k = 1 .. N, from len(d) = 2N + 1."""
-    n = (d.size - 1) // 2
-    toeplitz = sliding_window_view(np.concatenate((d[n - 1:0:-1], d[:n])), n)[::-1]
-    hankel = sliding_window_view(d[2:], n)
-    return toeplitz - hankel
+def _hamiltonian(spec: PotentialSpec, m: float, n: int, box_radius: float) -> tuple[Callable, np.ndarray, np.ndarray]:
+    """x -> H x for x of shape (N, columns), the kinetic diagonal K and D(0 .. 2N)."""
+    kinetic = np.sqrt((np.arange(1, n + 1) * np.pi / box_radius) ** 2 + m * m)
+    d = _moments(spec, box_radius, 2 * n + 1)
+    kernel = dct(d, type=1)[1:2 * n, None] / (4 * n)
+
+    def product(x: np.ndarray) -> np.ndarray:
+        return kinetic[:, None] * x + dst(kernel * dst(x, type=1, n=2 * n - 1, axis=0), type=1, axis=0)[:n]
+
+    return product, kinetic, d
 
 
 def ground_energy_at(
@@ -114,11 +143,12 @@ def ground_energy_at(
     m: float,
     basis_size: int,
     box_radius: float,
+    start: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Single diagonalization with N = basis_size modes in the box R = box_radius.
+    """Lowest eigenpair with N = basis_size modes in the box R = box_radius.
 
-    Returns the lowest eigenvalue and its coefficient vector in the sine
-    modes.
+    Returns the eigenvalue and its coefficient vector in the sine modes.
+    start is an optional length-N start vector (see the module docstring).
     """
     if not (np.isfinite(m) and m > 0):
         raise ValueError(f"mass must be positive, got {m}")
@@ -126,24 +156,35 @@ def ground_energy_at(
         raise ValueError(f"box_radius must be positive, got {box_radius}")
     if basis_size < 32:
         raise ValueError(f"basis_size must be >= 32, got {basis_size}")
-    n = basis_size
-    modes = np.arange(1, n + 1)
-    kinetic = np.sqrt((modes * np.pi / box_radius) ** 2 + m * m)
-    h_mat = _potential_matrix(_moments(spec, box_radius, 2 * n + 1))
-    h_mat[np.diag_indices(n)] += kinetic
-    # H is symmetric, so its transpose is the same matrix in the Fortran
-    # order that LAPACK can overwrite without making a copy first
-    w, vec = eigh(h_mat.T, subset_by_index=[0, 0], overwrite_a=True)
-    coeffs = vec[:, 0]
+    product, kinetic, d = _hamiltonian(spec, m, basis_size, box_radius)
+    if start is None:
+        k = np.arange(1, basis_size + 1) * np.pi / box_radius
+        start = k / ((25.0 / box_radius) ** 2 + k * k) ** 2
+    x = (start / np.linalg.norm(start))[:, None]
+    hx = product(x)
+    rho = float(x[:, 0] @ hx[:, 0])
+    # K_1 + V_11 with V_11 = D(0) - D(2)
+    sigma = min(rho - float(np.linalg.norm(hx - rho * x)), kinetic[0] - d[2])
+    inverse = (1.0 / (kinetic - sigma))[:, None]
+    with _WARNINGS_LOCK, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        w, vec = eigh(product, x, M=lambda r: inverse * r, tol=RESIDUAL_TOL,
+                      maxiter=_MAX_ITERATIONS, largest=False)
+    energy, coeffs = float(w[0]), vec[:, 0]
+    residual = float(np.linalg.norm(product(vec)[:, 0] - energy * coeffs))
+    if caught or not residual <= RESIDUAL_TOL:
+        raise NonConvergence(
+            f"LOBPCG failed at N = {basis_size} in the box R = {box_radius:g}: residual {residual:.3g} "
+            f"(gate {RESIDUAL_TOL:g})" + "".join(f"; {str(c.message).splitlines()[0]}" for c in caught))
     if coeffs[np.argmax(np.abs(coeffs))] < 0:
         coeffs = -coeffs
-    return float(w[0]), coeffs
+    return energy, coeffs
 
 
 def default_box_radius(spec: PotentialSpec, m: float) -> float:
     """Box from the potential tail and the bound-state decay length.
 
-    A small pre-diagonalization estimates E, hence the asymptotic decay
+    A small 128-mode solve estimates E, hence the asymptotic decay
     rate kappa = sqrt(m^2 - E^2); the box keeps kappa * R >= 25 so the
     Dirichlet wall shifts E by ~exp(-50) while the modes stay affordable.
     The Coulomb tail v / r never falls below TAIL_EPS within the cap, so
@@ -161,7 +202,7 @@ def ground_energy(
     m: float,
     basis_size: int = DEFAULT_BASIS_SIZE,
     tol: float = DOUBLING_TOL,
-    basis_max: int = 2048,
+    basis_max: int = 16384,
 ) -> SalpeterSolution:
     """Ground energy, converged under basis and box doubling.
 
@@ -180,13 +221,15 @@ def ground_energy(
         raise ValueError(report.reason)
     n, r_box = basis_size, default_box_radius(spec, m)
     history: list[tuple[int, float, float]] = []
-    energy, _ = ground_energy_at(spec, m, n, r_box)
+    energy, coeffs = ground_energy_at(spec, m, n, r_box)
     history.append((n, r_box, energy))
     while True:
-        energy_2n, coeffs_2n = ground_energy_at(spec, m, 2 * n, r_box)
+        energy_2n, coeffs_2n = ground_energy_at(spec, m, 2 * n, r_box, np.concatenate((coeffs, np.zeros(n))))
         history.append((2 * n, r_box, energy_2n))
         if abs(energy_2n - energy) < tol:
-            energy_2r, _ = ground_energy_at(spec, m, 2 * n, 2.0 * r_box)
+            mirrored = np.zeros(2 * n)
+            mirrored[1::2] = coeffs_2n[:n]
+            energy_2r, _ = ground_energy_at(spec, m, 2 * n, 2.0 * r_box, mirrored)
             history.append((2 * n, 2.0 * r_box, energy_2r))
             if abs(energy_2r - energy_2n) < tol:
                 return SalpeterSolution(
@@ -195,7 +238,7 @@ def ground_energy(
                     basis_tail=abs(coeffs_2n[-1]),
                     convergence_history=history,
                 )
-        energy = energy_2n
+        energy, coeffs = energy_2n, coeffs_2n
         n *= 2
         if 2 * n > basis_max:
             drops = [history[i + 1][2] - history[i][2] for i in range(len(history) - 1)]

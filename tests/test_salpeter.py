@@ -1,9 +1,14 @@
 import math
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import salpeterbounds as sb
+import salpeterbounds.cli_report as cli
 from oracles import cosine_moment, coulomb_cosine_moment, coulomb_kg_energy
 from salpeterbounds import salpeter
 from salpeterbounds.radial_schrodinger import GridConfig, NonConvergence
@@ -50,12 +55,76 @@ class TestCosineMoments:
         with pytest.raises(ValueError):
             sb.ground_energy_at(sb.woods_saxon(2.0, 5.0, 0.2), 1.0, 64, r_box)
 
-    def test_strided_matrix_matches_fancy_index(self):
-        n = 37
-        d = np.random.default_rng(5).standard_normal(2 * n + 1)
-        modes = np.arange(1, n + 1)
-        fancy = d[np.abs(modes[:, None] - modes[None, :])] - d[modes[:, None] + modes[None, :]]
-        assert np.array_equal(salpeter._potential_matrix(d), fancy)
+
+def dense_hamiltonian(spec, m, n, r_box):
+    """H_jk = K_j delta_jk + D(|j-k|) - D(j+k) by fancy indexing, the oracle
+    for the matrix-free product."""
+    d = salpeter._moments(spec, r_box, 2 * n + 1)
+    modes = np.arange(1, n + 1)
+    potential = d[np.abs(modes[:, None] - modes[None, :])] - d[modes[:, None] + modes[None, :]]
+    return potential + np.diag(np.sqrt((modes * np.pi / r_box) ** 2 + m * m))
+
+
+KINDS = [sb.exponential(4.5), sb.woods_saxon(2.0), sb.coulomb(0.2)]
+
+
+class TestMatrixFreeSolver:
+    @pytest.mark.parametrize("spec", KINDS)
+    @pytest.mark.parametrize("n", [37, 1024])
+    def test_fft_product_matches_dense(self, spec, n):
+        x = np.random.default_rng(n).standard_normal((n, 3))
+        x /= np.linalg.norm(x, axis=0)
+        product = salpeter._hamiltonian(spec, 1.0, n, 40.0)[0]
+        assert np.max(np.abs(product(x) - dense_hamiltonian(spec, 1.0, n, 40.0) @ x)) < 1e-12
+
+    @pytest.mark.parametrize("spec", KINDS)
+    def test_lowest_eigenpair_matches_dense_eigh(self, spec):
+        n, r_box = 1024, 40.0
+        w, vec = scipy.linalg.eigh(dense_hamiltonian(spec, 1.0, n, r_box), subset_by_index=[0, 0])
+        energy, coeffs = sb.ground_energy_at(spec, 1.0, n, r_box)
+        assert abs(energy - w[0]) < 1e-12
+        assert abs(coeffs @ vec[:, 0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_iteration_cap_fails_cleanly(self, monkeypatch, capfd, tmp_path):
+        # one LOBPCG iteration cannot meet the residual gate: the solve
+        # raises NonConvergence, the bounds row reads error, and the
+        # eigensolver's own warnings reach neither the caller nor stderr
+        monkeypatch.setattr(salpeter, "_MAX_ITERATIONS", 1)
+        out = tmp_path / "bounds.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonConvergence, match=r"LOBPCG failed at N = 128 in the box R = 40: residual"):
+                sb.ground_energy(sb.coulomb(0.04), 1.0)
+            rc = cli.main(["bounds", "--set", "potential=coulomb", "--set", "v=0.04", "--set", "m=1",
+                           "--set", f"out={out}"])
+        assert rc == 0
+        assert not caught
+        assert capfd.readouterr().err == ""
+        assert out.read_text().splitlines()[1].endswith(",error")
+
+    def test_concurrent_failures_keep_warning_filters(self, monkeypatch, capfd):
+        # failing solves on four threads, switching often: each
+        # turns its own LOBPCG warnings into NonConvergence, and the
+        # process-wide warning filters end as they began
+        monkeypatch.setattr(salpeter, "_MAX_ITERATIONS", 1)
+        filters = list(warnings.filters)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(sb.ground_energy_at, sb.coulomb(0.04), 1.0, 64, 40.0) for _ in range(32)]
+                for future in futures:
+                    with pytest.raises(NonConvergence):
+                        future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert warnings.filters == filters
+        assert capfd.readouterr().err == ""
+
+    def test_history_is_bit_identical(self, srs_woods_saxon_2):
+        again = sb.ground_energy(sb.woods_saxon(2.0), 1.0)
+        assert again.convergence_history == srs_woods_saxon_2.convergence_history
+        assert again.E == srs_woods_saxon_2.E
 
 
 class TestGroundEnergy:
@@ -115,6 +184,13 @@ class TestGroundEnergy:
         assert f"R = {r_box:g}" in msg
         assert f"N pi / R = {512 * math.pi / r_box:.4g}" in msg
         assert "2/pi" not in msg
+
+    def test_coulomb_converges_at_basis_cap(self):
+        # v = 0.2 converges only at N = 16384 modes
+        v = 0.2
+        sol = sb.ground_energy(sb.coulomb(v), 1.0)
+        assert sol.convergence_history[-1][0] == 16384
+        assert coulomb_kg_energy(v, 1.0) <= sol.E <= 1.0 - v * v / 2.0
 
     def test_coulomb_box_from_decay_length(self):
         # the 1/r tail never reaches 1e-12 inside the cap, so it must not
