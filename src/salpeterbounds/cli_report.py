@@ -1,16 +1,15 @@
 """Command-line front end: parameter sweeps, bound verification, CSV export.
 
 Config files are flat "key = value" text; see parse_config for the key set.
-Rows of a sweep are computed concurrently but written in grid order, so the
-output is byte-identical for any thread count.  Exit codes: 0 success,
-1 config/usage error, 2 ordering violation detected.
+Rows of a sweep are computed one after another on the calling thread and
+written in grid order.  Exit codes: 0 success, 1 config/usage error,
+2 ordering violation detected.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,7 +54,6 @@ class SweepConfig:
     basis_size: int = salpeter.DEFAULT_BASIS_SIZE
     tol: float = ORDER_TOL
     out: str | None = None
-    threads: int = 1
     e_steps: int = 61
 
     def potential(self, v: float) -> PotentialSpec:
@@ -119,8 +117,10 @@ def _parse_assignments(pairs: list[tuple[str, str, str]]) -> SweepConfig:
                 setattr(cfg, key, float(value))
             elif key in ("m_min", "m_max", "m_step"):
                 seen_mass_grid[key] = float(value)
-            elif key in ("v_steps", "grid_points", "basis_size", "threads", "e_steps"):
+            elif key in ("v_steps", "grid_points", "basis_size", "e_steps"):
                 setattr(cfg, key, int(value))
+            elif key == "threads":
+                int(value)  # still read, so old configs parse; sweeps run serially
             elif key == "out":
                 cfg.out = value
             else:
@@ -144,8 +144,8 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> SweepC
 
     Keys: potential, a, b, m (or m_min/m_max/m_step), v, v_min, v_max,
     v_steps, r_max, grid_points, basis_size, tol, out, threads, e_steps.
-    Blank lines and '#' comments are ignored.  Errors carry file:line
-    positions.
+    threads must be an integer but has no effect.  Blank lines and '#'
+    comments are ignored.  Errors carry file:line positions.
     """
     pairs: list[tuple[str, str, str]] = []
     if path is not None:
@@ -214,7 +214,7 @@ def _bounds_row(cfg: SweepConfig, v: float, m: float) -> BoundsRow:
     try:
         srs = salpeter.ground_energy(spec, m, cfg.basis_size)
         e_srs = srs.E
-    except NonConvergence:
+    except (NoBoundState, NonConvergence):
         return BoundsRow(v, m, sol.e, None, None, sol.e0, sol.delta_at_e, "error")
     e_gauss = None
     if cfg.kind is Kind.WOODS_SAXON:
@@ -235,9 +235,7 @@ def run_bounds(cfg: SweepConfig) -> tuple[Path, int]:
     if cfg.out is None:
         raise ConfigError("bounds needs an output file: set out = <path>")
     m = cfg.single_mass()
-    grid = cfg.coupling_grid()
-    with ThreadPoolExecutor(max_workers=max(1, cfg.threads)) as pool:
-        rows = list(pool.map(lambda v: _bounds_row(cfg, v, m), grid))
+    rows = [_bounds_row(cfg, v, m) for v in cfg.coupling_grid()]
     violations = sum(0 if row.ordering_ok(cfg.tol) else 1 for row in rows)
     out = Path(cfg.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -271,11 +269,9 @@ def run_fcurves(cfg: SweepConfig) -> list[Path]:
     e_values = [float(x) for x in 0.5 * (grid - grid[::-1])]
     written: list[Path] = []
 
-    with ThreadPoolExecutor(max_workers=max(1, cfg.threads)) as pool:
-        curve_lines = list(pool.map(lambda v: _fcurve_lines(cfg, v, e_values), couplings))
-    for v, lines in zip(couplings, curve_lines):
+    for v in couplings:
         path = out_dir / f"fcurve_v{v:.6g}.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text("\n".join(_fcurve_lines(cfg, v, e_values)) + "\n", encoding="utf-8")
         written.append(path)
 
     lines = ["m,e,g"]
@@ -287,15 +283,11 @@ def run_fcurves(cfg: SweepConfig) -> list[Path]:
     parabolas.write_text("\n".join(lines) + "\n", encoding="utf-8")
     written.append(parabolas)
 
-    pairs = [(v, m) for v in couplings for m in masses]
     inter_lines = ["v,m,e,status"]
-
-    def record(pair):
-        v, m = pair
-        sol = kleingordon.solve(cfg.potential(v), m, cfg.grid_override())
-        return f"{v:.12g},{m:.12g},{_fmt(sol.e)},{sol.status.value}"
-    with ThreadPoolExecutor(max_workers=max(1, cfg.threads)) as pool:
-        inter_lines += list(pool.map(record, pairs))
+    for v in couplings:
+        for m in masses:
+            sol = kleingordon.solve(cfg.potential(v), m, cfg.grid_override())
+            inter_lines.append(f"{v:.12g},{m:.12g},{_fmt(sol.e)},{sol.status.value}")
     intersections = out_dir / "intersections.csv"
     intersections.write_text("\n".join(inter_lines) + "\n", encoding="utf-8")
     written.append(intersections)

@@ -70,13 +70,12 @@ from .radial_schrodinger import NoBoundState, NonConvergence
 
 DEFAULT_BASIS_SIZE = 256
 _BOX_FLOOR = 30.0
-_BOX_CAP = 800.0
 
 DOUBLING_TOL = 1e-7
 RESIDUAL_TOL = DOUBLING_TOL / 10.0
 _MAX_ITERATIONS = 200
-# catch_warnings swaps process-wide state, so solves on the sweep's worker
-# threads take turns rather than restore each other's filters
+# catch_warnings swaps process-wide state, so solves on a caller's threads
+# take turns rather than restore each other's filters
 _WARNINGS_LOCK = threading.Lock()
 @dataclass
 class SalpeterSolution:
@@ -182,19 +181,19 @@ def ground_energy_at(
 
 
 def default_box_radius(spec: PotentialSpec, m: float) -> float:
-    """Box from the potential tail and the bound-state decay length.
+    """Starting box from the potential tail and the bound-state decay length.
 
-    A small 128-mode solve estimates E, hence the asymptotic decay
-    rate kappa = sqrt(m^2 - E^2); the box keeps kappa * R >= 25 so the
-    Dirichlet wall shifts E by ~exp(-50) while the modes stay affordable.
-    The Coulomb tail v / r never falls below TAIL_EPS within the cap, so
-    its box comes from the decay length alone.
+    A 128-mode solve estimates E, hence the decay rate kappa =
+    sqrt(m^2 - max(E, 0)^2) (for E <= 0 the branch point p = i m sets it),
+    floored at 0.05 m.  R >= 25 / kappa puts the wall's shift of E near
+    e^{-50}, and R >= 30.  The Coulomb tail v / r never falls below
+    TAIL_EPS, so its box comes from the decay length alone.
     """
     tail = 0.0 if spec.kind is Kind.COULOMB else potentials.tail_radius(spec, potentials.TAIL_EPS)
     e_pre, _ = ground_energy_at(spec, m, 128, max(tail, 40.0))
-    kappa_sq = m * m - e_pre * e_pre
+    kappa_sq = m * m - max(e_pre, 0.0) ** 2
     kappa = math.sqrt(kappa_sq) if kappa_sq > 2.5e-3 * m * m else 0.05 * m
-    return min(max(tail, 25.0 / kappa, _BOX_FLOOR), _BOX_CAP)
+    return max(tail, 25.0 / kappa, _BOX_FLOOR)
 
 
 def ground_energy(
@@ -210,11 +209,13 @@ def ground_energy(
     Convergence requires |E(2N, R) - E(N, R)| < tol and then
     |E(2N, 2R) - E(2N, R)| < tol: the box doubling is probed at the doubled
     basis so it keeps the already-validated momentum cutoff N pi / R while
-    testing the wall.  Failing either test doubles N.  Raises NonConvergence
-    when N would exceed basis_max, naming the box R and the momentum cutoff
-    N pi / R reached; for a Coulomb coupling from 1/2 up to the critical
-    2/pi the message also flags the characteristic unbounded downward drift
-    of E with N.
+    testing the wall.  Failing the first test doubles N; failing only the
+    second moves on from the (2N, 2R) level, as more modes cannot mend a box.
+    A converged E >= m raises NoBoundState (a growing box lets the continuum
+    edge converge).  Raises NonConvergence when N would exceed basis_max,
+    naming R and the momentum cutoff N pi / R; for a Coulomb coupling from
+    1/2 up to the critical 2/pi the message also flags the unbounded
+    downward drift of E with N.
     """
     report = potentials.validate(spec, Theory.SALPETER)
     if not report.accepted:
@@ -229,15 +230,20 @@ def ground_energy(
         if abs(energy_2n - energy) < tol:
             mirrored = np.zeros(2 * n)
             mirrored[1::2] = coeffs_2n[:n]
-            energy_2r, _ = ground_energy_at(spec, m, 2 * n, 2.0 * r_box, mirrored)
+            energy_2r, coeffs_2r = ground_energy_at(spec, m, 2 * n, 2.0 * r_box, mirrored)
             history.append((2 * n, 2.0 * r_box, energy_2r))
             if abs(energy_2r - energy_2n) < tol:
+                if energy_2n >= m:
+                    raise NoBoundState(f"E = {energy_2n:.12g} converged at or above m = {m:g} in the box "
+                                       f"R = {r_box:g}: no bound state below the continuum")
                 return SalpeterSolution(
                     E=energy_2n,
                     m=m,
                     basis_tail=abs(coeffs_2n[-1]),
                     convergence_history=history,
                 )
+            # the basis holds but the wall moves E: continue from the wider box
+            energy_2n, coeffs_2n, r_box = energy_2r, coeffs_2r, 2.0 * r_box
         energy, coeffs = energy_2n, coeffs_2n
         n *= 2
         if 2 * n > basis_max:

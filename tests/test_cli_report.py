@@ -1,4 +1,5 @@
 import io
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,9 @@ from salpeterbounds.cli_report import (
     run_critical,
     run_fcurves,
 )
+from salpeterbounds import kleingordon, salpeter
 from salpeterbounds.potentials import Kind
+from salpeterbounds.radial_schrodinger import NoBoundState
 
 
 def write_config(tmp_path, text, name="cfg.txt"):
@@ -35,7 +38,7 @@ class TestParseConfig:
             v_min = 1.0
             v_max = 3.5
             v_steps = 11
-            threads = 4
+            threads = 4  # still accepted; sweeps run serially
             tol = 1e-6
             out = sweep.csv
         """)
@@ -43,7 +46,6 @@ class TestParseConfig:
         assert cfg.kind is Kind.WOODS_SAXON
         assert cfg.coupling_grid() == pytest.approx([1.0 + 0.25 * i for i in range(11)])
         assert cfg.single_mass() == 1.0
-        assert cfg.threads == 4
 
     def test_mass_grid(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, "m_min = 0.1\nm_max = 0.5\nm_step = 0.1\n"))
@@ -86,6 +88,12 @@ class TestParseConfig:
     def test_bad_override(self):
         with pytest.raises(ConfigError):
             parse_config(None, overrides=["nonsense"])
+
+    def test_threads_must_be_integer(self, tmp_path):
+        with pytest.raises(ConfigError, match=r":1"):
+            parse_config(write_config(tmp_path, "threads = abc\n"))
+        with pytest.raises(ConfigError, match="threads"):
+            parse_config(None, overrides=["threads=2.5"])
 
     def test_grid_override_requires_r_max(self):
         cfg = SweepConfig(grid_points=2048)
@@ -138,6 +146,22 @@ class TestRunBounds:
         cfg = parse_config(None, overrides=["potential=exponential", "v=2", "m=1"])
         with pytest.raises(ConfigError):
             run_bounds(cfg)
+
+    def test_no_bound_state_row_is_error(self, monkeypatch, tmp_path, capfd):
+        # a Salpeter solve that converges onto the continuum reads error,
+        # like a NonConvergence, without a traceback or a new exit code
+        def continuum(spec, m, *args, **kwargs):
+            raise NoBoundState(f"E = {m} converged at or above m = {m}")
+        monkeypatch.setattr(salpeter, "ground_energy", continuum)
+        out = tmp_path / "rows.csv"
+        rc = cli.main(["bounds", "--set", "potential=exponential", "--set", "v=4.5",
+                       "--set", "m=1", "--set", f"out={out}"])
+        assert rc == 0
+        assert capfd.readouterr().err == ""
+        lines = out.read_text().splitlines()
+        assert lines[1].startswith("4.5,1,") and lines[1].endswith(",error")
+        assert lines[1].split(",")[3] == ""
+        assert lines[-1] == "# ordering_violations=0"
 
     def test_determinism_across_threads(self, tmp_path):
         base = ["potential=exponential", "v_min=2.5", "v_max=4.5", "v_steps=2", "m=1"]
@@ -263,6 +287,32 @@ class TestRunFcurves:
         for row, (m, e) in zip(rows, [(m, e) for m in (0.8, 1.0) for e in e_values]):
             exact = Fraction(e) ** 2 - Fraction(m) ** 2
             assert row == f"{m:.12g},{e:.12g},{float(exact):.12g}"
+
+
+class TestSerialSweeps:
+    def test_sweeps_run_on_the_calling_thread(self, monkeypatch, tmp_path):
+        # whatever threads says, every solve of a sweep runs on the thread
+        # that called it
+        calls = []
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.current_thread()))
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(salpeter, "ground_energy", recording("ground_energy", salpeter.ground_energy))
+        monkeypatch.setattr(kleingordon, "solve", recording("solve", kleingordon.solve))
+        monkeypatch.setattr(kleingordon, "curve", recording("curve", kleingordon.curve))
+        run_bounds(parse_config(None, overrides=[
+            "potential=exponential", "v_min=2.5", "v_max=4.5", "v_steps=3", "m=1",
+            "threads=3", f"out={tmp_path / 'rows.csv'}",
+        ]))
+        run_fcurves(parse_config(None, overrides=[
+            "potential=coulomb", "v_min=0.2", "v_max=0.4", "v_steps=3", "m=1",
+            "e_steps=5", "threads=3", f"out={tmp_path / 'curves'}",
+        ]))
+        assert {name for name, _ in calls} == {"ground_energy", "solve", "curve"}
+        assert all(thread is threading.main_thread() for _, thread in calls)
 
 
 class TestRunCritical:

@@ -11,7 +11,7 @@ import salpeterbounds as sb
 import salpeterbounds.cli_report as cli
 from oracles import cosine_moment, coulomb_cosine_moment, coulomb_kg_energy
 from salpeterbounds import salpeter
-from salpeterbounds.radial_schrodinger import GridConfig, NonConvergence
+from salpeterbounds.radial_schrodinger import GridConfig, NoBoundState, NonConvergence
 from salpeterbounds.salpeter import default_box_radius
 
 
@@ -199,6 +199,30 @@ class TestGroundEnergy:
         sol = sb.ground_energy(sb.coulomb(v), 1.0)
         assert sol.convergence_history[0][1] < 800.0
         assert coulomb_kg_energy(v, 1.0) <= sol.E <= 1.0 - v * v / 2.0
+
+    def test_weak_coulomb_grows_the_box(self):
+        # kappa = 0.01 asks for R ~ 2500, beyond the kappa floor's 500: more
+        # modes cannot mend that box, so the doubling must move the wall
+        v = 0.01
+        sol = sb.ground_energy(sb.coulomb(v), 1.0)
+        assert sol.convergence_history[-1][1] > default_box_radius(sb.coulomb(v), 1.0)
+        assert coulomb_kg_energy(v, 1.0) <= sol.E <= 1.0 - v * v / 2.0
+
+    def test_continuum_is_no_bound_state(self):
+        # exponential v = 1.5 does not bind at m = 0.3 (Klein-Gordon reads
+        # no-binding); a growing box converges E onto m from above, which
+        # must not be returned as a ground energy
+        with pytest.raises(NoBoundState, match=r"at or above m = 0.3 in the box R = "):
+            sb.ground_energy(sb.exponential(1.5), 0.3)
+
+    def test_deep_state_box_from_branch_point(self):
+        # E < 0 decays at the rate m, so the box is 25 / m with modes to
+        # resolve the well; the kappa floor's R = 500 / m would leave 256
+        # modes blind to it and the box doubling would converge on m
+        sol = sb.ground_energy(sb.woods_saxon(3.0), 0.3)
+        assert sol.convergence_history[0][1] == pytest.approx(25.0 / 0.3)
+        # E from N = 8192 in the box R = 800, checked against R = 1600
+        assert sol.E == pytest.approx(-0.447911757, abs=1e-8)
 
     def test_default_box_covers_tail_and_decay(self):
         r_box = default_box_radius(sb.exponential(4.5), 1.0)
