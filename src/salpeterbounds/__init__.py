@@ -7,82 +7,32 @@ relativistic kinetic operator is diagonal, and for the Woods-Saxon potential
 a scale-optimized Gaussian trial state supplies the upper bound.
 """
 
-from .gaussian_bound import (
-    CouplingOutOfRange,
-    GaussianBoundPoint,
-    eg_at,
-    eg_optimized,
-    j_integrals,
-    optimal_curve,
-    rho,
-)
-from .kleingordon import (
-    F,
-    KgSolution,
-    KgStatus,
-    NonBindingSearchError,
-    SpectralCurvePoint,
-    concavity_scan,
-    critical_coupling_lower,
-    critical_coupling_upper,
-    curve,
-    solve,
-)
-from .potentials import Kind, PotentialSpec, Theory, coulomb, evaluate, exponential, tail_radius, validate, woods_saxon
-from .radial_schrodinger import (
-    GridConfig,
-    NoBoundState,
-    NonConvergence,
-    SchrodingerResult,
-    expectation,
-    lowest_eigenvalue,
-    neumann_eigenvalue,
-)
-from .salpeter import (
-    SalpeterSolution,
-    ground_energy,
-    ground_energy_at,
-    squared_inequality_check,
-)
+import importlib
+
+# home module of each public name; a name is imported on first access, so
+# `import salpeterbounds` loads no solver and no scipy
+_HOMES = {
+    "gaussian_bound": ("CouplingOutOfRange", "GaussianBoundPoint", "eg_at", "eg_optimized", "j_integrals",
+                       "optimal_curve", "rho"),
+    "kleingordon": ("F", "KgSolution", "KgStatus", "SpectralCurvePoint", "concavity_scan",
+                    "critical_coupling_lower", "critical_coupling_upper", "curve", "solve"),
+    "potentials": ("Kind", "NoBoundState", "NonBindingSearchError", "NonConvergence", "PotentialSpec", "Theory",
+                   "coulomb", "evaluate", "exponential", "tail_radius", "validate", "woods_saxon"),
+    "radial_schrodinger": ("GridConfig", "SchrodingerResult", "expectation", "lowest_eigenvalue",
+                           "neumann_eigenvalue"),
+    "salpeter": ("SalpeterSolution", "ground_energy", "ground_energy_at", "squared_inequality_check"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CouplingOutOfRange",
-    "F",
-    "GaussianBoundPoint",
-    "GridConfig",
-    "KgSolution",
-    "KgStatus",
-    "Kind",
-    "NoBoundState",
-    "NonBindingSearchError",
-    "NonConvergence",
-    "PotentialSpec",
-    "SalpeterSolution",
-    "SchrodingerResult",
-    "SpectralCurvePoint",
-    "Theory",
-    "concavity_scan",
-    "coulomb",
-    "critical_coupling_lower",
-    "critical_coupling_upper",
-    "curve",
-    "eg_at",
-    "eg_optimized",
-    "evaluate",
-    "expectation",
-    "exponential",
-    "ground_energy",
-    "ground_energy_at",
-    "j_integrals",
-    "lowest_eigenvalue",
-    "neumann_eigenvalue",
-    "optimal_curve",
-    "rho",
-    "solve",
-    "squared_inequality_check",
-    "tail_radius",
-    "validate",
-    "woods_saxon",
-]
+__all__ = sorted(_HOME)

@@ -15,11 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gaussian_bound, kleingordon, potentials, salpeter
+from . import gaussian_bound
 from .gaussian_bound import CouplingOutOfRange
-from .kleingordon import KgStatus, NonBindingSearchError
-from .potentials import Kind, PotentialSpec
-from .radial_schrodinger import GridConfig, NoBoundState, NonConvergence
+from .potentials import Kind, NoBoundState, NonBindingSearchError, NonConvergence, PotentialSpec
+
+# kleingordon (scipy.linalg) and salpeter (scipy.fft, .sparse, .special) are
+# imported inside the functions that run them: most of a command's start-up
+# is import time, and each command pays only for the solvers it uses
 
 BOUNDS_HEADER = "v,m,e_kg,E_srs,E_gauss,e0,delta,status"
 ORDER_TOL = 1e-6
@@ -51,7 +53,7 @@ class SweepConfig:
     v_steps: int = 1
     r_max: float | None = None
     grid_points: int | None = None
-    basis_size: int = salpeter.DEFAULT_BASIS_SIZE
+    basis_size: int | None = None  # None: salpeter.DEFAULT_BASIS_SIZE
     tol: float = ORDER_TOL
     out: str | None = None
     e_steps: int = 61
@@ -94,7 +96,10 @@ class SweepConfig:
             return grid[0]
         raise ConfigError("this command needs a single coupling v")
 
-    def grid_override(self) -> GridConfig | None:
+    def grid_override(self):
+        """The radial_schrodinger.GridConfig of r_max / grid_points, or None."""
+        from .radial_schrodinger import GridConfig
+
         if self.r_max is None and self.grid_points is None:
             return None
         if self.r_max is None:
@@ -192,7 +197,7 @@ class BoundsRow:
         ])
 
     def ordering_ok(self, tol: float) -> bool:
-        if self.status != KgStatus.BOUND.value:
+        if self.status != "bound":
             return True
         if self.e_kg is None or self.E_srs is None:
             return True
@@ -203,17 +208,26 @@ class BoundsRow:
         return True
 
 
+def _ground_energy(cfg: SweepConfig, spec: PotentialSpec, m: float):
+    from . import salpeter
+
+    if cfg.basis_size is None:
+        return salpeter.ground_energy(spec, m)
+    return salpeter.ground_energy(spec, m, cfg.basis_size)
+
+
 def _bounds_row(cfg: SweepConfig, v: float, m: float) -> BoundsRow:
+    from . import kleingordon
+
     spec = cfg.potential(v)
     try:
         sol = kleingordon.solve(spec, m, cfg.grid_override())
     except (NonConvergence, ValueError):
         return BoundsRow(v, m, None, None, None, None, None, "error")
-    if sol.status is not KgStatus.BOUND:
+    if sol.status is not kleingordon.KgStatus.BOUND:
         return BoundsRow(v, m, None, None, None, sol.e0, None, sol.status.value)
     try:
-        srs = salpeter.ground_energy(spec, m, cfg.basis_size)
-        e_srs = srs.E
+        e_srs = _ground_energy(cfg, spec, m).E
     except (NoBoundState, NonConvergence):
         return BoundsRow(v, m, sol.e, None, None, sol.e0, sol.delta_at_e, "error")
     e_gauss = None
@@ -246,6 +260,8 @@ def run_bounds(cfg: SweepConfig) -> tuple[Path, int]:
 
 
 def _fcurve_lines(cfg: SweepConfig, v: float, e_values: list[float]) -> list[str]:
+    from . import kleingordon
+
     spec = cfg.potential(v)
     points = kleingordon.curve(spec, e_values, cfg.grid_override())
     status = "ok" if points else "empty"
@@ -255,6 +271,8 @@ def _fcurve_lines(cfg: SweepConfig, v: float, e_values: list[float]) -> list[str
 def run_fcurves(cfg: SweepConfig) -> list[Path]:
     """Spectral-curve data: one F(e) file per coupling, the parabola family
     g(e) = e^2 - m^2 per mass, and one intersection record per (v, m)."""
+    from . import kleingordon
+
     if cfg.out is None:
         raise ConfigError("fcurves needs an output directory: set out = <path>")
     out_dir = Path(cfg.out)
@@ -296,6 +314,8 @@ def run_fcurves(cfg: SweepConfig) -> list[Path]:
 
 def run_critical(cfg: SweepConfig, out=None) -> tuple[float, float]:
     """Print binding and supercritical coupling thresholds for the shape."""
+    from . import kleingordon
+
     if cfg.kind is Kind.COULOMB:
         raise ConfigError("criticality is a coupling window for Coulomb, not a spectral threshold")
     m = cfg.single_mass()
@@ -309,6 +329,8 @@ def run_critical(cfg: SweepConfig, out=None) -> tuple[float, float]:
 
 
 def _cmd_kg(cfg: SweepConfig) -> int:
+    from . import kleingordon
+
     sol = kleingordon.solve(cfg.potential(cfg.single_coupling()), cfg.single_mass(), cfg.grid_override())
     print(f"status={sol.status.value}")
     print(f"e={_fmt(sol.e)}")
@@ -321,8 +343,7 @@ def _cmd_kg(cfg: SweepConfig) -> int:
 
 def _cmd_salpeter(cfg: SweepConfig) -> int:
     spec = cfg.potential(cfg.single_coupling())
-    m = cfg.single_mass()
-    sol = salpeter.ground_energy(spec, m, cfg.basis_size)
+    sol = _ground_energy(cfg, spec, cfg.single_mass())
     print(f"E={sol.E:.12g}")
     print(f"basis_tail={sol.basis_tail:.3e}")
     for n, r_box, energy in sol.convergence_history:

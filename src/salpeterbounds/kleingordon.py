@@ -9,7 +9,8 @@ is an interval stretching up from an existence edge e0 (where F -> 0).
 Every e is solved in one box that covers the range of V, closed by the
 exact exterior matching of radial_schrodinger.  Its signed Neumann
 eigenvalue is the binding test: the no-binding verdict is its sign, and
-the edge and both critical couplings are its roots, found by brentq.
+the edge and both critical couplings are its roots, found by brentq
+(radial_schrodinger's port of scipy's Brent method).
 
 h(e) is affine in e, so F (taken as the continuum edge 0 below e0) is a
 minimum of affine functions and G(e) = F(e) - e^2 + m^2 is concave.  solve
@@ -26,13 +27,12 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import potentials
-from .potentials import Kind, PotentialSpec, Theory
+from .potentials import Kind, NoBoundState, NonBindingSearchError, PotentialSpec, Theory
 from .radial_schrodinger import (
     GridConfig,
-    NoBoundState,
+    brentq,
     expectation,
     lowest_eigenvalue,
     neumann_eigenvalue,
@@ -274,10 +274,6 @@ def solve(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> KgSo
         curve_samples=sorted((p for p in points.values() if p.F < 0), key=lambda p: p.e),
         secondary_e=roots[1] if len(roots) > 1 else None,
     )
-
-
-class NonBindingSearchError(Exception):
-    """Coupling bracketing failed; the configured search range is exhausted."""
 
 
 def _binding_at(spec: PotentialSpec, e: float, grid: GridConfig, v: float) -> float:

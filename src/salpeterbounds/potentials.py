@@ -2,7 +2,9 @@
 
 All shapes are nonpositive, nondecreasing in r, and vanish at infinity.
 Units: hbar = c = 1, so the coupling v carries energy units and radii
-carry length units.
+carry length units.  The solvers' exceptions live here too, in the one
+module that needs only numpy, so a caller can catch them without loading
+a solver.
 """
 
 from __future__ import annotations
@@ -18,6 +20,22 @@ COULOMB_MIN_RADIUS = 1e-12
 # Coulomb coupling windows for a discrete ground state at m = 1
 SALPETER_COULOMB_MAX = 2.0 / math.pi
 KLEINGORDON_COULOMB_MAX = 0.5
+
+
+class NoBoundState(Exception):
+    """The operator has no negative eigenvalue on the half-line."""
+
+    def __init__(self, message: str, lowest: float | None = None):
+        super().__init__(message)
+        self.lowest = lowest
+
+
+class NonConvergence(Exception):
+    """Grid refinement, basis enlargement or a root search failed to settle."""
+
+
+class NonBindingSearchError(Exception):
+    """Coupling bracketing failed; the configured search range is exhausted."""
 
 
 class Kind(Enum):

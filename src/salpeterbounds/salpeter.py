@@ -65,8 +65,7 @@ from scipy.sparse.linalg import lobpcg as eigh
 from scipy.special import sici
 
 from . import kleingordon, potentials
-from .potentials import Kind, PotentialSpec, Theory
-from .radial_schrodinger import NoBoundState, NonConvergence
+from .potentials import Kind, NoBoundState, NonConvergence, PotentialSpec, Theory
 
 DEFAULT_BASIS_SIZE = 256
 _BOX_FLOOR = 30.0

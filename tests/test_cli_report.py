@@ -1,3 +1,4 @@
+import functools
 import io
 import threading
 from fractions import Fraction
@@ -16,7 +17,7 @@ from salpeterbounds.cli_report import (
     run_critical,
     run_fcurves,
 )
-from salpeterbounds import kleingordon, salpeter
+from salpeterbounds import kleingordon, radial_schrodinger, salpeter
 from salpeterbounds.potentials import Kind
 from salpeterbounds.radial_schrodinger import NoBoundState
 
@@ -377,10 +378,21 @@ class TestMainEntry:
 
     def test_critical_search_failure_exits_cleanly(self, monkeypatch, capsys):
         # a positive binding test: h(e) binds at no coupling
-        monkeypatch.setattr(cli.kleingordon, "_binding_at", lambda *args: 1.0)
+        monkeypatch.setattr(kleingordon, "_binding_at", lambda *args: 1.0)
         rc = cli.main(["critical", "--set", "potential=exponential", "--set", "m=1"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: no binding found up to v = ")
+
+    def test_exhausted_root_search(self, monkeypatch, tmp_path, capsys):
+        # a Klein-Gordon root search that runs out of iterations is an error
+        # row in a sweep and a clean exit 1 for a single point
+        monkeypatch.setattr(kleingordon, "brentq", functools.partial(radial_schrodinger.brentq, maxiter=1))
+        point = ["--set", "potential=woods-saxon", "--set", "v=2.0", "--set", "m=1"]
+        out = tmp_path / "rows.csv"
+        assert cli.main(["bounds", *point, "--set", f"out={out}"]) == 0
+        assert out.read_text().splitlines()[1] == "2,1,,,,,,error"
+        assert cli.main(["kg", *point]) == 1
+        assert capsys.readouterr().err.startswith("error: brentq did not converge in 1 iterations")
 
     @pytest.mark.parametrize("command", ["bounds", "salpeter"])
     def test_basis_size_override(self, command, tmp_path, monkeypatch):
@@ -388,9 +400,9 @@ class TestMainEntry:
 
         def fake_ground_energy(spec, m, basis_size):
             seen.append(basis_size)
-            return cli.salpeter.SalpeterSolution(E=0.99, m=m, basis_tail=0.0)
+            return salpeter.SalpeterSolution(E=0.99, m=m, basis_tail=0.0)
 
-        monkeypatch.setattr(cli.salpeter, "ground_energy", fake_ground_energy)
+        monkeypatch.setattr(salpeter, "ground_energy", fake_ground_energy)
         rc = cli.main([
             command, "--set", "potential=coulomb", "--set", "v=0.3", "--set", "m=1",
             "--set", "basis_size=64", "--set", f"out={tmp_path / 'bounds.csv'}",

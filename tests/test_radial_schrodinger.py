@@ -196,3 +196,81 @@ class TestGridConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             GridConfig(**{"n_points": 64, **kwargs})
+
+
+def _brent_cases(seed, count):
+    """Seeded (f, a, b, xtol, maxiter) across four shapes; about one case in
+    six has no sign change and about one in six stops at maxiter."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        root = rng.uniform(-2.0, 2.0)
+        shape = rng.integers(4)
+        if shape == 0:
+            c = rng.uniform(-1.0, 1.0)
+            f = lambda x, r=root, c=c: (x - r) ** 3 + c * (x - r)
+        elif shape == 1:
+            k = 10.0 ** rng.uniform(-1.0, 3.0)
+            f = lambda x, r=root, k=k: math.tanh(k * (x - r))
+        elif shape == 2:
+            f = lambda x, r=root: math.exp(x) - math.exp(r)
+        else:
+            f = lambda x, r=root: math.sin(0.5 * (x - r))
+        a, b = root - rng.uniform(0.0, 3.0), root + rng.uniform(0.0, 3.0)
+        if rng.random() < 0.125:
+            a, b = b, b + rng.uniform(0.1, 1.0)
+        maxiter = int(rng.integers(1, 12)) if rng.random() < 0.3 else 100
+        yield f, float(a), float(b), float(10.0 ** rng.uniform(-14.0, -2.0)), maxiter
+
+
+def _brent_run(solver, f, a, b, xtol, maxiter):
+    """(root or None, evaluation points, error class or None)."""
+    points = []
+
+    def recorded(x):
+        points.append(x)
+        return f(x)
+
+    try:
+        return solver(recorded, a, b, xtol=xtol, maxiter=maxiter), points, None
+    except RuntimeError:  # scipy's exhausted maxiter
+        return None, points, radial_schrodinger.NonConvergence
+    except (radial_schrodinger.NonConvergence, ValueError) as exc:
+        return None, points, type(exc)
+
+
+class TestBrentq:
+    """radial_schrodinger.brentq against scipy.optimize.brentq, the oracle."""
+
+    def test_matches_scipy_step_for_step(self):
+        errors = []
+        for f, a, b, xtol, maxiter in _brent_cases(seed=11, count=400):
+            ours = _brent_run(radial_schrodinger.brentq, f, a, b, xtol, maxiter)
+            theirs = _brent_run(brentq, f, a, b, xtol, maxiter)
+            assert ours[1] == theirs[1]
+            assert ours[2] is theirs[2]
+            assert ours[0] == theirs[0]
+            errors.append(ours[2])
+        # every outcome is exercised
+        assert errors.count(None) > 150
+        assert errors.count(radial_schrodinger.NonConvergence) > 30
+        assert errors.count(ValueError) > 20
+
+    def test_root_is_a_python_float(self):
+        root = radial_schrodinger.brentq(lambda x: np.float64(x - 0.3), 0.0, 1.0, xtol=1e-12)
+        assert type(root) is float and root == pytest.approx(0.3, abs=1e-12)
+
+    def test_same_sign_bracket(self):
+        with pytest.raises(ValueError, match="different signs"):
+            radial_schrodinger.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+
+    @pytest.mark.parametrize("nan_where", [lambda x: x == 0.0, lambda x: x == 1.0, lambda x: 0.0 < x < 1.0],
+                             ids=["left end", "right end", "interior"])
+    def test_nan_value(self, nan_where):
+        def f(x):
+            return math.nan if nan_where(x) else x - 0.7
+        with pytest.raises(ValueError, match="NaN"):
+            radial_schrodinger.brentq(f, 0.0, 1.0, xtol=1e-12)
+
+    def test_exhausted_iterations(self):
+        with pytest.raises(radial_schrodinger.NonConvergence, match="2 iterations"):
+            radial_schrodinger.brentq(math.tanh, -1.0, 3.0, xtol=1e-14, maxiter=2)
