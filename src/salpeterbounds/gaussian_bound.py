@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .potentials import brentq
+
 SQRT_PI = math.sqrt(math.pi)
 
 _T_MAX = 8.0          # exp(-t^2) tail beyond is ~1e-28 relative
@@ -31,7 +33,8 @@ _LAYER_OFFSETS = (-32.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0,
 
 _GL_X, _GL_W = leggauss(_GL_NODES)
 
-GOLDEN_XTOL = 1e-10
+# absolute tolerance on the optimal scale s, the root of J3/J4 = v
+SCALE_XTOL = 1e-10
 
 
 class CouplingOutOfRange(Exception):
@@ -144,8 +147,9 @@ def eg_optimized(m: float, a: float, b: float, v: float, s_grid=None) -> float:
     """min_s E_g(s) at fixed coupling, seeded from the parametric curve.
 
     dE_g/ds = J4 (v - J3/J4), so minima sit where v(s) = J3/J4 crosses the
-    target coupling on its decreasing branch.  Each such grid crossing is
-    refined by golden-section search; the best minimum wins.  Raises
+    target coupling on its decreasing branch.  In each such grid crossing
+    the stationarity root J3/J4 = v is found by brentq, and E_g there is a
+    local minimum; the best minimum wins.  Raises
     CouplingOutOfRange when no decreasing-branch crossing exists (for the
     Woods-Saxon family v(s) has a positive minimum below which a Gaussian
     captures no binding: E_g(s) then just drifts down to m as s -> infinity).
@@ -153,12 +157,16 @@ def eg_optimized(m: float, a: float, b: float, v: float, s_grid=None) -> float:
     points = optimal_curve(m, a, b, s_grid)
     s_vals = [p.s for p in points]
     v_vals = [p.v for p in points]
+
+    def stationarity(s: float) -> float:
+        _, _, j3, j4 = j_integrals(m, a, b, s)
+        return j3 / j4 - v
+
     best = None
     for i in range(len(points) - 1):
         if v_vals[i] >= v >= v_vals[i + 1] and v_vals[i] > v_vals[i + 1]:
-            lo = s_vals[max(0, i - 1)]
-            hi = s_vals[min(len(points) - 1, i + 2)]
-            candidate = _golden_min(lambda s: eg_at(m, a, b, v, s), lo, hi)
+            s_root = brentq(stationarity, s_vals[i], s_vals[i + 1], xtol=SCALE_XTOL)
+            candidate = eg_at(m, a, b, v, s_root)
             if best is None or candidate < best:
                 best = candidate
     if best is None:
@@ -166,23 +174,6 @@ def eg_optimized(m: float, a: float, b: float, v: float, s_grid=None) -> float:
             f"v = {v} is outside the parametric span [{min(v_vals):.6g}, {max(v_vals):.6g}]"
         )
     return best
-
-
-def _golden_min(fun, lo: float, hi: float, xtol: float = GOLDEN_XTOL) -> float:
-    ratio = 0.5 * (math.sqrt(5.0) - 1.0)
-    c = hi - ratio * (hi - lo)
-    d = lo + ratio * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    while hi - lo > xtol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - ratio * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + ratio * (hi - lo)
-            fd = fun(d)
-    return fun(0.5 * (lo + hi))
 
 
 def curve_csv_rows(points: list[GaussianBoundPoint]) -> list[str]:

@@ -9,8 +9,8 @@ is an interval stretching up from an existence edge e0 (where F -> 0).
 Every e is solved in one box that covers the range of V, closed by the
 exact exterior matching of radial_schrodinger.  Its signed Neumann
 eigenvalue is the binding test: the no-binding verdict is its sign, and
-the edge and both critical couplings are its roots, found by brentq
-(radial_schrodinger's port of scipy's Brent method).
+the edge and both critical couplings are its roots, found by
+potentials.brentq (a port of scipy's Brent method).
 
 h(e) is affine in e, so F (taken as the continuum edge 0 below e0) is a
 minimum of affine functions and G(e) = F(e) - e^2 + m^2 is concave.  solve
@@ -22,21 +22,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 from . import potentials
-from .potentials import Kind, NoBoundState, NonBindingSearchError, PotentialSpec, Theory
-from .radial_schrodinger import (
-    GridConfig,
-    brentq,
-    expectation,
-    lowest_eigenvalue,
-    neumann_eigenvalue,
-)
+from .potentials import Kind, NoBoundState, NonBindingSearchError, PotentialSpec, Theory, brentq
+from .radial_schrodinger import GridConfig, expectation, lowest_eigenvalue, neumann_eigenvalue
 
 WINDOW_MARGIN = 1e-6   # relative margin keeping the search inside the open window
 ROOT_XTOL = 1e-10      # intersections and the existence edge
@@ -58,7 +52,6 @@ class SpectralCurvePoint:
     e: float
     F: float
     F_prime: float
-    mean_V: float
     delta: float
 
 
@@ -68,9 +61,7 @@ class KgSolution:
 
     status BOUND carries the smallest intersection e in (-m, m); a second
     intersection, when present, is kept in secondary_e.  e0 is the zero of
-    F (the existence edge) when it falls inside the window.  curve_samples
-    are the points of F that the root searches evaluated, sorted by e; they
-    include e itself and so bracket it.
+    F (the existence edge) when it falls inside the window.
     """
 
     e: float | None
@@ -78,7 +69,6 @@ class KgSolution:
     status: KgStatus
     e0: float | None
     delta_at_e: float | None
-    curve_samples: list[SpectralCurvePoint] = field(default_factory=list)
     secondary_e: float | None = None
 
 
@@ -105,7 +95,7 @@ class _CoulombCurve:
             raise NoBoundState(f"Coulomb h(e) has no bound state for e = {e} <= 0")
         f_val = -((e * self.ratio) ** 2)
         f_prime = -2.0 * e * self.ratio * self.ratio
-        return SpectralCurvePoint(e=e, F=f_val, F_prime=f_prime, mean_V=0.5 * f_prime, delta=e - 0.5 * f_prime)
+        return SpectralCurvePoint(e=e, F=f_val, F_prime=f_prime, delta=e - 0.5 * f_prime)
 
 
 class _CurveEngine:
@@ -145,17 +135,14 @@ class _CurveEngine:
     def point(self, e: float) -> SpectralCurvePoint:
         res = lowest_eigenvalue(self._w(e), self.full)
         spec = self.spec
-        mean_v = expectation(res, lambda r: potentials.evaluate(spec, r))
-        f_prime = 2.0 * mean_v
-        return SpectralCurvePoint(e=e, F=res.eigenvalue, F_prime=f_prime, mean_V=mean_v, delta=e - 0.5 * f_prime)
+        f_prime = 2.0 * expectation(res, lambda r: potentials.evaluate(spec, r))
+        return SpectralCurvePoint(e=e, F=res.eigenvalue, F_prime=f_prime, delta=e - 0.5 * f_prime)
 
 
 def _engine(spec: PotentialSpec, grid: GridConfig | None) -> _CurveEngine | _CoulombCurve:
     """The curve of an admissible spec: closed form for the Coulomb kind,
     which ignores grid, else on the grid.  Raises ValueError otherwise."""
-    report = potentials.validate(spec, Theory.KLEIN_GORDON)
-    if not report.accepted:
-        raise ValueError(report.reason)
+    potentials.validate(spec, Theory.KLEIN_GORDON)
     return _CoulombCurve(spec) if spec.kind is Kind.COULOMB else _CurveEngine(spec, grid)
 
 
@@ -196,16 +183,14 @@ def curve(spec: PotentialSpec, e_values, grid: GridConfig | None = None) -> list
 
 
 def _continuum_point(e: float) -> SpectralCurvePoint:
-    return SpectralCurvePoint(e=e, F=0.0, F_prime=0.0, mean_V=0.0, delta=e)
+    return SpectralCurvePoint(e=e, F=0.0, F_prime=0.0, delta=e)
 
 
 def _solve_coulomb(curve: _CoulombCurve, m: float) -> KgSolution:
     # F(e) = -(e v / gamma)^2 meets e^2 - m^2 in closed form
     e = m / math.sqrt(1.0 + curve.ratio ** 2)
     pt = curve.point(e)
-    es = np.linspace(e / 8.0, m * (1.0 - WINDOW_MARGIN), 33)
-    samples = [curve.point(float(x)) for x in es]
-    return KgSolution(e=e, m=m, status=KgStatus.BOUND, e0=0.0, delta_at_e=pt.delta, curve_samples=samples)
+    return KgSolution(e=e, m=m, status=KgStatus.BOUND, e0=0.0, delta_at_e=pt.delta)
 
 
 def solve(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> KgSolution:
@@ -271,7 +256,6 @@ def solve(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> KgSo
         status=KgStatus.BOUND,
         e0=e0,
         delta_at_e=pt.delta,
-        curve_samples=sorted((p for p in points.values() if p.F < 0), key=lambda p: p.e),
         secondary_e=roots[1] if len(roots) > 1 else None,
     )
 

@@ -2,9 +2,11 @@
 
 All shapes are nonpositive, nondecreasing in r, and vanish at infinity.
 Units: hbar = c = 1, so the coupling v carries energy units and radii
-carry length units.  The solvers' exceptions live here too, in the one
-module that needs only numpy, so a caller can catch them without loading
-a solver.
+carry length units.  The pieces the solvers share live here too, in the
+one module that needs only numpy: their exceptions, which a caller can
+catch without loading a solver, and brentq, the one root finder of every
+1-D search, scipy's Brent method ported step for step so that no command
+imports scipy's optimization package.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 import math
+import sys
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +40,66 @@ class NonConvergence(Exception):
 
 class NonBindingSearchError(Exception):
     """Coupling bracketing failed; the configured search range is exhausted."""
+
+
+def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
+           rtol: float = 4 * sys.float_info.epsilon, maxiter: int = 100) -> float:
+    """A root of f in [xa, xb] by Brent's method, step for step as scipy's
+    brentq.c: the same evaluation points, the same root.
+
+    Each step interpolates (secant, or inverse quadratic through three
+    points) when that moves less than half the previous step and stays
+    well inside the bracket, and bisects otherwise; it stops when the
+    bracket half-width is below delta = (xtol + rtol |x|) / 2 or f is 0.
+    Raises ValueError when f(xa) and f(xb) have the same sign or f returns
+    NaN, and NonConvergence after maxiter steps.
+    """
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return float(fx)
+
+    xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise NonConvergence(f"brentq did not converge in {maxiter} iterations; last x = {xcur!r}")
 
 
 class Kind(Enum):
@@ -88,12 +152,6 @@ def coulomb(v: float) -> PotentialSpec:
     return PotentialSpec(Kind.COULOMB, v)
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    accepted: bool
-    reason: str = ""
-
-
 def evaluate(spec: PotentialSpec, r):
     """V(r) = v*f(r) at radius r (scalar or array), always <= 0.
 
@@ -123,8 +181,8 @@ def evaluate(spec: PotentialSpec, r):
     return out if out.ndim else float(out)
 
 
-def validate(spec: PotentialSpec, theory: Theory) -> ValidityReport:
-    """Structural admissibility of (spec, theory).
+def validate(spec: PotentialSpec, theory: Theory) -> None:
+    """Raise ValueError, with the reason, unless (spec, theory) is admissible.
 
     The Coulomb shape only has a discrete ground state below a critical
     coupling (2/pi for the semirelativistic kinetic term, 1/2 for the
@@ -134,10 +192,9 @@ def validate(spec: PotentialSpec, theory: Theory) -> ValidityReport:
     """
     if spec.kind is Kind.COULOMB:
         if theory is Theory.KLEIN_GORDON and spec.v >= KLEINGORDON_COULOMB_MAX:
-            return ValidityReport(False, f"Coulomb coupling {spec.v} >= 1/2 has no Klein-Gordon ground state")
+            raise ValueError(f"Coulomb coupling {spec.v} >= 1/2 has no Klein-Gordon ground state")
         if theory is Theory.SALPETER and spec.v >= SALPETER_COULOMB_MAX:
-            return ValidityReport(False, f"Coulomb coupling {spec.v} >= 2/pi is beyond the semirelativistic critical coupling")
-    return ValidityReport(True)
+            raise ValueError(f"Coulomb coupling {spec.v} >= 2/pi is beyond the semirelativistic critical coupling")
 
 
 # The solvers truncate the domain where |V| first falls to this.

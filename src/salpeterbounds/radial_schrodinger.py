@@ -11,17 +11,13 @@ L(kappa), and kappa is the root of L(kappa) + kappa^2 = 0.  The Neumann
 (kappa = 0) value L(0) is the exact binding test: it is negative exactly
 when the half-line operator has a bound state.  The eigenfunction comes
 from inverse iteration at the finest level's eigenvalue, already found
-while matching kappa.
-
-brentq, the root finder of the kappa match and of every Klein-Gordon root
-search, is scipy's Brent method ported step for step, which spares every
-command the import of scipy's optimization package.
+while matching kappa.  The kappa match, like every 1-D search of the
+package, uses potentials.brentq.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,7 +25,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstein
 
-from .potentials import NoBoundState, NonConvergence
+from .potentials import NoBoundState, NonConvergence, brentq
 
 # NonConvergence fires when the two best extrapolants disagree by more
 # than 1e3 times this target.
@@ -38,66 +34,6 @@ TARGET_TOL = 1e-9
 # absolute tolerance on lam = -kappa^2 when kappa is matched; LAPACK's
 # bisection resolves lam only to about 1e-16 * 4 / h^2 anyway
 _MATCH_TOL = 1e-13
-
-
-def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
-           rtol: float = 4 * sys.float_info.epsilon, maxiter: int = 100) -> float:
-    """A root of f in [xa, xb] by Brent's method, step for step as scipy's
-    brentq.c: the same evaluation points, the same root.
-
-    Each step interpolates (secant, or inverse quadratic through three
-    points) when that moves less than half the previous step and stays
-    well inside the bracket, and bisects otherwise; it stops when the
-    bracket half-width is below delta = (xtol + rtol |x|) / 2 or f is 0.
-    Raises ValueError when f(xa) and f(xb) have the same sign or f returns
-    NaN, and NonConvergence after maxiter steps.
-    """
-    def call(x: float) -> float:
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return float(fx)
-
-    xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic extrapolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            limit = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
-    raise NonConvergence(f"brentq did not converge in {maxiter} iterations; last x = {xcur!r}")
 
 
 @dataclass(frozen=True)

@@ -216,9 +216,7 @@ def ground_energy(
     1/2 up to the critical 2/pi the message also flags the unbounded
     downward drift of E with N.
     """
-    report = potentials.validate(spec, Theory.SALPETER)
-    if not report.accepted:
-        raise ValueError(report.reason)
+    potentials.validate(spec, Theory.SALPETER)
     n, r_box = basis_size, default_box_radius(spec, m)
     history: list[tuple[int, float, float]] = []
     energy, coeffs = ground_energy_at(spec, m, n, r_box)

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 import salpeterbounds as sb
+from salpeterbounds import gaussian_bound
 from salpeterbounds.gaussian_bound import CouplingOutOfRange, curve_csv_rows, default_s_grid
 
 M, A, B = 1.0, 1.0, 0.2
@@ -154,6 +156,46 @@ class TestEgOptimized:
             sb.eg_optimized(M, A, B, 0.5 * v_min)
         with pytest.raises(CouplingOutOfRange):
             sb.eg_optimized(M, A, B, 2.0 * v_max)
+
+
+def _crossings(points, v):
+    """Grid brackets [s_i, s_i+1] where the curve's v falls through v."""
+    return [(p.s, q.s) for p, q in zip(points, points[1:]) if p.v >= v >= q.v and p.v > q.v]
+
+
+class TestEgOptimizedStationarity:
+    """eg_optimized solves J3/J4 = v; an independent minimization of E_g(s)
+    must land on the same bound."""
+
+    @pytest.mark.parametrize("m, a, b", [(1.0, 1.0, 0.2), (0.7, 2.0, 0.4), (1.5, 3.0, 0.1), (0.3, 1.0, 0.5)])
+    @pytest.mark.parametrize("v", [2.0, 3.0, 5.0, 8.0])
+    def test_matches_bounded_minimization(self, m, a, b, v):
+        points = sb.optimal_curve(m, a, b)
+        brackets = _crossings(points, v)
+        assert brackets
+        oracle = min(
+            minimize_scalar(lambda s: sb.eg_at(m, a, b, v, s), bounds=bracket, method="bounded",
+                            options={"xatol": 1e-12}).fun
+            for bracket in brackets
+        )
+        assert sb.eg_optimized(m, a, b, v) == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("v", [1.2, 2.0, 5.0])
+    def test_quadratures_per_call(self, v, monkeypatch):
+        # the 200-scale scan plus a short root search per crossing, not a
+        # minimization by function values
+        crossings = len(_crossings(sb.optimal_curve(M, A, B), v))
+        calls = []
+        real = gaussian_bound.j_integrals
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(gaussian_bound, "j_integrals", counted)
+        gaussian_bound.eg_optimized(M, A, B, v)
+        assert crossings >= 1
+        assert len(calls) <= len(default_s_grid()) + 15 * crossings
 
 
 class TestCsvExport:

@@ -63,22 +63,26 @@ class TestSpecValidation:
 
 class TestValidate:
     def test_coulomb_rejected_for_kleingordon(self):
-        assert not sb.validate(sb.coulomb(0.6), Theory.KLEIN_GORDON).accepted
+        with pytest.raises(ValueError, match="^Coulomb coupling 0.6 >= 1/2 has no Klein-Gordon ground state$"):
+            sb.validate(sb.coulomb(0.6), Theory.KLEIN_GORDON)
 
     def test_coulomb_accepted_for_salpeter_below_two_over_pi(self):
-        assert sb.validate(sb.coulomb(0.6), Theory.SALPETER).accepted
+        sb.validate(sb.coulomb(0.6), Theory.SALPETER)
         assert 0.6 < SALPETER_COULOMB_MAX
 
     def test_coulomb_rejected_for_salpeter_at_two_over_pi(self):
-        assert not sb.validate(sb.coulomb(SALPETER_COULOMB_MAX), Theory.SALPETER).accepted
+        reason = f"^Coulomb coupling {SALPETER_COULOMB_MAX} >= 2/pi is beyond the semirelativistic critical coupling$"
+        with pytest.raises(ValueError, match=reason):
+            sb.validate(sb.coulomb(SALPETER_COULOMB_MAX), Theory.SALPETER)
 
     def test_coulomb_window_edges(self):
-        assert not sb.validate(sb.coulomb(KLEINGORDON_COULOMB_MAX), Theory.KLEIN_GORDON).accepted
-        assert sb.validate(sb.coulomb(0.49), Theory.KLEIN_GORDON).accepted
+        with pytest.raises(ValueError, match="^Coulomb coupling 0.5 >= 1/2 "):
+            sb.validate(sb.coulomb(KLEINGORDON_COULOMB_MAX), Theory.KLEIN_GORDON)
+        sb.validate(sb.coulomb(0.49), Theory.KLEIN_GORDON)
 
     def test_short_range_structurally_valid_at_any_coupling(self):
-        assert sb.validate(sb.exponential(10.0), Theory.KLEIN_GORDON).accepted
-        assert sb.validate(sb.woods_saxon(50.0), Theory.SALPETER).accepted
+        sb.validate(sb.exponential(10.0), Theory.KLEIN_GORDON)
+        sb.validate(sb.woods_saxon(50.0), Theory.SALPETER)
 
 
 class TestTailRadius:

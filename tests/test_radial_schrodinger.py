@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 from scipy.special import jn_zeros
 
 import salpeterbounds as sb
-from salpeterbounds import radial_schrodinger
+from salpeterbounds import potentials, radial_schrodinger
 from salpeterbounds.radial_schrodinger import GridConfig, NoBoundState
 
 from oracles import EXP_WELL_EIGENVALUE, bessel_ground_eigenvalue
@@ -233,18 +233,19 @@ def _brent_run(solver, f, a, b, xtol, maxiter):
     try:
         return solver(recorded, a, b, xtol=xtol, maxiter=maxiter), points, None
     except RuntimeError:  # scipy's exhausted maxiter
-        return None, points, radial_schrodinger.NonConvergence
-    except (radial_schrodinger.NonConvergence, ValueError) as exc:
+        return None, points, potentials.NonConvergence
+    except (potentials.NonConvergence, ValueError) as exc:
         return None, points, type(exc)
 
 
 class TestBrentq:
-    """radial_schrodinger.brentq against scipy.optimize.brentq, the oracle."""
+    """potentials.brentq, the root finder of the kappa match and of every
+    other 1-D search, against scipy.optimize.brentq, the oracle."""
 
     def test_matches_scipy_step_for_step(self):
         errors = []
         for f, a, b, xtol, maxiter in _brent_cases(seed=11, count=400):
-            ours = _brent_run(radial_schrodinger.brentq, f, a, b, xtol, maxiter)
+            ours = _brent_run(potentials.brentq, f, a, b, xtol, maxiter)
             theirs = _brent_run(brentq, f, a, b, xtol, maxiter)
             assert ours[1] == theirs[1]
             assert ours[2] is theirs[2]
@@ -252,16 +253,16 @@ class TestBrentq:
             errors.append(ours[2])
         # every outcome is exercised
         assert errors.count(None) > 150
-        assert errors.count(radial_schrodinger.NonConvergence) > 30
+        assert errors.count(potentials.NonConvergence) > 30
         assert errors.count(ValueError) > 20
 
     def test_root_is_a_python_float(self):
-        root = radial_schrodinger.brentq(lambda x: np.float64(x - 0.3), 0.0, 1.0, xtol=1e-12)
+        root = potentials.brentq(lambda x: np.float64(x - 0.3), 0.0, 1.0, xtol=1e-12)
         assert type(root) is float and root == pytest.approx(0.3, abs=1e-12)
 
     def test_same_sign_bracket(self):
         with pytest.raises(ValueError, match="different signs"):
-            radial_schrodinger.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+            potentials.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
 
     @pytest.mark.parametrize("nan_where", [lambda x: x == 0.0, lambda x: x == 1.0, lambda x: 0.0 < x < 1.0],
                              ids=["left end", "right end", "interior"])
@@ -269,8 +270,8 @@ class TestBrentq:
         def f(x):
             return math.nan if nan_where(x) else x - 0.7
         with pytest.raises(ValueError, match="NaN"):
-            radial_schrodinger.brentq(f, 0.0, 1.0, xtol=1e-12)
+            potentials.brentq(f, 0.0, 1.0, xtol=1e-12)
 
     def test_exhausted_iterations(self):
-        with pytest.raises(radial_schrodinger.NonConvergence, match="2 iterations"):
-            radial_schrodinger.brentq(math.tanh, -1.0, 3.0, xtol=1e-14, maxiter=2)
+        with pytest.raises(potentials.NonConvergence, match="2 iterations"):
+            potentials.brentq(math.tanh, -1.0, 3.0, xtol=1e-14, maxiter=2)

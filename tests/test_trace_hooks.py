@@ -42,3 +42,11 @@ def test_kg_spans(tmp_path):
     sizes = [span[5] for span in spans if span[0] == "radial_schrodinger.eigh_tridiagonal"]
     assert sizes and all(size > 0 for size in sizes)
     assert "radial_schrodinger.lowest_eigenvalue" in {span[0] for span in spans}
+
+
+def test_gaussian_spans(tmp_path):
+    spans = traced_spans(tmp_path, "gaussian", *WOODS_SAXON)
+    names = [span[0] for span in spans]
+    assert "gaussian_bound.eg_optimized" in names and "gaussian_bound.j_integrals" in names
+    roots = [span for span in spans if span[0] == "potentials.brentq"]
+    assert roots and all(spans[span[3]][0] == "gaussian_bound.eg_optimized" for span in roots)
