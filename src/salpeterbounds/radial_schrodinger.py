@@ -4,8 +4,7 @@ Past the range of W the solution is exactly e^{-kappa r} with
 kappa = sqrt(-lam), so one box [0, r_max] covering that range, closed by the
 matching condition u'(r_max) = -kappa u(r_max), is exact.  Second-order
 central differences with a ghost point at r_max give a symmetric
-tridiagonal matrix whose lowest eigenvalue is found by LAPACK's
-Sturm-sequence bisection.  The grid is refined with exact spacing halvings,
+tridiagonal matrix T.  The grid is refined with exact spacing halvings,
 the eigenvalue sequence for a given kappa is Richardson extrapolated to
 L(kappa), and kappa is the root of L(kappa) + kappa^2 = 0.  The Neumann
 (kappa = 0) value L(0) is the exact binding test: it is negative exactly
@@ -13,6 +12,17 @@ when the half-line operator has a bound state.  The eigenfunction comes
 from inverse iteration at the finest level's eigenvalue, already found
 while matching kappa.  The kappa match, like every 1-D search of the
 package, uses potentials.brentq.
+
+The lowest eigenvalue of T comes from LAPACK's Sturm-sequence bisection
+(stebz; Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386), run to the
+absolute tolerance _EIG_TOL.  Most solves bisect only a predicted bracket
+[lo, hi]: the finest level from the Richardson step of the coarser two,
+the middle level from a nearby kappa's level gap, the coarsest level from
+a nearby kappa within the Weyl bound of the end-node change.  A bracket is
+bisected only after an LDL^T factorization of T - lo I (LAPACK's dpttrf)
+has positive pivots, which certifies that no eigenvalue lies below lo, so
+the smallest eigenvalue found in the bracket is the lowest.  When the
+certificate fails or the bracket is empty, the whole spectrum is bisected.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstein
+from scipy.linalg.lapack import dpttrf, dstein
 
 from .potentials import NoBoundState, NonConvergence, brentq
 
@@ -31,9 +41,22 @@ from .potentials import NoBoundState, NonConvergence, brentq
 # than 1e3 times this target.
 TARGET_TOL = 1e-9
 
-# absolute tolerance on lam = -kappa^2 when kappa is matched; LAPACK's
-# bisection resolves lam only to about 1e-16 * 4 / h^2 anyway
+# absolute bisection tolerance of every eigenvalue.  stebz also stops at a
+# width of 2 ulp of the eigenvalue, so each lands within 1e-14 * max(1, |lam|)
+# of where the computed Sturm count steps, whatever bracket it starts from.
+# stebz's default, eps * |T|_1, is about 1e-11 at the finest level, and
+# where it stops then depends on the bracket bisected.
+_EIG_TOL = 1e-14
+
+# absolute tolerance on lam = -kappa^2 when kappa is matched, ten times the
+# resolution of each level's eigenvalue
 _MATCH_TOL = 1e-13
+
+# span, relative to max(1, |lam|), of the middle level's one-sided bracket
+# at the first kappa, and the widest Weyl bracket the coarsest level uses:
+# a wide bracket holds excited states, and stebz bisects every eigenvalue
+# in it
+_REACH = 1e-2
 
 
 @dataclass(frozen=True)
@@ -106,8 +129,57 @@ def _robin(diag: np.ndarray, h: float, kappa: float) -> np.ndarray:
     return out
 
 
-def _lowest(diag, off) -> float:
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, 0), eigvals_only=True)[0]
+def _lowest(diag, off, guess: float | None = None, width: float = 0.0) -> float:
+    """Lowest eigenvalue of the symmetric tridiagonal (diag, off).
+
+    With a guess, only [guess - width, guess + width] is bisected, and only
+    when diag - lo factors as L D L^T with positive pivots: then T - lo I is
+    positive definite.  Both dpttrf's pivots and stebz's Sturm counts are
+    exact for matrices within a few ulps of |T - lo I| of this one, so
+    bisection starts a margin of 16 eps (|lo| + |T|_1) below lo, where
+    neither count can find an eigenvalue.
+    Without a guess, when the certificate fails or when the bracket holds
+    no eigenvalue, the whole spectrum is bisected.
+    """
+    if guess is not None:
+        lo = guess - width
+        if dpttrf(diag - lo, off)[2] == 0:
+            margin = 16.0 * np.finfo(float).eps * (abs(lo) + np.abs(diag).max() + 2.0 * np.abs(off).max())
+            found = eigh_tridiagonal(diag, off, select="v", select_range=(lo - margin, guess + width),
+                                     eigvals_only=True, tol=_EIG_TOL)
+            if found.size:
+                return found[0]
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, 0), eigvals_only=True, tol=_EIG_TOL)[0]
+
+
+def _bracket(found: list[float], near: list[float] | None, step: float, h: float) -> tuple[float | None, float]:
+    """(guess, width) for the next level's eigenvalue at kappa, given the
+    coarser levels found at kappa and the levels near at kappa - step
+    (None when no kappa is memoized yet); guess None for a cold solve."""
+    level = len(found)
+    if level == 2:
+        # the Richardson step: the h^2 error shrinks 4x per halving
+        gap = found[1] - found[0]
+        guess, width = found[1] + gap / 4.0, 0.1 * abs(gap)
+    elif level == 1 and near is not None:
+        # the level gap barely moves with kappa
+        gap = near[1] - near[0]
+        guess, width = found[0] + gap, 0.1 * abs(gap)
+    elif level == 1:
+        # refinement raised the level, by less than _REACH, in every case measured
+        reach = _REACH * max(1.0, abs(found[0]))
+        guess, width = found[0] + reach / 2.0, reach / 2.0
+    else:
+        # kappa enters only the end diagonal, as 2 kappa / h, so (Weyl) the
+        # eigenvalues move by at most 2 |step| / h, upward for step > 0
+        if near is None:
+            return None, 0.0
+        shift = 2.0 * step / h
+        if abs(shift) > _REACH * max(1.0, abs(near[0])):
+            return None, 0.0
+        guess, width = near[0] + shift / 2.0, abs(shift) / 2.0
+    # room for the roundoff of the values the guess is built from
+    return guess, width + 1e2 * _EIG_TOL * max(1.0, abs(guess))
 
 
 def _richardson_diagonal(levels: list[float]) -> list[float]:
@@ -121,13 +193,20 @@ def _richardson_diagonal(levels: list[float]) -> list[float]:
 
 def _robin_levels(W: Callable, grid: GridConfig):
     """The refinement levels, and kappa -> the lowest eigenvalue at each
-    level with u'(r_max) = -kappa u(r_max), memoized."""
+    level with u'(r_max) = -kappa u(r_max), memoized.  Each solve bisects
+    a bracket predicted from the coarser levels and the nearest memoized
+    kappa (see _bracket)."""
     levels = [_assemble(W, grid.r_max, n) for n in grid.level_sizes()]
     memo: dict[float, list[float]] = {}
 
     def at(kappa: float) -> list[float]:
         if kappa not in memo:
-            memo[kappa] = [_lowest(_robin(diag, h, kappa), off) for diag, off, _, h in levels]
+            nearest = min(memo, key=lambda k: abs(k - kappa), default=None)
+            near, step = (None, 0.0) if nearest is None else (memo[nearest], kappa - nearest)
+            found: list[float] = []
+            for diag, off, _, h in levels:
+                found.append(_lowest(_robin(diag, h, kappa), off, *_bracket(found, near, step, h)))
+            memo[kappa] = found
         return memo[kappa]
 
     return levels, at
@@ -147,9 +226,9 @@ def _matched_kappa(robin: Callable[[float], list[float]], neumann: float) -> flo
     def mismatch(kappa: float) -> float:
         return _richardson_diagonal(robin(kappa))[-1] + kappa * kappa
 
-    # roundoff can flip the sign at hi only when the mismatch there is ~0,
-    # that is when u(r_max) is negligible and hi is the root
-    if mismatch(hi) <= 0:
+    # a mismatch at hi within the eigenvalues' resolution means u(r_max) is
+    # negligible and hi is the root; roundoff can even flip its sign
+    if mismatch(hi) <= _EIG_TOL * max(1.0, -neumann):
         return hi
     return float(brentq(mismatch, 0.0, hi, xtol=_MATCH_TOL / (2.0 * hi)))
 

@@ -211,14 +211,17 @@ def ground_energy(
     testing the wall.  Failing the first test doubles N; failing only the
     second moves on from the (2N, 2R) level, as more modes cannot mend a box.
     A converged E >= m raises NoBoundState (a growing box lets the continuum
-    edge converge).  Raises NonConvergence when N would exceed basis_max,
-    naming R and the momentum cutoff N pi / R; for a Coulomb coupling from
+    edge converge), and so does an E above m whose E - m falls 4x (within
+    10%) on two box doublings in a row, as the lowest box state of a free
+    particle, pi^2 / (2 m R^2), does.  Raises NonConvergence when N would
+    exceed basis_max, naming R and the momentum cutoff N pi / R; for a Coulomb coupling from
     1/2 up to the critical 2/pi the message also flags the unbounded
     downward drift of E with N.
     """
     potentials.validate(spec, Theory.SALPETER)
     n, r_box = basis_size, default_box_radius(spec, m)
     history: list[tuple[int, float, float]] = []
+    free_law = 0   # box doublings in a row on the free-particle law
     energy, coeffs = ground_energy_at(spec, m, n, r_box)
     history.append((n, r_box, energy))
     while True:
@@ -239,8 +242,17 @@ def ground_energy(
                     basis_tail=abs(coeffs_2n[-1]),
                     convergence_history=history,
                 )
-            # the basis holds but the wall moves E: continue from the wider box
+            # the basis holds but the wall moves E: continue from the wider box,
+            # unless E - m falls as a free particle's pi^2 / (2 m R^2) does
+            free = min(energy_2n, energy_2r) > m and 3.6 <= (energy_2n - m) / (energy_2r - m) <= 4.4
+            free_law = free_law + 1 if free else 0
             energy_2n, coeffs_2n, r_box = energy_2r, coeffs_2r, 2.0 * r_box
+            if free_law == 2:
+                raise NoBoundState(
+                    f"E = {energy_2n:.12g} stays at or above m = {m:g} in the box R = {r_box:g}, and E - m fell "
+                    f"4x on each of the last two box doublings: the free-particle law (E - m) R^2 -> pi^2 / 2m, "
+                    f"here {(energy_2n - m) * r_box ** 2:.4g} against {math.pi ** 2 / (2.0 * m):.4g}; "
+                    "no bound state below the continuum")
         energy, coeffs = energy_2n, coeffs_2n
         n *= 2
         if 2 * n > basis_max:

@@ -128,13 +128,30 @@ class TestEigenfunction:
 
     def test_inverse_iteration_matches_eigh_tridiagonal(self, exp_results, monkeypatch):
         # the vector comes from stein at the eigenvalue already found, the
-        # second half of eigh_tridiagonal's own stebz + stein route
+        # second half of eigh_tridiagonal's own stebz + stein route; that
+        # route's stebz stops at its default tolerance, not at _EIG_TOL, so
+        # the two vectors agree to roundoff rather than bit for bit
         def full_route(diag, off, eigenvalues, iblock, isplit):
             return eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[1], 0
 
         monkeypatch.setattr(radial_schrodinger, "dstein", full_route)
         ref = sb.lowest_eigenvalue(exp_well(4.5), GridConfig(65.0, 4096))
-        assert np.array_equal(exp_results[4.5].eigenfunction, ref.eigenfunction)
+        res = exp_results[4.5]
+        assert np.max(np.abs(res.eigenfunction - ref.eigenfunction)) <= 1e-11
+        # stein's unit vector is an eigenvector of the finest level's matrix
+        # at the matched kappa to within roundoff of |T|_1
+        diag, off, _, h = radial_schrodinger._assemble(exp_well(4.5), 65.0, GridConfig(65.0, 4096).level_sizes()[-1])
+        diag = radial_schrodinger._robin(diag, h, math.sqrt(-res.eigenvalue))
+        x = res.eigenfunction.copy()
+        x[-1] /= math.sqrt(2.0)
+        x /= np.linalg.norm(x)
+        residual = (diag - res.level_eigenvalues[-1]) * x
+        residual[:-1] += off * x[1:]
+        residual[1:] += off * x[:-1]
+        column = np.abs(diag)
+        column[:-1] += np.abs(off)
+        column[1:] += np.abs(off)
+        assert np.linalg.norm(residual) <= 1e3 * np.finfo(float).eps * column.max()
 
     def test_rayleigh_quotient_consistency(self, exp_results):
         for v, res in exp_results.items():
@@ -145,6 +162,83 @@ class TestEigenfunction:
             num = np.sum(du * du) / h + h * np.dot(w_vals, res.eigenfunction**2)
             den = h * np.dot(res.eigenfunction, res.eigenfunction)
             assert abs(num / den - res.eigenvalue) <= 1e2 * res.error_estimate
+
+
+def random_tridiagonal(n, seed):
+    rng = np.random.default_rng([seed, n])
+    return rng.normal(size=n), rng.normal(size=n - 1)
+
+
+def lowest_pair(diag, off):
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, 1), eigvals_only=True,
+                            tol=radial_schrodinger._EIG_TOL)
+
+
+class TestCertifiedBracket:
+    """A predicted bracket is bisected only behind the LDL^T certificate,
+    and any miss falls back to the whole spectrum."""
+
+    @pytest.fixture
+    def selects(self, monkeypatch):
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs["select"])
+            return eigh_tridiagonal(*args, **kwargs)
+
+        monkeypatch.setattr(radial_schrodinger, "eigh_tridiagonal", recorded)
+        return calls
+
+    @staticmethod
+    def within_tol(value, ref):
+        return abs(value - ref) <= radial_schrodinger._EIG_TOL * max(1.0, abs(ref))
+
+    def test_bracket_past_the_lowest_fails_the_certificate(self, selects):
+        diag, off = random_tridiagonal(500, 1)
+        lam1, lam2 = lowest_pair(diag, off)
+        # the bracket holds lam2 but not lam1
+        assert self.within_tol(radial_schrodinger._lowest(diag, off, lam2, 0.25 * (lam2 - lam1)), lam1)
+        assert selects == ["i"]
+
+    @pytest.mark.parametrize("side, fallback", [("below", ["v", "i"]), ("above", ["i"])])
+    def test_bracket_outside_the_spectrum_falls_back(self, selects, side, fallback):
+        # below, the certificate holds but the bracket is empty; above, it fails
+        diag, off = random_tridiagonal(500, 2)
+        bound = np.abs(diag).max() + 2.0 * np.abs(off).max()
+        guess = -2.0 * bound if side == "below" else 2.0 * bound
+        lam1 = lowest_pair(diag, off)[0]
+        assert self.within_tol(radial_schrodinger._lowest(diag, off, guess, 0.5 * bound), lam1)
+        assert selects == fallback
+
+    @pytest.mark.parametrize("n", [64, 257, 1000, 5000])
+    def test_warm_equals_full_interval(self, selects, n):
+        diag, off = random_tridiagonal(n, 3)
+        self.check_warm(diag, off, selects)
+
+    def test_near_degenerate_lowest_pair(self, selects):
+        # a block whose lowest state sits on its last node, joined to its
+        # mirror image there by an off-diagonal 1e-9: the lowest pair is
+        # split by about 2e-9, far below most brackets' widths
+        diag, off = random_tridiagonal(800, 4)
+        diag += 3.0
+        diag[-1] = -3.0
+        diag = np.concatenate((diag, diag[::-1]))
+        off = np.concatenate((off, [1e-9], off[::-1]))
+        lam1, lam2 = lowest_pair(diag, off)
+        assert 1e-9 < lam2 - lam1 < 3e-9
+        self.check_warm(diag, off, selects)
+
+    def check_warm(self, diag, off, selects):
+        ref = radial_schrodinger._lowest(diag, off)
+        brackets = [(0.0, 1e-12), (3e-4, 1e-3), (-2e-6, 1e-5), (0.4, 0.5)]
+        for offset, width in brackets:
+            assert self.within_tol(radial_schrodinger._lowest(diag, off, ref + offset, width), ref)
+        # the cold solve, then one certified bisection per bracket
+        assert selects == ["i"] + ["v"] * len(brackets)
+
+    def test_most_kleingordon_solves_are_warm(self, selects):
+        sb.solve(sb.exponential(3.4), 1.0)
+        assert selects.count("v") >= len(selects) / 2
 
 
 class TestExpectation:

@@ -215,6 +215,29 @@ class TestGroundEnergy:
         with pytest.raises(NoBoundState, match=r"at or above m = 0.3 in the box R = "):
             sb.ground_energy(sb.exponential(1.5), 0.3)
 
+    def test_free_particle_law_is_no_bound_state(self, monkeypatch):
+        # Woods-Saxon v = 1 does not bind at m = 0.8 (Klein-Gordon reads
+        # no-binding); E - m falls as pi^2 / (2 m R^2) with every box
+        # doubling and would never meet the doubling test before N = 16384
+        sizes = []
+        solve = salpeter.ground_energy_at
+
+        def counted(spec, m, basis_size, box_radius, start=None):
+            sizes.append(basis_size)
+            return solve(spec, m, basis_size, box_radius, start)
+
+        monkeypatch.setattr(salpeter, "ground_energy_at", counted)
+        with pytest.raises(NoBoundState, match=r"at or above m = 0.8 .* free-particle law"):
+            sb.ground_energy(sb.woods_saxon(1.0, 1.0, 0.2), 0.8)
+        assert max(sizes) < 16384
+
+    def test_weak_coulomb_is_not_the_free_particle_law(self):
+        # bound by 5e-5: E < m at every level, so the free-particle law of
+        # an unbound E never applies while the box grows from 500 to 2000
+        sol = sb.ground_energy(sb.coulomb(0.01), 1.0)
+        assert all(energy < 1.0 for _, _, energy in sol.convergence_history)
+        assert [sol.convergence_history[i][1] for i in (0, -1)] == pytest.approx([500.0, 2000.0])
+
     def test_deep_state_box_from_branch_point(self):
         # E < 0 decays at the rate m, so the box is 25 / m with modes to
         # resolve the well; the kappa floor's R = 500 / m would leave 256
