@@ -13,16 +13,20 @@ from inverse iteration at the finest level's eigenvalue, already found
 while matching kappa.  The kappa match, like every 1-D search of the
 package, uses potentials.brentq.
 
-The lowest eigenvalue of T comes from LAPACK's Sturm-sequence bisection
-(stebz; Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386), run to the
-absolute tolerance _EIG_TOL.  Most solves bisect only a predicted bracket
-[lo, hi]: the finest level from the Richardson step of the coarser two,
-the middle level from a nearby kappa's level gap, the coarsest level from
-a nearby kappa within the Weyl bound of the end-node change.  A bracket is
-bisected only after an LDL^T factorization of T - lo I (LAPACK's dpttrf)
-has positive pivots, which certifies that no eigenvalue lies below lo, so
-the smallest eigenvalue found in the bracket is the lowest.  When the
-certificate fails or the bracket is empty, the whole spectrum is bisected.
+Most eigenvalues come from a predicted bracket [lo, hi]: the finest level
+from the Richardson step of the coarser two, the middle level from a nearby
+kappa's level gap, the coarsest level from a nearby kappa within the Weyl
+bound of the end-node change.  An LDL^T factorization of T - lo I with
+positive pivots (LAPACK's dpttrf) certifies that no eigenvalue lies below
+lo, and the same factors drive inverse iteration from lo (dpttrs; Parlett,
+The Symmetric Eigenvalue Problem, ch. 4).  Its Rayleigh quotient is summed
+from T's row sums and squared differences of the iterate, so the 2/h^2 of
+the Laplacian never cancels in floating point.  A converged quotient in the
+bracket is accepted once a second factorization, just below it, certifies
+that no eigenvalue lies lower.  The Neumann solve and every miss use
+LAPACK's Sturm-sequence bisection of the whole spectrum (stebz; Barth,
+Martin & Wilkinson, Numer. Math. 9 (1967) 386), run to the absolute
+tolerance _EIG_TOL.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf, dstein
+from scipy.linalg.lapack import dpttrf, dpttrs, dstein
 
 from .potentials import NoBoundState, NonConvergence, brentq
 
@@ -41,22 +45,26 @@ from .potentials import NoBoundState, NonConvergence, brentq
 # than 1e3 times this target.
 TARGET_TOL = 1e-9
 
-# absolute bisection tolerance of every eigenvalue.  stebz also stops at a
-# width of 2 ulp of the eigenvalue, so each lands within 1e-14 * max(1, |lam|)
-# of where the computed Sturm count steps, whatever bracket it starts from.
-# stebz's default, eps * |T|_1, is about 1e-11 at the finest level, and
-# where it stops then depends on the bracket bisected.
+# absolute tolerance of every eigenvalue.  Inverse iteration stops when two
+# Rayleigh quotients agree to it, and its quotient lies within about 1e-15
+# of the stored matrix's eigenvalue.  Bisection stops there too (stebz also
+# stops at a width of 2 ulp of the eigenvalue), but the Sturm counts it
+# steps on carry a roundoff of eps * |T|_1: a bisected eigenvalue lands
+# 1e-13 and more from the stored matrix's, over 1e-12 at the finest level.
 _EIG_TOL = 1e-14
 
-# absolute tolerance on lam = -kappa^2 when kappa is matched, ten times the
-# resolution of each level's eigenvalue
+# absolute tolerance on lam = -kappa^2 when kappa is matched, ten times
+# _EIG_TOL, which the inverse-iteration levels of each kappa resolve
 _MATCH_TOL = 1e-13
 
 # span, relative to max(1, |lam|), of the middle level's one-sided bracket
-# at the first kappa, and the widest Weyl bracket the coarsest level uses:
-# a wide bracket holds excited states, and stebz bisects every eigenvalue
-# in it
+# at the first kappa
 _REACH = 1e-2
+
+# inverse-iteration steps before a warm solve falls back to bisection; a
+# certified lower end a level gap or less below the eigenvalue converges
+# in 2-5
+_INVERSE_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -132,23 +140,40 @@ def _robin(diag: np.ndarray, h: float, kappa: float) -> np.ndarray:
 def _lowest(diag, off, guess: float | None = None, width: float = 0.0) -> float:
     """Lowest eigenvalue of the symmetric tridiagonal (diag, off).
 
-    With a guess, only [guess - width, guess + width] is bisected, and only
-    when diag - lo factors as L D L^T with positive pivots: then T - lo I is
-    positive definite.  Both dpttrf's pivots and stebz's Sturm counts are
-    exact for matrices within a few ulps of |T - lo I| of this one, so
-    bisection starts a margin of 16 eps (|lo| + |T|_1) below lo, where
-    neither count can find an eigenvalue.
-    Without a guess, when the certificate fails or when the bracket holds
-    no eigenvalue, the whole spectrum is bisected.
+    With a guess, lo = guess - width must factor diag - lo as L D L^T with
+    positive pivots, which makes T - lo I positive definite.  Inverse
+    iteration on those factors from z = ones then converges to the lowest
+    eigenvector, and its Rayleigh quotient rho = sum r_i z_i^2 +
+    sum c_i (z_i - z_{i+1})^2, with r the row sums of T and c = -off, is
+    accepted when two successive quotients agree to tol =
+    _EIG_TOL * max(1, |rho|), rho is at most guess + width, and
+    diag - (rho - margin - tol) factors too.  The pivots are exact for a
+    matrix within a few ulps of |T| of this one, so margin =
+    16 eps (|rho| + |T|_1) keeps that second certificate honest: with it,
+    no eigenvalue lies below rho by more than margin + tol, which rejects a
+    quotient that stalled between two close eigenvalues.
+    Without a guess, or on any miss, the whole spectrum is bisected.
     """
     if guess is not None:
         lo = guess - width
-        if dpttrf(diag - lo, off)[2] == 0:
-            margin = 16.0 * np.finfo(float).eps * (abs(lo) + np.abs(diag).max() + 2.0 * np.abs(off).max())
-            found = eigh_tridiagonal(diag, off, select="v", select_range=(lo - margin, guess + width),
-                                     eigvals_only=True, tol=_EIG_TOL)
-            if found.size:
-                return found[0]
+        d, e, info = dpttrf(diag - lo, off)
+        if info == 0:
+            # the Laplacian's 2/h^2 cancels exactly in T's row sums, where
+            # forming T z would cost eps |T|_1
+            rows = diag.copy()
+            rows[:-1] += off
+            rows[1:] += off
+            z, rho = np.ones(diag.size), None
+            for _ in range(_INVERSE_STEPS):
+                z = dpttrs(d, e, z)[0]
+                z /= np.linalg.norm(z)
+                prev, rho = rho, np.dot(rows, z * z) - np.dot(off, np.diff(z) ** 2)
+                tol = _EIG_TOL * max(1.0, abs(rho))
+                if prev is not None and abs(rho - prev) <= tol:
+                    margin = 16.0 * np.finfo(float).eps * (abs(rho) + np.abs(diag).max() + 2.0 * np.abs(off).max())
+                    if rho <= guess + width and dpttrf(diag - (rho - margin - tol), off)[2] == 0:
+                        return rho
+                    break
     return eigh_tridiagonal(diag, off, select="i", select_range=(0, 0), eigvals_only=True, tol=_EIG_TOL)[0]
 
 
@@ -169,15 +194,15 @@ def _bracket(found: list[float], near: list[float] | None, step: float, h: float
         # refinement raised the level, by less than _REACH, in every case measured
         reach = _REACH * max(1.0, abs(found[0]))
         guess, width = found[0] + reach / 2.0, reach / 2.0
-    else:
+    elif near is not None:
         # kappa enters only the end diagonal, as 2 kappa / h, so (Weyl) the
-        # eigenvalues move by at most 2 |step| / h, upward for step > 0
-        if near is None:
-            return None, 0.0
+        # eigenvalues move by at most 2 |step| / h, upward for step > 0;
+        # however wide, the bracket's certified lower end is all inverse
+        # iteration needs
         shift = 2.0 * step / h
-        if abs(shift) > _REACH * max(1.0, abs(near[0])):
-            return None, 0.0
         guess, width = near[0] + shift / 2.0, abs(shift) / 2.0
+    else:
+        return None, 0.0
     # room for the roundoff of the values the guess is built from
     return guess, width + 1e2 * _EIG_TOL * max(1.0, abs(guess))
 
@@ -193,9 +218,9 @@ def _richardson_diagonal(levels: list[float]) -> list[float]:
 
 def _robin_levels(W: Callable, grid: GridConfig):
     """The refinement levels, and kappa -> the lowest eigenvalue at each
-    level with u'(r_max) = -kappa u(r_max), memoized.  Each solve bisects
-    a bracket predicted from the coarser levels and the nearest memoized
-    kappa (see _bracket)."""
+    level with u'(r_max) = -kappa u(r_max), memoized.  Each solve starts
+    from a bracket predicted from the coarser levels and the nearest
+    memoized kappa (see _bracket)."""
     levels = [_assemble(W, grid.r_max, n) for n in grid.level_sizes()]
     memo: dict[float, list[float]] = {}
 

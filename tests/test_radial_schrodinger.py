@@ -174,9 +174,39 @@ def lowest_pair(diag, off):
                             tol=radial_schrodinger._EIG_TOL)
 
 
+def sturm_lowest(diag, off, lo, hi):
+    """Lowest eigenvalue of the stored tridiagonal (diag, off), given lo
+    below and hi above it: Sturm counts in long double at 32 shifts per
+    sweep, until the bracket is 1e-17 * max(1, |lam|) wide."""
+    diag, squares = np.asarray(diag, np.longdouble), np.asarray(off, np.longdouble) ** 2
+    tiny = np.finfo(np.longdouble).tiny
+
+    def below(shifts):
+        # LDL^T pivots of T - shift I; their negative count is the number
+        # of eigenvalues below the shift
+        count = np.zeros(shifts.shape, int)
+        pivot = np.ones_like(shifts)
+        for i in range(diag.size):
+            pivot = (diag[i] - shifts) - (squares[i - 1] / pivot if i else 0)
+            pivot[pivot == 0] = tiny
+            count += pivot < 0
+        return count
+
+    lo, hi = np.longdouble(lo), np.longdouble(hi)
+    ends = below(np.array([lo, hi]))
+    assert ends[0] == 0 and ends[1] >= 1
+    while hi - lo > 1e-17 * max(1.0, abs(float(lo))):
+        shifts = np.linspace(lo, hi, 34)[1:-1]
+        empty = below(shifts) == 0
+        k = int(np.count_nonzero(empty))
+        lo, hi = (lo if k == 0 else shifts[k - 1]), (hi if k == shifts.size else shifts[k])
+    return float(0.5 * (lo + hi))
+
+
 class TestCertifiedBracket:
-    """A predicted bracket is bisected only behind the LDL^T certificate,
-    and any miss falls back to the whole spectrum."""
+    """A predicted bracket is used only behind the LDL^T certificate, its
+    inverse-iteration quotient only behind a second one, and any miss falls
+    back to bisecting the whole spectrum."""
 
     @pytest.fixture
     def selects(self, monkeypatch):
@@ -200,15 +230,24 @@ class TestCertifiedBracket:
         assert self.within_tol(radial_schrodinger._lowest(diag, off, lam2, 0.25 * (lam2 - lam1)), lam1)
         assert selects == ["i"]
 
-    @pytest.mark.parametrize("side, fallback", [("below", ["v", "i"]), ("above", ["i"])])
+    @pytest.mark.parametrize("side, fallback", [("below", ["i"]), ("above", ["i"])])
     def test_bracket_outside_the_spectrum_falls_back(self, selects, side, fallback):
-        # below, the certificate holds but the bracket is empty; above, it fails
+        # below, the certificate holds but inverse iteration from so far
+        # below converges too slowly; above, the certificate fails
         diag, off = random_tridiagonal(500, 2)
         bound = np.abs(diag).max() + 2.0 * np.abs(off).max()
         guess = -2.0 * bound if side == "below" else 2.0 * bound
         lam1 = lowest_pair(diag, off)[0]
         assert self.within_tol(radial_schrodinger._lowest(diag, off, guess, 0.5 * bound), lam1)
         assert selects == fallback
+
+    def test_quotient_above_the_bracket_falls_back(self, selects):
+        # both certificates hold, but the bracket predicted the eigenvalue
+        # wrongly: it lies 1e-3 above the bracket's top
+        diag, off = random_tridiagonal(500, 5)
+        lam1 = lowest_pair(diag, off)[0]
+        assert self.within_tol(radial_schrodinger._lowest(diag, off, lam1 - 2e-3, 1e-3), lam1)
+        assert selects == ["i"]
 
     @pytest.mark.parametrize("n", [64, 257, 1000, 5000])
     def test_warm_equals_full_interval(self, selects, n):
@@ -226,19 +265,58 @@ class TestCertifiedBracket:
         off = np.concatenate((off, [1e-9], off[::-1]))
         lam1, lam2 = lowest_pair(diag, off)
         assert 1e-9 < lam2 - lam1 < 3e-9
-        self.check_warm(diag, off, selects)
+        self.check_warm(diag, off, selects, split=lam2 - lam1)
 
-    def check_warm(self, diag, off, selects):
+    def check_warm(self, diag, off, selects, split=None):
         ref = radial_schrodinger._lowest(diag, off)
         brackets = [(0.0, 1e-12), (3e-4, 1e-3), (-2e-6, 1e-5), (0.4, 0.5)]
         for offset, width in brackets:
+            before = len(selects)
             assert self.within_tol(radial_schrodinger._lowest(diag, off, ref + offset, width), ref)
-        # the cold solve, then one certified bisection per bracket
-        assert selects == ["i"] + ["v"] * len(brackets)
+            if split is not None and width - offset > split:
+                # lo lies farther below lam1 than lam2 lies above it: the
+                # quotient stalls between the pair, and the second
+                # certificate sends it to one whole-spectrum bisection
+                assert selects[before:] == ["i"]
+            elif split is None and width < 0.1:
+                # a narrow bracket is settled by inverse iteration alone
+                assert selects[before:] == []
+        # a bracket is never bisected
+        assert "v" not in selects
 
-    def test_most_kleingordon_solves_are_warm(self, selects):
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double")
+    @pytest.mark.parametrize("spec, e", [(sb.exponential(3.4), 0.2), (sb.woods_saxon(2.6), 0.3)],
+                             ids=["exponential", "woods-saxon"])
+    def test_warm_value_matches_long_double_bisection(self, selects, spec, e):
+        # the Klein-Gordon h(e) levels of kleingordon's default grid (spacing
+        # 0.025 over the tail radius) with n <= 1155, at kappa = 0.7; the
+        # whole-spectrum bisection's Sturm counts carry a roundoff of
+        # eps * |T|_1, and its value misses the long-double one by 7e-14
+        # and more
+        r_max = potentials.tail_radius(spec, potentials.TAIL_EPS)
+        V = lambda r: potentials.evaluate(spec, r)
+        for n in GridConfig(r_max, math.ceil(r_max / 0.025)).level_sizes():
+            if n > 1155:
+                continue
+            diag, off, _, h = radial_schrodinger._assemble(lambda r: 2.0 * e * V(r) - V(r) ** 2, r_max, n)
+            diag = radial_schrodinger._robin(diag, h, 0.7)
+            cold = radial_schrodinger._lowest(diag, off)
+            exact = sturm_lowest(diag, off, cold - 1e-6, cold + 1e-6)
+            before = len(selects)
+            assert self.within_tol(radial_schrodinger._lowest(diag, off, cold + 3e-6, 1e-5), exact)
+            assert selects[before:] == []
+
+    def test_most_kleingordon_solves_are_warm(self, selects, monkeypatch):
+        lowest = radial_schrodinger._lowest
+        solves = []
+
+        def counted(*args):
+            solves.append(args)
+            return lowest(*args)
+
+        monkeypatch.setattr(radial_schrodinger, "_lowest", counted)
         sb.solve(sb.exponential(3.4), 1.0)
-        assert selects.count("v") >= len(selects) / 2
+        assert len(selects) <= len(solves) / 3
 
 
 class TestExpectation:
