@@ -275,6 +275,8 @@ def run_fcurves(cfg: SweepConfig) -> list[Path]:
 
     if cfg.out is None:
         raise ConfigError("fcurves needs an output directory: set out = <path>")
+    if cfg.e_steps < 1:
+        raise ConfigError(f"e_steps must be >= 1, got {cfg.e_steps}")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     masses = cfg.masses()

@@ -193,6 +193,11 @@ def _solve_coulomb(curve: _CoulombCurve, m: float) -> KgSolution:
     return KgSolution(e=e, m=m, status=KgStatus.BOUND, e0=0.0, delta_at_e=pt.delta)
 
 
+def _check_mass(m: float) -> None:
+    if not (np.isfinite(m) and m > 0):
+        raise ValueError(f"mass must be positive, got {m}")
+
+
 def solve(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> KgSolution:
     """Smallest root of F(e) = e^2 - m^2 in (-m, m), with classification.
 
@@ -203,8 +208,7 @@ def solve(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> KgSo
     maximum of G, where G' = F' - 2e vanishes, has a root on each side if it
     is positive; if not, the intersection slipped below -m: supercritical.
     """
-    if not (np.isfinite(m) and m > 0):
-        raise ValueError(f"mass must be positive, got {m}")
+    _check_mass(m)
     engine = _engine(spec, grid)
     if isinstance(engine, _CoulombCurve):
         return _solve_coulomb(engine, m)
@@ -273,6 +277,7 @@ def _critical_coupling(spec: PotentialSpec, m: float, e_probe: float, grid: Grid
     """
     if spec.kind is Kind.COULOMB:
         raise ValueError("critical couplings are defined for the short-range kinds only")
+    _check_mass(m)
 
     hi = max(2.0 * m, 4.0)
     for _ in range(40):

@@ -13,17 +13,19 @@ from inverse iteration at the finest level's eigenvalue, already found
 while matching kappa.  The kappa match, like every 1-D search of the
 package, uses potentials.brentq.
 
-Most eigenvalues come from a predicted bracket [lo, hi]: the finest level
-from the Richardson step of the coarser two, the middle level from a nearby
-kappa's level gap, the coarsest level from a nearby kappa within the Weyl
-bound of the end-node change.  An LDL^T factorization of T - lo I with
-positive pivots (LAPACK's dpttrf) certifies that no eigenvalue lies below
-lo, and the same factors drive inverse iteration from lo (dpttrs; Parlett,
-The Symmetric Eigenvalue Problem, ch. 4).  Its Rayleigh quotient is summed
-from T's row sums and squared differences of the iterate, so the 2/h^2 of
-the Laplacian never cancels in floating point.  A converged quotient in the
-bracket is accepted once a second factorization, just below it, certifies
-that no eigenvalue lies lower.  The Neumann solve and every miss use
+kappa enters T only as 2 kappa / h on the end diagonal, a positive
+semidefinite rank-one term, so by Weyl's monotonicity theorem every
+eigenvalue of a level rises with kappa (Horn & Johnson, Matrix Analysis,
+4.3): the nearest memoized kappa below and above bound each eigenvalue,
+and the finer levels at kappa = 0 start from the coarser level.  An LDL^T
+factorization of T - lo I with positive pivots (LAPACK's dpttrf)
+certifies that no eigenvalue lies below lo, and the same factors drive
+inverse iteration from lo (dpttrs; Parlett, The Symmetric Eigenvalue
+Problem, ch. 4).  Its Rayleigh quotient is summed from T's row sums and
+squared differences of the iterate, so the 2/h^2 of the Laplacian never
+cancels in floating point.  A converged quotient in the interval is
+accepted once a second factorization, just below it, certifies that no
+eigenvalue lies lower.  The coarsest kappa = 0 solve and every miss use
 LAPACK's Sturm-sequence bisection of the whole spectrum (stebz; Barth,
 Martin & Wilkinson, Numer. Math. 9 (1967) 386), run to the absolute
 tolerance _EIG_TOL.
@@ -57,13 +59,9 @@ _EIG_TOL = 1e-14
 # _EIG_TOL, which the inverse-iteration levels of each kappa resolve
 _MATCH_TOL = 1e-13
 
-# span, relative to max(1, |lam|), of the middle level's one-sided bracket
-# at the first kappa
-_REACH = 1e-2
-
 # inverse-iteration steps before a warm solve falls back to bisection; a
-# certified lower end a level gap or less below the eigenvalue converges
-# in 2-5
+# certified lower end from a neighbouring kappa or the coarser level
+# converges in 2-5
 _INVERSE_STEPS = 8
 
 
@@ -137,26 +135,27 @@ def _robin(diag: np.ndarray, h: float, kappa: float) -> np.ndarray:
     return out
 
 
-def _lowest(diag, off, guess: float | None = None, width: float = 0.0) -> float:
+def _lowest(diag, off, lo: float | None = None, hi: float = math.inf) -> float:
     """Lowest eigenvalue of the symmetric tridiagonal (diag, off).
 
-    With a guess, lo = guess - width must factor diag - lo as L D L^T with
+    With lo, the eigenvalue is taken to lie in [lo, hi], both ends widened
+    by margin = 16 eps (|lo| + |T|_1): the pivots are exact for a matrix
+    within a few ulps of |T| of this one, and every Rayleigh quotient lies
+    within |T|_1.  The widened lo must factor diag - lo as L D L^T with
     positive pivots, which makes T - lo I positive definite.  Inverse
     iteration on those factors from z = ones then converges to the lowest
     eigenvector, and its Rayleigh quotient rho = sum r_i z_i^2 +
     sum c_i (z_i - z_{i+1})^2, with r the row sums of T and c = -off, is
     accepted when two successive quotients agree to tol =
-    _EIG_TOL * max(1, |rho|), rho is at most guess + width, and
-    diag - (rho - margin - tol) factors too.  The pivots are exact for a
-    matrix within a few ulps of |T| of this one, so margin =
-    16 eps (|rho| + |T|_1) keeps that second certificate honest: with it,
-    no eigenvalue lies below rho by more than margin + tol, which rejects a
-    quotient that stalled between two close eigenvalues.
-    Without a guess, or on any miss, the whole spectrum is bisected.
+    _EIG_TOL * max(1, |rho|), rho is at most the widened hi, and
+    diag - (rho - margin - tol) factors too: then no eigenvalue lies below
+    rho by more than margin + tol, which rejects a quotient that stalled
+    between two close eigenvalues.
+    Without lo, or on any miss, the whole spectrum is bisected.
     """
-    if guess is not None:
-        lo = guess - width
-        d, e, info = dpttrf(diag - lo, off)
+    if lo is not None:
+        margin = 16.0 * np.finfo(float).eps * (abs(lo) + np.abs(diag).max() + 2.0 * np.abs(off).max())
+        d, e, info = dpttrf(diag - (lo - margin), off)
         if info == 0:
             # the Laplacian's 2/h^2 cancels exactly in T's row sums, where
             # forming T z would cost eps |T|_1
@@ -170,41 +169,10 @@ def _lowest(diag, off, guess: float | None = None, width: float = 0.0) -> float:
                 prev, rho = rho, np.dot(rows, z * z) - np.dot(off, np.diff(z) ** 2)
                 tol = _EIG_TOL * max(1.0, abs(rho))
                 if prev is not None and abs(rho - prev) <= tol:
-                    margin = 16.0 * np.finfo(float).eps * (abs(rho) + np.abs(diag).max() + 2.0 * np.abs(off).max())
-                    if rho <= guess + width and dpttrf(diag - (rho - margin - tol), off)[2] == 0:
+                    if rho <= hi + margin and dpttrf(diag - (rho - margin - tol), off)[2] == 0:
                         return rho
                     break
     return eigh_tridiagonal(diag, off, select="i", select_range=(0, 0), eigvals_only=True, tol=_EIG_TOL)[0]
-
-
-def _bracket(found: list[float], near: list[float] | None, step: float, h: float) -> tuple[float | None, float]:
-    """(guess, width) for the next level's eigenvalue at kappa, given the
-    coarser levels found at kappa and the levels near at kappa - step
-    (None when no kappa is memoized yet); guess None for a cold solve."""
-    level = len(found)
-    if level == 2:
-        # the Richardson step: the h^2 error shrinks 4x per halving
-        gap = found[1] - found[0]
-        guess, width = found[1] + gap / 4.0, 0.1 * abs(gap)
-    elif level == 1 and near is not None:
-        # the level gap barely moves with kappa
-        gap = near[1] - near[0]
-        guess, width = found[0] + gap, 0.1 * abs(gap)
-    elif level == 1:
-        # refinement raised the level, by less than _REACH, in every case measured
-        reach = _REACH * max(1.0, abs(found[0]))
-        guess, width = found[0] + reach / 2.0, reach / 2.0
-    elif near is not None:
-        # kappa enters only the end diagonal, as 2 kappa / h, so (Weyl) the
-        # eigenvalues move by at most 2 |step| / h, upward for step > 0;
-        # however wide, the bracket's certified lower end is all inverse
-        # iteration needs
-        shift = 2.0 * step / h
-        guess, width = near[0] + shift / 2.0, abs(shift) / 2.0
-    else:
-        return None, 0.0
-    # room for the roundoff of the values the guess is built from
-    return guess, width + 1e2 * _EIG_TOL * max(1.0, abs(guess))
 
 
 def _richardson_diagonal(levels: list[float]) -> list[float]:
@@ -218,19 +186,23 @@ def _richardson_diagonal(levels: list[float]) -> list[float]:
 
 def _robin_levels(W: Callable, grid: GridConfig):
     """The refinement levels, and kappa -> the lowest eigenvalue at each
-    level with u'(r_max) = -kappa u(r_max), memoized.  Each solve starts
-    from a bracket predicted from the coarser levels and the nearest
-    memoized kappa (see _bracket)."""
+    level with u'(r_max) = -kappa u(r_max), memoized.  Each level's
+    eigenvalue rises with kappa, so the nearest memoized kappa below and
+    above bound it.  The first kappa, 0, has none below: its coarsest level
+    is solved cold, each finer one from the coarser, which refinement
+    raises."""
     levels = [_assemble(W, grid.r_max, n) for n in grid.level_sizes()]
     memo: dict[float, list[float]] = {}
 
     def at(kappa: float) -> list[float]:
         if kappa not in memo:
-            nearest = min(memo, key=lambda k: abs(k - kappa), default=None)
-            near, step = (None, 0.0) if nearest is None else (memo[nearest], kappa - nearest)
+            below = max((k for k in memo if k < kappa), default=None)
+            above = min((k for k in memo if k > kappa), default=None)
             found: list[float] = []
-            for diag, off, _, h in levels:
-                found.append(_lowest(_robin(diag, h, kappa), off, *_bracket(found, near, step, h)))
+            for level, (diag, off, _, h) in enumerate(levels):
+                lo = memo[below][level] if below is not None else (found[-1] if found else None)
+                hi = memo[above][level] if above is not None else math.inf
+                found.append(_lowest(_robin(diag, h, kappa), off, lo, hi))
             memo[kappa] = found
         return memo[kappa]
 

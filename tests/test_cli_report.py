@@ -376,6 +376,22 @@ class TestMainEntry:
         assert rc == 1
         assert "parametric span" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", ["-1", "0"])
+    def test_critical_rejects_a_mass_that_is_not_positive(self, m, capsys):
+        rc = cli.main(["critical", "--set", "potential=woods-saxon", "--set", f"m={m}"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: mass must be positive, got ")
+
+    @pytest.mark.parametrize("kind", ["exponential", "coulomb"])
+    def test_fcurves_rejects_no_energy_steps(self, kind, tmp_path, capsys):
+        rc = cli.main(["fcurves", "--set", f"potential={kind}", "--set", "v=0.4", "--set", "m=1",
+                       "--set", "e_steps=0", "--set", f"out={tmp_path / 'curves'}"])
+        assert rc == 1
+        assert capsys.readouterr().err == "config error: e_steps must be >= 1, got 0\n"
+        assert not (tmp_path / "curves").exists()
+
     def test_critical_search_failure_exits_cleanly(self, monkeypatch, capsys):
         # a positive binding test: h(e) binds at no coupling
         monkeypatch.setattr(kleingordon, "_binding_at", lambda *args: 1.0)

@@ -287,6 +287,13 @@ class TestCriticalCouplings:
         with pytest.raises(ValueError):
             sb.critical_coupling_lower(sb.coulomb(0.4), 1.0)
 
+    @pytest.mark.parametrize("m", [-1.0, 0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("search", [sb.critical_coupling_lower, sb.critical_coupling_upper],
+                             ids=["lower", "upper"])
+    def test_rejects_a_mass_that_is_not_positive(self, search, m):
+        with pytest.raises(ValueError, match="mass must be positive"):
+            search(sb.exponential(1.0), m)
+
     @pytest.mark.parametrize("kind", sorted(ZERO_ENERGY_SHAPES))
     @pytest.mark.parametrize("side", ["lower", "upper"])
     def test_matches_zero_energy_ode(self, kind, side):

@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 from scipy.special import jn_zeros
 
 import salpeterbounds as sb
-from salpeterbounds import potentials, radial_schrodinger
+from salpeterbounds import kleingordon, potentials, radial_schrodinger
 from salpeterbounds.radial_schrodinger import GridConfig, NoBoundState
 
 from oracles import EXP_WELL_EIGENVALUE, bessel_ground_eigenvalue
@@ -227,7 +227,8 @@ class TestCertifiedBracket:
         diag, off = random_tridiagonal(500, 1)
         lam1, lam2 = lowest_pair(diag, off)
         # the bracket holds lam2 but not lam1
-        assert self.within_tol(radial_schrodinger._lowest(diag, off, lam2, 0.25 * (lam2 - lam1)), lam1)
+        width = 0.25 * (lam2 - lam1)
+        assert self.within_tol(radial_schrodinger._lowest(diag, off, lam2 - width, lam2 + width), lam1)
         assert selects == ["i"]
 
     @pytest.mark.parametrize("side, fallback", [("below", ["i"]), ("above", ["i"])])
@@ -238,7 +239,8 @@ class TestCertifiedBracket:
         bound = np.abs(diag).max() + 2.0 * np.abs(off).max()
         guess = -2.0 * bound if side == "below" else 2.0 * bound
         lam1 = lowest_pair(diag, off)[0]
-        assert self.within_tol(radial_schrodinger._lowest(diag, off, guess, 0.5 * bound), lam1)
+        lo, hi = guess - 0.5 * bound, guess + 0.5 * bound
+        assert self.within_tol(radial_schrodinger._lowest(diag, off, lo, hi), lam1)
         assert selects == fallback
 
     def test_quotient_above_the_bracket_falls_back(self, selects):
@@ -246,7 +248,7 @@ class TestCertifiedBracket:
         # wrongly: it lies 1e-3 above the bracket's top
         diag, off = random_tridiagonal(500, 5)
         lam1 = lowest_pair(diag, off)[0]
-        assert self.within_tol(radial_schrodinger._lowest(diag, off, lam1 - 2e-3, 1e-3), lam1)
+        assert self.within_tol(radial_schrodinger._lowest(diag, off, lam1 - 3e-3, lam1 - 1e-3), lam1)
         assert selects == ["i"]
 
     @pytest.mark.parametrize("n", [64, 257, 1000, 5000])
@@ -272,7 +274,8 @@ class TestCertifiedBracket:
         brackets = [(0.0, 1e-12), (3e-4, 1e-3), (-2e-6, 1e-5), (0.4, 0.5)]
         for offset, width in brackets:
             before = len(selects)
-            assert self.within_tol(radial_schrodinger._lowest(diag, off, ref + offset, width), ref)
+            lo, hi = ref + offset - width, ref + offset + width
+            assert self.within_tol(radial_schrodinger._lowest(diag, off, lo, hi), ref)
             if split is not None and width - offset > split:
                 # lo lies farther below lam1 than lam2 lies above it: the
                 # quotient stalls between the pair, and the second
@@ -303,20 +306,41 @@ class TestCertifiedBracket:
             cold = radial_schrodinger._lowest(diag, off)
             exact = sturm_lowest(diag, off, cold - 1e-6, cold + 1e-6)
             before = len(selects)
-            assert self.within_tol(radial_schrodinger._lowest(diag, off, cold + 3e-6, 1e-5), exact)
+            assert self.within_tol(radial_schrodinger._lowest(diag, off, cold - 7e-6, cold + 1.3e-5), exact)
             assert selects[before:] == []
 
     def test_most_kleingordon_solves_are_warm(self, selects, monkeypatch):
-        lowest = radial_schrodinger._lowest
-        solves = []
+        # one whole-spectrum bisection per operator h(e): its coarsest
+        # level at kappa = 0; every other eigenvalue is bounded by its
+        # neighbours and settled by inverse iteration
+        robin_levels = radial_schrodinger._robin_levels
+        builds = []
 
         def counted(*args):
-            solves.append(args)
-            return lowest(*args)
+            builds.append(args)
+            return robin_levels(*args)
 
-        monkeypatch.setattr(radial_schrodinger, "_lowest", counted)
-        sb.solve(sb.exponential(3.4), 1.0)
-        assert len(selects) <= len(solves) / 3
+        monkeypatch.setattr(radial_schrodinger, "_robin_levels", counted)
+        for spec in (sb.exponential(3.4), sb.woods_saxon(1.0)):
+            del selects[:], builds[:]
+            sb.solve(spec, 1.0)
+            assert len(selects) == len(builds)
+
+    @pytest.mark.parametrize("spec, e", [(sb.exponential(3.4), 0.2), (sb.woods_saxon(2.6), 0.3),
+                                         (sb.woods_saxon(1.0), 0.95)],
+                             ids=["exponential", "woods-saxon-deep", "woods-saxon-shallow"])
+    def test_levels_rise_with_kappa(self, spec, e):
+        # kappa adds 2 kappa / h to the end diagonal only, so each level's
+        # eigenvalue is nondecreasing in kappa, whatever order the kappas
+        # are memoized in
+        engine = kleingordon._CurveEngine(spec)
+        _, robin = radial_schrodinger._robin_levels(engine._w(e), engine.full)
+        kappas = [0.0, 0.7, 0.1, 2.0, 0.35, 0.3, 0.35 + 1e-6, 5.0]
+        for kappa in kappas:
+            robin(kappa)
+        levels = np.array([robin(kappa) for kappa in sorted(kappas)])
+        tol = radial_schrodinger._EIG_TOL * np.maximum(1.0, np.abs(levels[1:]))
+        assert np.all(np.diff(levels, axis=0) >= -tol)
 
 
 class TestExpectation:
