@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gaussian_bound
 from .gaussian_bound import CouplingOutOfRange
-from .potentials import Kind, NoBoundState, NonBindingSearchError, NonConvergence, PotentialSpec
+from .potentials import Kind, NoBoundState, NonBindingSearchError, NonConvergence, PotentialSpec, check_mass
 
 # kleingordon (scipy.linalg) and salpeter (scipy.fft, .sparse, .special) are
 # imported inside the functions that run them: most of a command's start-up
@@ -75,18 +75,27 @@ class SweepConfig:
         return [float(x) for x in np.linspace(self.v_min, self.v_max, self.v_steps)]
 
     def masses(self) -> list[float]:
+        """The mass grid, or [m]; every mass must be positive and finite."""
         if self.mass_grid:
-            return self.mass_grid
-        if self.m is not None:
-            return [self.m]
-        raise ConfigError("no mass given: set m or m_min/m_max/m_step")
+            masses = self.mass_grid
+        elif self.m is not None:
+            masses = [self.m]
+        else:
+            raise ConfigError("no mass given: set m or m_min/m_max/m_step")
+        for m in masses:
+            check_mass(m)
+        return masses
 
     def single_mass(self) -> float:
+        """m, or the one mass of the grid; it must be positive and finite."""
         if self.m is not None:
-            return self.m
-        if len(self.mass_grid) == 1:
-            return self.mass_grid[0]
-        raise ConfigError("this command needs a single mass m")
+            m = self.m
+        elif len(self.mass_grid) == 1:
+            m = self.mass_grid[0]
+        else:
+            raise ConfigError("this command needs a single mass m")
+        check_mass(m)
+        return m
 
     def single_coupling(self) -> float:
         if self.v is not None:
@@ -277,10 +286,10 @@ def run_fcurves(cfg: SweepConfig) -> list[Path]:
         raise ConfigError("fcurves needs an output directory: set out = <path>")
     if cfg.e_steps < 1:
         raise ConfigError(f"e_steps must be >= 1, got {cfg.e_steps}")
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     masses = cfg.masses()
     couplings = cfg.coupling_grid()
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     m_top = max(masses)
     margin = 1e-6 * m_top
     # antisymmetrized so that the grid is symmetric about 0 and an odd grid

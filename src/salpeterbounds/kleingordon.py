@@ -26,10 +26,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
 from . import potentials
-from .potentials import Kind, NoBoundState, NonBindingSearchError, PotentialSpec, Theory, brentq
+from .potentials import Kind, NoBoundState, NonBindingSearchError, PotentialSpec, Theory, brentq, check_mass
 from .radial_schrodinger import GridConfig, expectation, lowest_eigenvalue, neumann_eigenvalue
 
 WINDOW_MARGIN = 1e-6   # relative margin keeping the search inside the open window
@@ -78,17 +76,11 @@ class _CoulombCurve:
     h(e) = p^2 - 2ev/r - v^2/r^2 is exactly solvable (the -A/r + B/r^2
     form with A = 2ev, B = -v^2); it binds only for e > 0, where the ground
     eigenvalue is -(e v / gamma)^2, gamma = 1/2 + sqrt(1/4 - v^2).  So the
-    binding test is -e and the existence edge is exactly 0.
+    existence edge is exactly 0.
     """
 
     def __init__(self, spec: PotentialSpec):
         self.ratio = spec.v / (0.5 + math.sqrt(0.25 - spec.v * spec.v))
-
-    def binding(self, e: float) -> float:
-        return -e
-
-    def edge(self, lo: float, hi: float) -> float | None:
-        return None if lo > 0 else 0.0
 
     def point(self, e: float) -> SpectralCurvePoint:
         if e <= 0:
@@ -123,15 +115,6 @@ class _CurveEngine:
         """Signed binding test of h(e): negative exactly when it binds."""
         return neumann_eigenvalue(self._w(e), self.full)
 
-    def edge(self, lo: float, hi: float) -> float | None:
-        """Existence edge e0 in (lo, hi), or None when h(lo) binds already.
-
-        h(hi) must bind.
-        """
-        if self.binding(lo) < 0:
-            return None
-        return float(brentq(self.binding, lo, hi, xtol=ROOT_XTOL))
-
     def point(self, e: float) -> SpectralCurvePoint:
         res = lowest_eigenvalue(self._w(e), self.full)
         spec = self.spec
@@ -146,17 +129,6 @@ def _engine(spec: PotentialSpec, grid: GridConfig | None) -> _CurveEngine | _Cou
     return _CoulombCurve(spec) if spec.kind is Kind.COULOMB else _CurveEngine(spec, grid)
 
 
-def _sample(point: Callable[[float], SpectralCurvePoint], e_values) -> list[SpectralCurvePoint]:
-    """point(e) for each e, skipping those where h(e) has no bound state."""
-    points = []
-    for e in e_values:
-        try:
-            points.append(point(e))
-        except NoBoundState:
-            continue
-    return points
-
-
 def F(spec: PotentialSpec, e: float, grid: GridConfig | None = None) -> SpectralCurvePoint:
     """Lowest eigenvalue of h(e) = p^2 + 2eV - V^2 plus slope data.
 
@@ -167,19 +139,21 @@ def F(spec: PotentialSpec, e: float, grid: GridConfig | None = None) -> Spectral
 
 
 def curve(spec: PotentialSpec, e_values, grid: GridConfig | None = None) -> list[SpectralCurvePoint]:
-    """Sample the spectral curve at the given e values, skipping the part
-    of the axis where h(e) has no bound state.
+    """Sample the spectral curve at the given e values, in increasing e,
+    leaving out the part of the axis where h(e) has no bound state.
 
-    Existence is monotone in e, so one root search for the edge e0 (the
-    zero of the signed binding test) replaces a per-point probe when part
-    of the range is undefined.
+    Existence is monotone in e, so the walk runs from the largest e down and
+    stops at the first e where h(e) does not bind: no e below it binds
+    either, and no edge search is needed.
     """
     engine = _engine(spec, grid)
-    e_values = sorted(float(e) for e in e_values)
-    if engine.binding(e_values[-1]) >= 0:
-        return []
-    e0 = engine.edge(e_values[0], e_values[-1])
-    return _sample(engine.point, [e for e in e_values if e0 is None or e > e0])
+    points = []
+    for e in sorted((float(e) for e in e_values), reverse=True):
+        try:
+            points.append(engine.point(e))
+        except NoBoundState:
+            break
+    return points[::-1]
 
 
 def _continuum_point(e: float) -> SpectralCurvePoint:
@@ -193,11 +167,6 @@ def _solve_coulomb(curve: _CoulombCurve, m: float) -> KgSolution:
     return KgSolution(e=e, m=m, status=KgStatus.BOUND, e0=0.0, delta_at_e=pt.delta)
 
 
-def _check_mass(m: float) -> None:
-    if not (np.isfinite(m) and m > 0):
-        raise ValueError(f"mass must be positive, got {m}")
-
-
 def solve(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> KgSolution:
     """Smallest root of F(e) = e^2 - m^2 in (-m, m), with classification.
 
@@ -208,7 +177,7 @@ def solve(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> KgSo
     maximum of G, where G' = F' - 2e vanishes, has a root on each side if it
     is positive; if not, the intersection slipped below -m: supercritical.
     """
-    _check_mass(m)
+    check_mass(m)
     engine = _engine(spec, grid)
     if isinstance(engine, _CoulombCurve):
         return _solve_coulomb(engine, m)
@@ -219,7 +188,7 @@ def solve(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> KgSo
     if engine.binding(hi) >= 0:
         return KgSolution(e=None, m=m, status=KgStatus.NO_BINDING, e0=None, delta_at_e=None)
 
-    e0 = engine.edge(lo, hi)
+    e0 = None if engine.binding(lo) < 0 else float(brentq(engine.binding, lo, hi, xtol=ROOT_XTOL))
     # where h(e) does not bind, F is the continuum edge 0, as at e0 itself
     points = {} if e0 is None else {e0: _continuum_point(e0)}
 
@@ -277,7 +246,7 @@ def _critical_coupling(spec: PotentialSpec, m: float, e_probe: float, grid: Grid
     """
     if spec.kind is Kind.COULOMB:
         raise ValueError("critical couplings are defined for the short-range kinds only")
-    _check_mass(m)
+    check_mass(m)
 
     hi = max(2.0 * m, 4.0)
     for _ in range(40):
@@ -335,7 +304,8 @@ def concavity_scan(
     grid: GridConfig | None = None,
     tol: float = 1e-8,
 ) -> ConcavityReport:
-    """Sample F on e_grid and check midpoint concavity plus tangent bounds.
+    """Sample F on e_grid with curve (in increasing e, down to the first e
+    that does not bind) and check midpoint concavity plus tangent bounds.
 
     Midpoint checks use consecutive uniformly spaced triples; the tangent
     check F(e) <= F(e1) + (e - e1) F'(e1) + tol runs over all sample pairs.
@@ -346,7 +316,7 @@ def concavity_scan(
     e_grid = [float(e) for e in e_grid]
     if len(e_grid) < 3:
         raise ValueError("e_grid needs at least 3 points")
-    pts = _sample(_engine(spec, grid).point, e_grid)
+    pts = curve(spec, e_grid, grid)
     mid_viol: list[tuple[float, float]] = []
     dprime: list[tuple[float, float]] = []
     for left, center, right in zip(pts, pts[1:], pts[2:]):

@@ -197,6 +197,12 @@ def validate(spec: PotentialSpec, theory: Theory) -> None:
             raise ValueError(f"Coulomb coupling {spec.v} >= 2/pi is beyond the semirelativistic critical coupling")
 
 
+def check_mass(m: float) -> None:
+    """Raise ValueError unless the mass m is positive and finite."""
+    if not (np.isfinite(m) and m > 0):
+        raise ValueError(f"mass must be positive, got {m}")
+
+
 # The solvers truncate the domain where |V| first falls to this.
 TAIL_EPS = 1e-12
 

@@ -148,8 +148,7 @@ def ground_energy_at(
     Returns the eigenvalue and its coefficient vector in the sine modes.
     start is an optional length-N start vector (see the module docstring).
     """
-    if not (np.isfinite(m) and m > 0):
-        raise ValueError(f"mass must be positive, got {m}")
+    potentials.check_mass(m)
     if not (np.isfinite(box_radius) and box_radius > 0):
         raise ValueError(f"box_radius must be positive, got {box_radius}")
     if basis_size < 32:

@@ -392,6 +392,35 @@ class TestMainEntry:
         assert capsys.readouterr().err == "config error: e_steps must be >= 1, got 0\n"
         assert not (tmp_path / "curves").exists()
 
+    @pytest.mark.parametrize("masses, bad", [
+        (["m=-1"], "-1.0"),
+        (["m_min=-0.5", "m_max=1", "m_step=0.5"], "-0.5"),
+    ])
+    def test_fcurves_rejects_a_mass_that_is_not_positive_before_writing(self, masses, bad, tmp_path, capsys):
+        mass_args = [arg for m in masses for arg in ("--set", m)]
+        rc = cli.main(["fcurves", "--set", "potential=exponential", "--set", "v=3.4", *mass_args,
+                       "--set", "e_steps=5", "--set", f"out={tmp_path / 'curves'}"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: mass must be positive, got {bad}\n"
+        assert not (tmp_path / "curves").exists()
+
+    def test_bounds_rejects_a_mass_that_is_not_positive(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        rc = cli.main(["bounds", "--set", "potential=woods-saxon", "--set", "v=2.5", "--set", "m=-1",
+                       "--set", f"out={out}"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: mass must be positive, got -1.0\n"
+        assert not out.exists()
+
+    def test_bounds_row_of_an_inadmissible_coulomb_coupling_is_error(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        rc = cli.main(["bounds", "--set", "potential=coulomb", "--set", "v=0.6", "--set", "m=1",
+                       "--set", f"out={out}"])
+        assert rc == 0
+        assert out.read_text().splitlines()[1:] == ["0.6,1,,,,,,error", "# ordering_violations=0"]
+
     def test_critical_search_failure_exits_cleanly(self, monkeypatch, capsys):
         # a positive binding test: h(e) binds at no coupling
         monkeypatch.setattr(kleingordon, "_binding_at", lambda *args: 1.0)

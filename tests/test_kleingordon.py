@@ -59,6 +59,36 @@ class TestSpectralCurveShortRange:
         # existence edge for v=2.5 sits near -0.027
         assert min(p.e for p in points) > -0.1
 
+    def test_curve_walks_down_without_binding_tests(self, monkeypatch):
+        # existence is monotone in e: the walk from the top ends at the
+        # first e that does not bind, so no separate binding test runs and
+        # exactly one eigenvalue solve fails
+        calls = {"neumann_eigenvalue": 0, "lowest_eigenvalue": 0}
+        for name in calls:
+            def spy(*args, _name=name, _inner=getattr(kleingordon, name)):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(kleingordon, name, spy)
+        points = kleingordon.curve(sb.exponential(2.5), np.linspace(-0.95, 0.95, 21))
+        assert 0 < len(points) < 21
+        assert calls == {"neumann_eigenvalue": 0, "lowest_eigenvalue": len(points) + 1}
+
+    def test_curve_of_no_e_values_is_empty(self):
+        assert sb.curve(sb.exponential(2.5), []) == []
+
+    @pytest.mark.parametrize("spec, window, grid", [
+        (sb.exponential(2.5), np.linspace(-0.05, 0.0, 11), None),
+        (sb.exponential(3.4), np.linspace(-0.3, -0.25, 11), GridConfig(8.0, 512)),
+        (sb.woods_saxon(1.5), np.linspace(0.26, 0.31, 11), None),
+    ])
+    def test_curve_samples_exactly_the_grid_above_the_edge(self, spec, window, grid):
+        # solve's edge search is the oracle for where the walk stops
+        e0 = sb.solve(spec, 1.0, grid).e0
+        assert window[0] < e0 < window[-1]
+        assert np.min(np.abs(window - e0)) > 1e-6
+        points = sb.curve(spec, window[::-1], grid)
+        assert [p.e for p in points] == [float(e) for e in window if e > e0]
+
     def test_delta_consistency(self):
         pt = sb.F(sb.exponential(4.5), 0.2)
         assert pt.delta == pytest.approx(pt.e - 0.5 * pt.F_prime, abs=0)

@@ -50,3 +50,22 @@ def test_gaussian_spans(tmp_path):
     assert "gaussian_bound.eg_optimized" in names and "gaussian_bound.j_integrals" in names
     roots = [span for span in spans if span[0] == "potentials.brentq"]
     assert roots and all(spans[span[3]][0] == "gaussian_bound.eg_optimized" for span in roots)
+
+
+def test_fcurves_curve_runs_no_binding_test(tmp_path):
+    # the curve walks down to its existence edge through lowest_eigenvalue
+    # alone; solve keeps the one edge search, so the binding test runs
+    # under solve and never under curve
+    spans = traced_spans(tmp_path, "fcurves", "--set", "potential=exponential", "--set", "v=2.5",
+                         "--set", "m=1", "--set", "e_steps=9", "--set", "out=curves")
+
+    def ancestors(span):
+        while span[3] is not None:
+            span = spans[span[3]]
+            yield span[0]
+
+    names = {span[0] for span in spans}
+    assert {"kleingordon.curve", "kleingordon.solve"} <= names
+    binding = [span for span in spans if span[0] == "radial_schrodinger.neumann_eigenvalue"]
+    assert any("kleingordon.solve" in ancestors(span) for span in binding)
+    assert not any("kleingordon.curve" in ancestors(span) for span in binding)
