@@ -12,12 +12,12 @@ import importlib
 # home module of each public name; a name is imported on first access, so
 # `import salpeterbounds` loads no solver and no scipy
 _HOMES = {
-    "gaussian_bound": ("CouplingOutOfRange", "GaussianBoundPoint", "eg_at", "eg_optimized", "j_integrals",
-                       "optimal_curve", "rho"),
+    "gaussian_bound": ("GaussianBoundPoint", "eg_at", "eg_optimized", "j_integrals", "optimal_curve", "rho"),
     "kleingordon": ("F", "KgSolution", "KgStatus", "SpectralCurvePoint", "concavity_scan",
                     "critical_coupling_lower", "critical_coupling_upper", "curve", "solve"),
-    "potentials": ("Kind", "NoBoundState", "NonBindingSearchError", "NonConvergence", "PotentialSpec", "Theory",
-                   "coulomb", "evaluate", "exponential", "tail_radius", "validate", "woods_saxon"),
+    "potentials": ("CouplingOutOfRange", "Kind", "NoBoundState", "NonBindingSearchError", "NonConvergence",
+                   "PotentialSpec", "Theory", "coulomb", "evaluate", "exponential", "tail_radius", "validate",
+                   "woods_saxon"),
     "radial_schrodinger": ("GridConfig", "SchrodingerResult", "expectation", "lowest_eigenvalue",
                            "neumann_eigenvalue"),
     "salpeter": ("SalpeterSolution", "ground_energy", "ground_energy_at", "squared_inequality_check"),

@@ -15,13 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gaussian_bound
-from .gaussian_bound import CouplingOutOfRange
-from .potentials import Kind, NoBoundState, NonBindingSearchError, NonConvergence, PotentialSpec, check_mass
+from .potentials import (CouplingOutOfRange, Kind, NoBoundState, NonBindingSearchError, NonConvergence, PotentialSpec,
+                         check_mass)
 
-# kleingordon (scipy.linalg) and salpeter (scipy.fft, .sparse, .special) are
-# imported inside the functions that run them: most of a command's start-up
-# is import time, and each command pays only for the solvers it uses
+# the solvers are imported inside the functions that run them: most of a
+# command's start-up is import time, and each command pays only for the
+# solvers it uses.  kleingordon loads scipy's compiled LAPACK extension
+# alone, salpeter the scipy.fft, .sparse, .special and .linalg packages,
+# and gaussian_bound numpy alone
 
 BOUNDS_HEADER = "v,m,e_kg,E_srs,E_gauss,e0,delta,status"
 ORDER_TOL = 1e-6
@@ -226,7 +227,7 @@ def _ground_energy(cfg: SweepConfig, spec: PotentialSpec, m: float):
 
 
 def _bounds_row(cfg: SweepConfig, v: float, m: float) -> BoundsRow:
-    from . import kleingordon
+    from . import gaussian_bound, kleingordon
 
     spec = cfg.potential(v)
     try:
@@ -363,6 +364,8 @@ def _cmd_salpeter(cfg: SweepConfig) -> int:
 
 
 def _cmd_gaussian(cfg: SweepConfig) -> int:
+    from . import gaussian_bound
+
     if cfg.kind is not Kind.WOODS_SAXON:
         raise ConfigError("the Gaussian bound is derived for the woods-saxon kind only")
     m = cfg.single_mass()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .potentials import brentq
+from .potentials import CouplingOutOfRange, brentq
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -35,10 +35,6 @@ _GL_X, _GL_W = leggauss(_GL_NODES)
 
 # absolute tolerance on the optimal scale s, the root of J3/J4 = v
 SCALE_XTOL = 1e-10
-
-
-class CouplingOutOfRange(Exception):
-    """Requested coupling is outside the parametric span of the curve."""
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,10 @@ class NonBindingSearchError(Exception):
     """Coupling bracketing failed; the configured search range is exhausted."""
 
 
+class CouplingOutOfRange(Exception):
+    """Requested coupling is outside the parametric span of the Gaussian bound's curve."""
+
+
 def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
            rtol: float = 4 * sys.float_info.epsilon, maxiter: int = 100) -> float:
     """A root of f in [xa, xb] by Brent's method, step for step as scipy's

@@ -29,6 +29,14 @@ eigenvalue lies lower.  The coarsest kappa = 0 solve and every miss use
 LAPACK's Sturm-sequence bisection of the whole spectrum (stebz; Barth,
 Martin & Wilkinson, Numer. Math. 9 (1967) 386), run to the absolute
 tolerance _EIG_TOL.
+
+The four LAPACK routines (dstebz, dpttrf, dpttrs, dstein) come from
+scipy's compiled extension through _lapack, which does not import the
+scipy.linalg package.  Its eigh_tridiagonal is scipy's stebz route under
+scipy's name and parameters, bound here as a module attribute: the layer
+tracer in perfbench/tracer.py wraps radial_schrodinger.eigh_tridiagonal
+by that name and counts grid points from its d argument, and tests
+substitute it and dstein by name.
 """
 
 from __future__ import annotations
@@ -38,9 +46,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf, dpttrs, dstein
 
+from ._lapack import dpttrf, dpttrs, dstein, eigh_tridiagonal
 from .potentials import NoBoundState, NonConvergence, brentq
 
 # NonConvergence fires when the two best extrapolants disagree by more

@@ -1,13 +1,18 @@
+import importlib.machinery
+import importlib.util
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.special import jn_zeros
 
 import salpeterbounds as sb
-from salpeterbounds import kleingordon, potentials, radial_schrodinger
+from salpeterbounds import _lapack, kleingordon, potentials, radial_schrodinger
 from salpeterbounds.radial_schrodinger import GridConfig, NoBoundState
 
 from oracles import EXP_WELL_EIGENVALUE, bessel_ground_eigenvalue
@@ -341,6 +346,61 @@ class TestCertifiedBracket:
         levels = np.array([robin(kappa) for kappa in sorted(kappas)])
         tol = radial_schrodinger._EIG_TOL * np.maximum(1.0, np.abs(levels[1:]))
         assert np.all(np.diff(levels, axis=0) >= -tol)
+
+
+class TestLapackExtension:
+    """The LAPACK routines loaded from scipy's extension alone against
+    scipy.linalg's own."""
+
+    @pytest.mark.parametrize("select_range", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("n", [64, 500, 4096])
+    def test_eigh_tridiagonal_is_scipys_bit_for_bit(self, n, select_range):
+        for seed in range(3):
+            diag, off = random_tridiagonal(n, seed)
+            kwargs = dict(select="i", select_range=select_range, eigvals_only=True, tol=radial_schrodinger._EIG_TOL)
+            ours = radial_schrodinger.eigh_tridiagonal(diag, off, **kwargs)
+            assert ours.tobytes() == eigh_tridiagonal(diag, off, **kwargs).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_nonfinite_matrix(self, bad):
+        diag, off = random_tridiagonal(64, 0)
+        for which in (diag, off):
+            which[5] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                radial_schrodinger.eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
+                                                    eigvals_only=True, tol=radial_schrodinger._EIG_TOL)
+            which[5] = 0.0
+
+    @pytest.mark.parametrize("select, eigvals_only", [("a", True), ("v", True), ("i", False)])
+    def test_rejects_other_routes(self, select, eigvals_only):
+        diag, off = random_tridiagonal(64, 0)
+        with pytest.raises(ValueError, match="select='i'"):
+            radial_schrodinger.eigh_tridiagonal(diag, off, select=select, select_range=(0, 0),
+                                                eigvals_only=eigvals_only, tol=0.0)
+
+    def test_stebz_failure_is_nonconvergence(self, monkeypatch):
+        def failing(d, e, *args):
+            return 0, np.zeros(d.size), np.zeros(d.size, np.int32), np.zeros(d.size, np.int32), 3
+
+        monkeypatch.setattr(_lapack, "dstebz", failing)
+        diag, off = random_tridiagonal(64, 0)
+        with pytest.raises(potentials.NonConvergence, match="stebz info = 3"):
+            _lapack.eigh_tridiagonal(diag, off, select="i", select_range=(0, 0), eigvals_only=True, tol=0.0)
+
+    def test_routines_are_scipys_extension_functions(self):
+        for name in ("dpttrf", "dpttrs", "dstein"):
+            assert getattr(radial_schrodinger, name) is getattr(scipy.linalg.lapack, name)
+        # defined outside radial_schrodinger, so the layer tracer wraps it
+        # once, as a solver, and not again as one of the module's functions
+        assert radial_schrodinger.eigh_tridiagonal.__module__ == "salpeterbounds._lapack"
+
+    def test_missing_extension_names_the_directory(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, _lapack._NAME)
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+            _lapack._load()
 
 
 class TestExpectation:

@@ -39,8 +39,11 @@ def test_salpeter_spans(tmp_path):
 
 def test_kg_spans(tmp_path):
     spans = traced_spans(tmp_path, "kg", *WOODS_SAXON)
-    sizes = [span[5] for span in spans if span[0] == "radial_schrodinger.eigh_tridiagonal"]
-    assert sizes and all(size > 0 for size in sizes)
+    solves = [span for span in spans if span[0] == "radial_schrodinger.eigh_tridiagonal"]
+    assert solves and all(span[5] > 0 for span in solves)
+    # one wrapper per solve: a second one would double tridiagonal_solves
+    # and grid_points
+    assert not any(span[3] is not None and spans[span[3]][0] == span[0] for span in solves)
     assert "radial_schrodinger.lowest_eigenvalue" in {span[0] for span in spans}
 
 
