@@ -13,14 +13,14 @@ import importlib
 # `import salpeterbounds` loads no solver and no scipy
 _HOMES = {
     "gaussian_bound": ("GaussianBoundPoint", "eg_at", "eg_optimized", "j_integrals", "optimal_curve", "rho"),
-    "kleingordon": ("F", "KgSolution", "KgStatus", "SpectralCurvePoint", "concavity_scan",
-                    "critical_coupling_lower", "critical_coupling_upper", "curve", "solve"),
+    "kleingordon": ("F", "KgSolution", "KgStatus", "SpectralCurvePoint", "critical_coupling_lower",
+                    "critical_coupling_upper", "curve", "solve"),
     "potentials": ("CouplingOutOfRange", "Kind", "NoBoundState", "NonBindingSearchError", "NonConvergence",
                    "PotentialSpec", "Theory", "coulomb", "evaluate", "exponential", "tail_radius", "validate",
                    "woods_saxon"),
     "radial_schrodinger": ("GridConfig", "SchrodingerResult", "expectation", "lowest_eigenvalue",
                            "neumann_eigenvalue"),
-    "salpeter": ("SalpeterSolution", "ground_energy", "ground_energy_at", "squared_inequality_check"),
+    "salpeter": ("SalpeterSolution", "ground_energy", "ground_energy_at"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

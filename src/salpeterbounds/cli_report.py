@@ -126,8 +126,12 @@ def _parse_assignments(pairs: list[tuple[str, str, str]]) -> SweepConfig:
                 if value not in _KIND_NAMES:
                     raise ValueError(f"unknown potential {value!r}; use one of {sorted(_KIND_NAMES)}")
                 cfg.kind = _KIND_NAMES[value]
-            elif key in ("a", "b", "tol"):
+            elif key in ("a", "b"):
                 setattr(cfg, key, float(value))
+            elif key == "tol":
+                cfg.tol = float(value)
+                if not (np.isfinite(cfg.tol) and cfg.tol >= 0):
+                    raise ValueError(f"tol must be finite and >= 0, got {value}")
             elif key in ("m", "v", "v_min", "v_max", "r_max"):
                 setattr(cfg, key, float(value))
             elif key in ("m_min", "m_max", "m_step"):
@@ -226,12 +230,12 @@ def _ground_energy(cfg: SweepConfig, spec: PotentialSpec, m: float):
     return salpeter.ground_energy(spec, m, cfg.basis_size)
 
 
-def _bounds_row(cfg: SweepConfig, v: float, m: float) -> BoundsRow:
+def _bounds_row(cfg: SweepConfig, v: float, m: float, grid) -> BoundsRow:
     from . import gaussian_bound, kleingordon
 
     spec = cfg.potential(v)
     try:
-        sol = kleingordon.solve(spec, m, cfg.grid_override())
+        sol = kleingordon.solve(spec, m, grid)
     except (NonConvergence, ValueError):
         return BoundsRow(v, m, None, None, None, None, None, "error")
     if sol.status is not kleingordon.KgStatus.BOUND:
@@ -259,7 +263,8 @@ def run_bounds(cfg: SweepConfig) -> tuple[Path, int]:
     if cfg.out is None:
         raise ConfigError("bounds needs an output file: set out = <path>")
     m = cfg.single_mass()
-    rows = [_bounds_row(cfg, v, m) for v in cfg.coupling_grid()]
+    grid = cfg.grid_override()
+    rows = [_bounds_row(cfg, v, m, grid) for v in cfg.coupling_grid()]
     violations = sum(0 if row.ordering_ok(cfg.tol) else 1 for row in rows)
     out = Path(cfg.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -269,11 +274,11 @@ def run_bounds(cfg: SweepConfig) -> tuple[Path, int]:
     return out, violations
 
 
-def _fcurve_lines(cfg: SweepConfig, v: float, e_values: list[float]) -> list[str]:
+def _fcurve_lines(cfg: SweepConfig, v: float, e_values: list[float], grid) -> list[str]:
     from . import kleingordon
 
     spec = cfg.potential(v)
-    points = kleingordon.curve(spec, e_values, cfg.grid_override())
+    points = kleingordon.curve(spec, e_values, grid)
     status = "ok" if points else "empty"
     return [f"# v={v:.12g} status={status}", "e,F,F_prime,delta"] + kleingordon.curve_csv_rows(points)
 
@@ -289,19 +294,20 @@ def run_fcurves(cfg: SweepConfig) -> list[Path]:
         raise ConfigError(f"e_steps must be >= 1, got {cfg.e_steps}")
     masses = cfg.masses()
     couplings = cfg.coupling_grid()
+    grid = cfg.grid_override()
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     m_top = max(masses)
     margin = 1e-6 * m_top
     # antisymmetrized so that the grid is symmetric about 0 and an odd grid
     # holds e = 0 exactly, where the Coulomb curve starts
-    grid = np.linspace(-m_top + margin, m_top - margin, cfg.e_steps)
-    e_values = [float(x) for x in 0.5 * (grid - grid[::-1])]
+    e_grid = np.linspace(-m_top + margin, m_top - margin, cfg.e_steps)
+    e_values = [float(x) for x in 0.5 * (e_grid - e_grid[::-1])]
     written: list[Path] = []
 
     for v in couplings:
         path = out_dir / f"fcurve_v{v:.6g}.csv"
-        path.write_text("\n".join(_fcurve_lines(cfg, v, e_values)) + "\n", encoding="utf-8")
+        path.write_text("\n".join(_fcurve_lines(cfg, v, e_values, grid)) + "\n", encoding="utf-8")
         written.append(path)
 
     lines = ["m,e,g"]
@@ -316,7 +322,7 @@ def run_fcurves(cfg: SweepConfig) -> list[Path]:
     inter_lines = ["v,m,e,status"]
     for v in couplings:
         for m in masses:
-            sol = kleingordon.solve(cfg.potential(v), m, cfg.grid_override())
+            sol = kleingordon.solve(cfg.potential(v), m, grid)
             inter_lines.append(f"{v:.12g},{m:.12g},{_fmt(sol.e)},{sol.status.value}")
     intersections = out_dir / "intersections.csv"
     intersections.write_text("\n".join(inter_lines) + "\n", encoding="utf-8")

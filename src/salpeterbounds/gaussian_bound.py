@@ -98,7 +98,7 @@ def j_integrals(m: float, a: float, b: float, s: float) -> tuple[float, float, f
         if not (np.isfinite(val) and val > 0):
             raise ValueError(f"{name} must be positive and finite, got {val}")
     t, wt = _mesh(a, b, s)
-    dens = 4.0 / SQRT_PI * t * t * np.exp(-t * t)
+    dens = rho(t)
     root = np.sqrt(m * m * s * s + t * t)
     x = (t * s - a) / b
     f = _fermi(x)

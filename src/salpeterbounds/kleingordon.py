@@ -173,9 +173,10 @@ def solve(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> KgSo
     G(e) = F(e) - e^2 + m^2 is concave, so root searches find every root.
     With the existence edge e0 (the root of the binding test) inside the
     window, G(e0) = m^2 - e0^2 > 0: one root in (e0, m) when G < 0 at the
-    right end, else no binding.  Otherwise G < 0 at both ends, and the
-    maximum of G, where G' = F' - 2e vanishes, has a root on each side if it
-    is positive; if not, the intersection slipped below -m: supercritical.
+    right end, else no binding.  Otherwise e0 < -m (past
+    critical_coupling_upper), G < 0 at both ends, and the maximum of G,
+    where G' = F' - 2e vanishes, has a root on each side if it is positive;
+    if not, G < 0 across the whole window: supercritical.
     """
     check_mass(m)
     engine = _engine(spec, grid)
@@ -275,73 +276,15 @@ def critical_coupling_lower(spec: PotentialSpec, m: float, grid: GridConfig | No
 
 
 def critical_coupling_upper(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> float:
-    """Supercritical threshold: v with F(-m; v) = 0.
+    """Supercritical threshold: the v where h(-m) first binds, F(-m; v) = 0.
 
-    Beyond it the intersection would need e < -m and the ground state stops
-    being a bound state; located as the v where h(-m) first binds.
+    Past it the existence edge e0 lies below -m, but G can still have roots
+    in the window, so solve may still return bound (Woods-Saxon a = 1,
+    b = 0.2, m = 1: this v is 3.761477, and at v = 3.765 solve returns
+    e = -0.999904 with delta < 0); it reports supercritical only where G
+    stays negative across the whole window.
     """
     return _critical_coupling(spec, m, -m, grid)
-
-
-@dataclass
-class ConcavityReport:
-    """Concavity / slope diagnostics of F on an e-grid."""
-
-    points: list[SpectralCurvePoint]
-    midpoint_violations: list[tuple[float, float]]
-    tangent_violations: list[tuple[float, float, float]]
-    delta_prime: list[tuple[float, float]]
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.midpoint_violations and not self.tangent_violations
-
-
-def concavity_scan(
-    spec: PotentialSpec,
-    e_grid,
-    grid: GridConfig | None = None,
-    tol: float = 1e-8,
-) -> ConcavityReport:
-    """Sample F on e_grid with curve (in increasing e, down to the first e
-    that does not bind) and check midpoint concavity plus tangent bounds.
-
-    Midpoint checks use consecutive uniformly spaced triples; the tangent
-    check F(e) <= F(e1) + (e - e1) F'(e1) + tol runs over all sample pairs.
-    delta_prime holds the finite-difference values of 1 - F''/2 at interior
-    points (concavity makes them exceed 1).  Violations are reported, never
-    raised.
-    """
-    e_grid = [float(e) for e in e_grid]
-    if len(e_grid) < 3:
-        raise ValueError("e_grid needs at least 3 points")
-    pts = curve(spec, e_grid, grid)
-    mid_viol: list[tuple[float, float]] = []
-    dprime: list[tuple[float, float]] = []
-    for left, center, right in zip(pts, pts[1:], pts[2:]):
-        d1 = center.e - left.e
-        d2 = right.e - center.e
-        if abs(d1 - d2) > 1e-10 * max(abs(d1), abs(d2)):
-            continue
-        gap = center.F - 0.5 * (left.F + right.F)
-        if gap < -tol:
-            mid_viol.append((center.e, gap))
-        second = (right.F - 2.0 * center.F + left.F) / (d1 * d1)
-        dprime.append((center.e, 1.0 - 0.5 * second))
-    tan_viol: list[tuple[float, float, float]] = []
-    for anchor in pts:
-        for other in pts:
-            excess = other.F - (anchor.F + (other.e - anchor.e) * anchor.F_prime)
-            if excess > tol:
-                tan_viol.append((other.e, anchor.e, excess))
-    return ConcavityReport(
-        points=pts,
-        midpoint_violations=mid_viol,
-        tangent_violations=tan_viol,
-        delta_prime=dprime,
-        tol=tol,
-    )
 
 
 def curve_csv_rows(points: list[SpectralCurvePoint]) -> list[str]:

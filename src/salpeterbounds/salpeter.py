@@ -64,7 +64,7 @@ from scipy.fft import dct, dst
 from scipy.sparse.linalg import lobpcg as eigh
 from scipy.special import sici
 
-from . import kleingordon, potentials
+from . import potentials
 from .potentials import Kind, NoBoundState, NonConvergence, PotentialSpec, Theory
 
 DEFAULT_BASIS_SIZE = 256
@@ -264,45 +264,3 @@ def ground_energy(
                     f"signature of a Coulomb coupling {spec.v} near the critical 2/pi"
                 )
             raise NonConvergence(msg)
-
-
-@dataclass
-class SquaredInequalityReport:
-    """Outcome of the E^2 - m^2 >= F(E) consistency check."""
-
-    E: float
-    m: float
-    lhs: float
-    F_at_E: float | None
-    slack: float | None
-    satisfied: bool | None
-    skipped: bool
-    note: str = ""
-
-
-def squared_inequality_check(
-    solution: SalpeterSolution,
-    spec: PotentialSpec,
-    tol: float = 1e-6,
-) -> SquaredInequalityReport:
-    """Verify E^2 - m^2 >= F(E) by evaluating the spectral curve at e = E.
-
-    Squaring sqrt(p^2 + m^2) psi = (E - V) psi and applying the variational
-    principle to h(E) forces the inequality; a violation beyond tol signals
-    a solver bug, not physics.  When h(E) has no bound state the check is
-    skipped and reported as such.
-    """
-    energy, m = solution.E, solution.m
-    lhs = energy * energy - m * m
-    try:
-        point = kleingordon.F(spec, energy)
-    except NoBoundState:
-        return SquaredInequalityReport(
-            E=energy, m=m, lhs=lhs, F_at_E=None, slack=None, satisfied=None,
-            skipped=True, note="F(E) undefined: h(E) has no bound state; check skipped",
-        )
-    slack = lhs - point.F
-    return SquaredInequalityReport(
-        E=energy, m=m, lhs=lhs, F_at_E=point.F, slack=slack,
-        satisfied=bool(slack >= -tol), skipped=False,
-    )

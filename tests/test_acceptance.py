@@ -141,13 +141,19 @@ def test_criterion_6_concavity_and_slope_identities():
     start = time.perf_counter()
     spec = sb.exponential(4.5)
     e_grid = np.linspace(-0.55, 0.85, 25)
-    scan = sb.concavity_scan(spec, e_grid, tol=1e-8)
-    ok = len(scan.points) == 25 and not scan.midpoint_violations
+    points = sb.curve(spec, e_grid)
+    f = np.array([pt.F for pt in points])
+    h = e_grid[1] - e_grid[0]
+    gaps = f[1:-1] - 0.5 * (f[:-2] + f[2:])
+    delta_prime = 1.0 - 0.5 * (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h ** 2
+    ok = len(points) == 25 and bool(np.all(gaps >= -1e-8))
     details = []
-    if scan.midpoint_violations:
-        details.append(f"midpoint violations: {scan.midpoint_violations}")
+    if len(points) != 25:
+        details.append(f"curve kept {len(points)} of 25 points")
+    if np.any(gaps < -1e-8):
+        details.append(f"{int(np.sum(gaps < -1e-8))} midpoint violations")
     worst_slope = 0.0
-    for pt in scan.points[::4]:
+    for pt in points[::4]:
         step = 1e-3
         fd = (sb.F(spec, pt.e + step).F - sb.F(spec, pt.e - step).F) / (2.0 * step)
         rel = abs(pt.F_prime - fd) / max(1.0, abs(pt.F_prime))
@@ -155,13 +161,13 @@ def test_criterion_6_concavity_and_slope_identities():
     if worst_slope > 1e-4:
         ok = False
         details.append(f"slope identity off by {worst_slope:.2e}")
-    if not all(dp > 1.0 for _, dp in scan.delta_prime):
+    if not np.all(delta_prime > 1.0):
         ok = False
         details.append("delta'(e) <= 1 somewhere")
     elapsed = time.perf_counter() - start
     detail = "; ".join(details) if details else (
         f"25-point grid concave; worst slope mismatch {worst_slope:.2e}; "
-        f"min delta' = {min(dp for _, dp in scan.delta_prime):.3f}"
+        f"min delta' = {delta_prime.min():.3f}"
     )
     report(6, ok, elapsed, detail)
 

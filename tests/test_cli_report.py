@@ -414,6 +414,32 @@ class TestMainEntry:
         assert captured.err == "error: mass must be positive, got -1.0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, target", [("bounds", "rows.csv"), ("fcurves", "curves")])
+    @pytest.mark.parametrize("override, reason", [
+        (["r_max=-3"], "r_max must be positive, got -3.0"),
+        (["r_max=10", "grid_points=10"], "n_points must be >= 64, got 10"),
+    ])
+    def test_bad_grid_override_exits_before_writing(self, command, target, override, reason, tmp_path, capsys):
+        out = tmp_path / target
+        grid_args = [arg for item in override for arg in ("--set", item)]
+        rc = cli.main([command, "--set", "potential=woods-saxon", "--set", "v=2.0", "--set", "m=1",
+                       "--set", "e_steps=5", *grid_args, "--set", f"out={out}"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_tol_must_be_finite_and_not_negative(self, tol, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        rc = cli.main(["bounds", "--set", "potential=woods-saxon", "--set", "v=2.0", "--set", "m=1",
+                       "--set", f"tol={tol}", "--set", f"out={out}"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"config error: --set tol={tol}: tol must be finite and >= 0, got {tol}\n")
+        assert not out.exists()
+
     def test_bounds_row_of_an_inadmissible_coulomb_coupling_is_error(self, tmp_path):
         out = tmp_path / "rows.csv"
         rc = cli.main(["bounds", "--set", "potential=coulomb", "--set", "v=0.6", "--set", "m=1",

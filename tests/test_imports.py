@@ -95,6 +95,12 @@ def test_gaussian_bound_loads_only_where_it_runs(loaded_modules, command):
     assert "salpeterbounds.gaussian_bound" not in loaded_modules[command]
 
 
+def test_salpeter_command_loads_no_finite_difference_layer(loaded_modules):
+    # the sine-basis solver sits on potentials alone
+    for module in ("kleingordon", "radial_schrodinger", "_lapack"):
+        assert f"salpeterbounds.{module}" not in loaded_modules["salpeter"]
+
+
 # library users may import the package before scipy.linalg or after it;
 # either way both share the one extension module
 IMPORT_ORDERS = {

@@ -7,7 +7,7 @@ from scipy.special import expit
 
 import salpeterbounds as sb
 from salpeterbounds import kleingordon
-from salpeterbounds.kleingordon import ConcavityReport, KgStatus, curve_csv_rows
+from salpeterbounds.kleingordon import KgStatus, curve_csv_rows
 from salpeterbounds.radial_schrodinger import GridConfig, NoBoundState
 
 from oracles import (
@@ -360,27 +360,41 @@ class TestExistenceEdge:
                 sb.F(spec, e0)
 
 
+def _concavity(points):
+    """Midpoint gaps F(c) - (F(l) + F(r)) / 2 and delta' = 1 - F''/2 over the
+    consecutive triples of a uniform sample, and the largest excess of F over
+    any sample's tangent line F(e1) + (e - e1) F'(e1); concavity keeps the
+    gaps >= 0, delta' > 1 and the excess <= 0, up to roundoff."""
+    e = np.array([p.e for p in points])
+    f = np.array([p.F for p in points])
+    f_prime = np.array([p.F_prime for p in points])
+    assert np.allclose(np.diff(e), e[1] - e[0], rtol=1e-10, atol=0.0)
+    gaps = f[1:-1] - 0.5 * (f[:-2] + f[2:])
+    delta_prime = 1.0 - 0.5 * (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (e[1] - e[0]) ** 2
+    excess = f[None, :] - (f[:, None] + (e[None, :] - e[:, None]) * f_prime[:, None])
+    return gaps, delta_prime, float(excess.max())
+
+
 class TestConcavity:
     def test_coulomb_exact_quadratic(self):
-        report = sb.concavity_scan(sb.coulomb(0.4), np.linspace(0.1, 1.0, 10))
-        assert isinstance(report, ConcavityReport)
-        assert report.ok
-        assert all(dp > 1.0 for _, dp in report.delta_prime)
+        points = sb.curve(sb.coulomb(0.4), np.linspace(0.1, 1.0, 10))
+        assert len(points) == 10
+        gaps, delta_prime, excess = _concavity(points)
+        assert np.all(gaps >= -1e-8) and excess <= 1e-8
+        assert np.all(delta_prime > 1.0)
 
     def test_exponential_window(self):
-        report = sb.concavity_scan(sb.exponential(4.5), np.linspace(-0.4, 0.8, 9))
-        assert report.ok
-        assert all(dp > 1.0 for _, dp in report.delta_prime)
-
-    def test_needs_three_points(self):
-        with pytest.raises(ValueError):
-            sb.concavity_scan(sb.exponential(4.5), [0.1, 0.2])
+        points = sb.curve(sb.exponential(4.5), np.linspace(-0.4, 0.8, 9))
+        assert len(points) == 9
+        gaps, delta_prime, excess = _concavity(points)
+        assert np.all(gaps >= -1e-8) and excess <= 1e-8
+        assert np.all(delta_prime > 1.0)
 
     def test_rejects_inadmissible_coulomb(self):
         with pytest.raises(ValueError) as validated:
             sb.validate(sb.coulomb(0.6), sb.Theory.KLEIN_GORDON)
         with pytest.raises(ValueError, match=f"^{re.escape(str(validated.value))}$"):
-            sb.concavity_scan(sb.coulomb(0.6), np.linspace(0.1, 1.0, 10))
+            sb.curve(sb.coulomb(0.6), np.linspace(0.1, 1.0, 10))
 
 
 class TestCsvExport:
