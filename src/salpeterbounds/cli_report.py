@@ -21,8 +21,7 @@ from .potentials import (CouplingOutOfRange, Kind, NoBoundState, NonBindingSearc
 # the solvers are imported inside the functions that run them: most of a
 # command's start-up is import time, and each command pays only for the
 # solvers it uses.  kleingordon loads scipy's compiled LAPACK extension
-# alone, salpeter the scipy.fft, .sparse, .special and .linalg packages,
-# and gaussian_bound numpy alone
+# alone, and salpeter and gaussian_bound numpy alone
 
 BOUNDS_HEADER = "v,m,e_kg,E_srs,E_gauss,e0,delta,status"
 ORDER_TOL = 1e-6

@@ -10,7 +10,7 @@ Keeping the "-1" inside the integrand makes every D finite even for the
 Coulomb kind (the bare cosine integrals diverge; the constants cancel in the
 difference), and D(0) = 0.  All three shapes have exact moments on [0, R]:
 
-    Coulomb      D(n) = (v/R) Cin(n pi),  Cin(x) = gamma + ln x - Ci(x);
+    Coulomb      D(n) = (v/R) Cin(n pi),  Cin(x) = int_0^x (1 - cos t) / t dt;
     exponential  D(n) = -(v/R) [(1 - (-1)^n e^{-R}) / (1 + k^2) - (1 - e^{-R})];
     Woods-Saxon  D(n) = -(v/R) [C(k) - C(0)],  C(k) = int_0^R f(r) cos(k r) dr.
 
@@ -28,17 +28,23 @@ cos(k r) = (-1)^n cos(k (r - R)), so the exterior part is (-1)^n S(R - a) and
     C(0) = a + b ln(1 + e^{-a/b}) - b ln(1 + e^{-(R-a)/b}).
 
 Each series keeps ceil(40 b / c) terms, so the first omitted one carries
-e^{-q c / b} < e^{-40}.
+e^{-q c / b} < e^{-40}.  With t = pi s, Cin(n pi) is the running sum of
+int_j^{j+1} 2 sin^2(pi s / 2) / s ds over j < n, each by 16-point
+Gauss-Legendre (the integrand is entire); the table depends on n alone and
+is built once per process, in blocks of 2^15 steps.
 
 H is never formed.  With the odd extension x_{-k} = -x_k, x_0 = 0,
-(V x)_j = sum_{|k| <= N} D(|j-k|) x_k is a convolution, exact as a circular
-one of length 4N, so H x = K x + DST-I(DCT-I(D) * DST-I(x)) / 4N in
-O(N log N); the DST-I of length 2N - 1 is, up to a factor -i, the real FFT
-of the odd extension.
+(V x)_j = sum_{|k| <= N} D(|j-k|) x_k is a convolution.  For rows
+j = 1 .. N it is exact as a circular one of length 4N, so
+H x = K x + irfft(rfft(D_e) rfft(x_o)) in O(N log N), where x_o is the odd
+extension and D_e the even one, D(|j|) for |j| <= 2N, whose transform is
+real.
 
-LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517) finds the lowest pair,
-preconditioned by diag(K_j - sigma)^{-1} with sigma = min(rho - |r|,
-K_1 + V_11) for the Rayleigh quotient rho and residual r of the start vector.
+A single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517; in
+_lobpcg, Rayleigh-Ritz on the iterate, its preconditioned residual and its
+last move) finds the lowest pair, preconditioned by diag(K_j - sigma)^{-1}
+with sigma = min(rho - |r|, K_1 + V_11) for the Rayleigh quotient rho and
+residual r of the start vector.
 V <= 0 gives V_11 < 0, and K_j >= K_1, so every entry is positive.  Each
 doubling level starts from the last: zero-padded for 2N (rho is the last E,
 |r| is small), mode k moved to mode 2k for 2R (the state plus its mirror
@@ -46,25 +52,22 @@ image at the new wall, an even mix whose rho - |r| is close to E).  A cold
 start is the transform of r e^{-25 r / R}, the decay the box is sized for.
 A level counts only if |H x - E x| <= RESIDUAL_TOL = DOUBLING_TOL / 10, so
 an eigenvalue of H lies within a tenth of the doubling tolerance of E;
-otherwise, or on any LOBPCG accuracy warning, NonConvergence names N, R and
-the residual.
+otherwise, also when LOBPCG stops at its iteration cap, NonConvergence names
+N, R and the residual.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dct, dst
-# named eigh because the benchmark tracer (perfbench/tracer.py) times salpeter.eigh
-from scipy.sparse.linalg import lobpcg as eigh
-from scipy.special import sici
 
 from . import potentials
+# named eigh because the benchmark tracer (perfbench/tracer.py) times salpeter.eigh
+from ._lobpcg import lobpcg as eigh
 from .potentials import Kind, NoBoundState, NonConvergence, PotentialSpec, Theory
 
 DEFAULT_BASIS_SIZE = 256
@@ -73,9 +76,11 @@ _BOX_FLOOR = 30.0
 DOUBLING_TOL = 1e-7
 RESIDUAL_TOL = DOUBLING_TOL / 10.0
 _MAX_ITERATIONS = 200
-# catch_warnings swaps process-wide state, so solves on a caller's threads
-# take turns rather than restore each other's filters
-_WARNINGS_LOCK = threading.Lock()
+# units n pi <= t <= (n + 1) pi of the Cin table per block: D(0 .. 2N) at
+# N = 16384 needs one
+_CIN_BLOCK = 1 << 15
+
+
 @dataclass
 class SalpeterSolution:
     """Converged ground energy with the basis-doubling history.
@@ -100,14 +105,36 @@ def _fermi_series(c: float, b: float, k: np.ndarray) -> np.ndarray:
     return total
 
 
+@functools.cache
+def _cin_table(blocks: int) -> np.ndarray:
+    """Cin(n pi) for n = 0 .. blocks * _CIN_BLOCK, a running sum of
+    int_j^{j+1} 2 sin^2(pi s / 2) / s ds (t = pi s) by 16-point Gauss-Legendre.
+
+    At s = j + h the numerator is sin^2(pi h / 2) for even j and
+    cos^2(pi h / 2) for odd j, so no sine of a large argument is taken.
+    Every block is formed alike and the sum runs in order, so each value is
+    the same for any number of blocks.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    h = 0.5 * (nodes + 1.0)
+    numerators = weights * np.sin(0.5 * np.pi * h) ** 2, weights * np.cos(0.5 * np.pi * h) ** 2
+    units = []
+    for block in range(blocks):
+        j = np.arange(block * _CIN_BLOCK, (block + 1) * _CIN_BLOCK)[:, None]
+        units.append((np.where(j % 2, numerators[1], numerators[0]) / (j + h)).sum(axis=1))
+    table = np.concatenate(([0.0], np.cumsum(np.concatenate(units))))
+    table.flags.writeable = False   # one array serves every caller
+    return table
+
+
 def _moments(spec: PotentialSpec, r_box: float, count: int) -> np.ndarray:
     """D(n) = (1/R) int_0^R V(r) (cos(n pi r / R) - 1) dr for n = 0 .. count - 1,
     in closed form (see the module docstring)."""
     n = np.arange(1, count)
     k = n * np.pi / r_box
     if spec.kind is Kind.COULOMB:
-        cin = np.euler_gamma + np.log(n * np.pi) - sici(n * np.pi)[1]
-        return np.concatenate(([0.0], spec.v / r_box * cin))
+        cin = _cin_table(math.ceil((count - 1) / _CIN_BLOCK))[:count]
+        return spec.v / r_box * cin
     parity = 1.0 - 2.0 * (n % 2)
     if spec.kind is Kind.EXPONENTIAL:
         wave = (1.0 - parity * math.exp(-r_box)) / (1.0 + k * k)
@@ -128,10 +155,15 @@ def _hamiltonian(spec: PotentialSpec, m: float, n: int, box_radius: float) -> tu
     """x -> H x for x of shape (N, columns), the kinetic diagonal K and D(0 .. 2N)."""
     kinetic = np.sqrt((np.arange(1, n + 1) * np.pi / box_radius) ** 2 + m * m)
     d = _moments(spec, box_radius, 2 * n + 1)
-    kernel = dct(d, type=1)[1:2 * n, None] / (4 * n)
+    # the even extension D(|j|) on the circle of length 4N is real and even,
+    # and so is its transform
+    kernel = np.fft.rfft(np.concatenate((d, d[-2:0:-1]))).real[:, None]
 
     def product(x: np.ndarray) -> np.ndarray:
-        return kinetic[:, None] * x + dst(kernel * dst(x, type=1, n=2 * n - 1, axis=0), type=1, axis=0)[:n]
+        odd = np.zeros((4 * n, x.shape[1]))
+        odd[1:n + 1] = x
+        odd[3 * n:] = -x[::-1]
+        return kinetic[:, None] * x + np.fft.irfft(kernel * np.fft.rfft(odd, axis=0), 4 * n, axis=0)[1:n + 1]
 
     return product, kinetic, d
 
@@ -163,16 +195,14 @@ def ground_energy_at(
     # K_1 + V_11 with V_11 = D(0) - D(2)
     sigma = min(rho - float(np.linalg.norm(hx - rho * x)), kinetic[0] - d[2])
     inverse = (1.0 / (kinetic - sigma))[:, None]
-    with _WARNINGS_LOCK, warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        w, vec = eigh(product, x, M=lambda r: inverse * r, tol=RESIDUAL_TOL,
-                      maxiter=_MAX_ITERATIONS, largest=False)
-    energy, coeffs = float(w[0]), vec[:, 0]
+    energy, vec = eigh(product, x, preconditioner=lambda r: inverse * r, tol=RESIDUAL_TOL,
+                       maxiter=_MAX_ITERATIONS)
+    coeffs = vec[:, 0]
     residual = float(np.linalg.norm(product(vec)[:, 0] - energy * coeffs))
-    if caught or not residual <= RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:
         raise NonConvergence(
             f"LOBPCG failed at N = {basis_size} in the box R = {box_radius:g}: residual {residual:.3g} "
-            f"(gate {RESIDUAL_TOL:g})" + "".join(f"; {str(c.message).splitlines()[0]}" for c in caught))
+            f"(gate {RESIDUAL_TOL:g})")
     if coeffs[np.argmax(np.abs(coeffs))] < 0:
         coeffs = -coeffs
     return energy, coeffs
@@ -257,7 +287,8 @@ def ground_energy(
         if 2 * n > basis_max:
             drops = [history[i + 1][2] - history[i][2] for i in range(len(history) - 1)]
             msg = (f"doubling test still fails at N = {n} in the box R = {r_box:g}, momentum cutoff "
-                   f"N pi / R = {n * math.pi / r_box:.4g} (history: {history})")
+                   f"N pi / R = {n * math.pi / r_box:.4g} (history: "
+                   + ", ".join(f"N={size} R={radius:.6g} E={level:.12g}" for size, radius, level in history) + ")")
             if spec.kind is Kind.COULOMB and spec.v >= 0.5 and all(step < 0 for step in drops):
                 msg += (
                     "; E decreases without stabilizing as the basis grows, the "

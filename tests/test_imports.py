@@ -43,15 +43,18 @@ COMMANDS = {
     "bounds": ["bounds", *WOODS_SAXON, "--set", "basis_size=64", "--set", "out=rows.csv"],
     "salpeter": ["salpeter", *WOODS_SAXON, "--set", "basis_size=64"],
 }
-# scipy subpackages each command must not load
+# the scipy.linalg extension module that _lapack loads without its package
+FLAPACK = "scipy.linalg._flapack"
+SINE_BASIS = ("scipy.optimize", "scipy.fft", "scipy.sparse", "scipy.special", "scipy.linalg")
+# scipy subpackages each command must not load (FLAPACK aside)
 FORBIDDEN = {
     "--help": ("scipy",),
     "gaussian": ("scipy",),
     "kg": ("scipy.optimize", "scipy.sparse", "scipy.fft"),
     "critical": ("scipy.optimize", "scipy.sparse", "scipy.fft"),
     "fcurves": ("scipy.optimize", "scipy.sparse", "scipy.fft"),
-    "bounds": ("scipy.optimize",),
-    "salpeter": ("scipy.optimize",),
+    "bounds": SINE_BASIS,
+    "salpeter": SINE_BASIS,
 }
 # the Klein-Gordon commands load LAPACK's extension module and no scipy package
 KLEIN_GORDON = ("kg", "critical", "fcurves")
@@ -82,12 +85,21 @@ def loaded_modules(tmp_path_factory):
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_command_loads_only_its_solvers(loaded_modules, command):
     for package in FORBIDDEN[command]:
-        assert _loaded(loaded_modules[command], package) == []
+        assert [m for m in _loaded(loaded_modules[command], package) if m != FLAPACK] == []
 
 
 @pytest.mark.parametrize("command", KLEIN_GORDON)
 def test_kleingordon_commands_load_only_the_lapack_extension(loaded_modules, command):
-    assert _loaded(loaded_modules[command], "scipy") == ["scipy.linalg._flapack"]
+    assert _loaded(loaded_modules[command], "scipy") == [FLAPACK]
+
+
+def test_bounds_loads_only_the_lapack_extension(loaded_modules):
+    # the sine-basis solver and the Gaussian bound run on numpy alone
+    assert _loaded(loaded_modules["bounds"], "scipy") == [FLAPACK]
+
+
+def test_salpeter_command_loads_no_scipy(loaded_modules):
+    assert _loaded(loaded_modules["salpeter"], "scipy") == []
 
 
 @pytest.mark.parametrize("command", ["--help", *KLEIN_GORDON])

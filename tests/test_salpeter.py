@@ -3,14 +3,16 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import sici
 
 import salpeterbounds as sb
 import salpeterbounds.cli_report as cli
 from oracles import cosine_moment, coulomb_cosine_moment, coulomb_kg_energy
-from salpeterbounds import salpeter
+from salpeterbounds import _lobpcg, salpeter
 from salpeterbounds.radial_schrodinger import GridConfig, NoBoundState, NonConvergence
 from salpeterbounds.salpeter import default_box_radius
 
@@ -54,6 +56,30 @@ class TestCosineMoments:
     def test_rejects_box_inside_woods_saxon_radius(self, r_box):
         with pytest.raises(ValueError):
             sb.ground_energy_at(sb.woods_saxon(2.0, 5.0, 0.2), 1.0, 64, r_box)
+
+
+class TestCinTable:
+    # D(0 .. 2N) at the default cap N = 16384 and one more
+    COUNT = 2 * 16384 + 2
+
+    def test_matches_sici(self):
+        n = np.arange(1, self.COUNT)
+        cin = np.euler_gamma + np.log(n * np.pi) - sici(n * np.pi)[1]
+        table = salpeter._moments(sb.coulomb(0.5), 0.5, self.COUNT)
+        assert table[0] == 0.0
+        assert np.max(np.abs(table[1:] / cin - 1.0)) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 4097, 32768, 32769])
+    def test_matches_mpmath(self, n):
+        with mpmath.workdps(30):
+            x = n * mpmath.pi
+            cin = float(mpmath.euler + mpmath.log(x) - mpmath.ci(x))
+        assert salpeter._cin_table(2)[n] == pytest.approx(cin, rel=1e-14)
+
+    def test_values_do_not_depend_on_the_table_size(self):
+        one, two = salpeter._cin_table(1), salpeter._cin_table(2)
+        assert one.size == salpeter._CIN_BLOCK + 1
+        assert np.array_equal(two[:one.size], one)
 
 
 def dense_hamiltonian(spec, m, n, r_box):
@@ -103,8 +129,8 @@ class TestMatrixFreeSolver:
         assert out.read_text().splitlines()[1].endswith(",error")
 
     def test_concurrent_failures_keep_warning_filters(self, monkeypatch, capfd):
-        # failing solves on four threads, switching often: each
-        # turns its own LOBPCG warnings into NonConvergence, and the
+        # failing solves on four threads, switching often: each raises
+        # its own NonConvergence, none warns or writes to stderr, and the
         # process-wide warning filters end as they began
         monkeypatch.setattr(salpeter, "_MAX_ITERATIONS", 1)
         filters = list(warnings.filters)
@@ -125,6 +151,74 @@ class TestMatrixFreeSolver:
         again = sb.ground_energy(sb.woods_saxon(2.0), 1.0)
         assert again.convergence_history == srs_woods_saxon_2.convergence_history
         assert again.E == srs_woods_saxon_2.E
+
+
+class TestLobpcg:
+    """The single-vector LOBPCG against numpy.linalg.eigh."""
+
+    @staticmethod
+    def spd(n, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return (q * np.linspace(0.5, 20.0, n)) @ q.T, rng.standard_normal(n)
+
+    def test_small_dense_spd(self):
+        a, x = self.spd(60, 1)
+        energy, vec = _lobpcg.lobpcg(lambda v: a @ v, x, preconditioner=lambda r: r, tol=1e-10, maxiter=200)
+        w, v = np.linalg.eigh(a)
+        assert vec.shape == (60, 1)
+        assert abs(energy - w[0]) < 1e-12
+        assert abs(vec[:, 0] @ v[:, 0]) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(a @ vec - energy * vec) <= 1e-10
+
+    @pytest.mark.parametrize("spec", KINDS)
+    def test_dense_hamiltonian_with_production_preconditioner(self, spec, monkeypatch):
+        # the start vector and preconditioner of the production solve
+        n, r_box = 256, 40.0
+        calls = []
+
+        def spy(a, x, **options):
+            calls.append((x, options))
+            return _lobpcg.lobpcg(a, x, **options)
+
+        monkeypatch.setattr(salpeter, "eigh", spy)
+        sb.ground_energy_at(spec, 1.0, n, r_box)
+        (x, options), = calls
+        h = dense_hamiltonian(spec, 1.0, n, r_box)
+        energy, vec = _lobpcg.lobpcg(lambda v: h @ v, x, **options)
+        w, v = np.linalg.eigh(h)
+        assert abs(energy - w[0]) < 1e-12
+        assert abs(vec[:, 0] @ v[:, 0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_maxiter_returns_the_last_iterate(self):
+        a, x = self.spd(60, 2)
+        energy, vec = _lobpcg.lobpcg(lambda v: a @ v, x, preconditioner=lambda r: r, tol=1e-10, maxiter=2)
+        assert np.linalg.norm(a @ vec - energy * vec) > 1e-10
+        assert energy == pytest.approx((vec.T @ a @ vec).item(), abs=1e-12)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_start_at_an_eigenvector(self, rotated):
+        # tol = 0 keeps iterating on a residual of rounding noise, or of
+        # exact zeros for the diagonal matrix
+        a, _ = self.spd(40, 3)
+        if not rotated:
+            a = np.diag(np.diag(a))
+        w, v = np.linalg.eigh(a)
+        with np.errstate(all="raise"):
+            energy, vec = _lobpcg.lobpcg(lambda u: a @ u, v[:, 0], preconditioner=lambda r: r, tol=0.0, maxiter=20)
+        assert abs(energy - w[0]) < 1e-12
+        assert abs(vec[:, 0] @ v[:, 0]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [2.0, 0.0])
+    def test_preconditioned_residual_parallel_to_x(self, scale):
+        # w = scale x leaves nothing to add to span{x}: the start comes back
+        a, x = self.spd(40, 4)
+        x = x / np.linalg.norm(x)
+        with np.errstate(all="raise"):
+            energy, vec = _lobpcg.lobpcg(lambda u: a @ u, x, preconditioner=lambda r: scale * x[:, None],
+                                         tol=1e-10, maxiter=20)
+        assert energy == pytest.approx(x @ a @ x, abs=1e-12)
+        assert np.allclose(vec[:, 0], x, rtol=0.0, atol=1e-15)
 
 
 class TestGroundEnergy:

@@ -32,6 +32,10 @@ def test_salpeter_spans(tmp_path):
     spans = traced_spans(tmp_path, "salpeter", *WOODS_SAXON, "--set", "basis_size=64")
     names = {span[0] for span in spans}
     assert {"salpeter.ground_energy", "salpeter.default_box_radius", "salpeter.eigh"} <= names
+    # one wrapper per eigensolve: a second one would double eigh_s and
+    # hide it from assembly_s
+    solves = [span for span in spans if span[0] == "salpeter.eigh"]
+    assert not any(span[3] is not None and spans[span[3]][0] == span[0] for span in solves)
     sizes = [span[5] for span in spans if span[0] == "salpeter.ground_energy_at"]
     # the box pre-diagonalization, then the doubling from 64 modes
     assert sizes[:3] == [128, 64, 128]
