@@ -9,14 +9,21 @@ written in grid order.  Exit codes: 0 success, 1 config/usage error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
+# each CLI process runs BLAS on one thread unless OPENBLAS_NUM_THREADS is
+# set: numpy and scipy's LAPACK extension each load an OpenBLAS whose
+# worker threads spin from load on, and the solvers do small-vector work
+# only.  OpenBLAS reads the variable when it loads, so this precedes numpy
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .potentials import (CouplingOutOfRange, Kind, NoBoundState, NonBindingSearchError, NonConvergence, PotentialSpec,
-                         check_mass)
+import numpy as np  # noqa: E402
+
+from .potentials import (CouplingOutOfRange, Kind, NoBoundState, NonBindingSearchError, NonConvergence,  # noqa: E402
+                         PotentialSpec, check_mass)
 
 # the solvers are imported inside the functions that run them: most of a
 # command's start-up is import time, and each command pays only for the

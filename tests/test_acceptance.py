@@ -5,7 +5,11 @@ lines as they complete.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,18 +237,25 @@ def test_criterion_8_squared_inequality(ws_sweep, kg_exponential, srs_exponentia
 
 
 def test_criterion_9_thread_count_determinism(tmp_path):
+    # two CLI processes: one on the CLI's own single BLAS thread, one with
+    # OPENBLAS_NUM_THREADS=2 (on a one-core host both run BLAS serially)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    sets = ["potential=woods-saxon", "a=1", "b=0.2", "m=1", "v_min=1.5", "v_max=3.5", "v_steps=3", "out=det.csv"]
+    argv = [sys.executable, "-m", "salpeterbounds.cli_report", "bounds", *(a for s in sets for a in ("--set", s))]
     start = time.perf_counter()
+    procs = {}
+    for blas_threads in (None, "2"):
+        cwd = tmp_path / f"blas_{blas_threads or 'pinned'}"
+        cwd.mkdir()
+        child_env = env if blas_threads is None else dict(env, OPENBLAS_NUM_THREADS=blas_threads)
+        procs[cwd] = subprocess.Popen(argv, cwd=cwd, env=child_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     outputs = []
-    for threads in (1, 8):
-        out = tmp_path / f"det_{threads}.csv"
-        cfg = parse_config(None, overrides=[
-            "potential=woods-saxon", "a=1", "b=0.2", "m=1",
-            "v_min=1.5", "v_max=3.5", "v_steps=3",
-            f"threads={threads}", f"out={out}",
-        ])
-        run_bounds(cfg)
-        outputs.append(out.read_bytes())
+    for cwd, proc in procs.items():
+        _, stderr = proc.communicate(timeout=300)
+        assert proc.returncode == 0, stderr.decode()
+        outputs.append((cwd / "det.csv").read_bytes())
     elapsed = time.perf_counter() - start
     ok = outputs[0] == outputs[1] and outputs[0].startswith(BOUNDS_HEADER.encode())
-    report(9, ok, elapsed, "threads=1 and threads=8 output byte-identical"
-           if ok else "outputs differ between thread counts")
+    report(9, ok, elapsed, "one and two BLAS threads give byte-identical output"
+           if ok else "outputs differ between BLAS thread counts")

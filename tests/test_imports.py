@@ -1,10 +1,11 @@
-"""What each command loads, and the package's lazy exports.
+"""What each command loads, its BLAS threads, and the package's lazy exports.
 
 Start-up is most of a command's wall time, and most of start-up is import
 time, so each command imports only the solvers it runs.  These checks run
 in child processes, whose sys.modules this test session cannot pollute,
 and assert which scipy subpackages and package modules a command leaves
-loaded: a structural guard, not a timing one.
+loaded, and that it leaves no OpenBLAS worker thread: a structural guard,
+not a timing one.
 """
 
 import importlib
@@ -20,17 +21,23 @@ import salpeterbounds as sb
 from salpeterbounds import gaussian_bound, kleingordon, potentials, radial_schrodinger
 
 ROOT = Path(__file__).resolve().parents[1]
-CHILD_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+# without OPENBLAS_NUM_THREADS, which an in-process import of cli_report
+# sets in this session: the children must show the CLI's own pin
+CHILD_ENV = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+CHILD_ENV["PYTHONPATH"] = str(ROOT / "src")
 
-# runs cli_report.main on argv, then prints the loaded scipy and package modules
+# runs cli_report.main on argv, then prints the loaded scipy and package
+# modules and the process's thread count (None where /proc/self/task is missing)
 RUN_COMMAND = """
-import json, sys
+import json, os, sys
 from salpeterbounds import cli_report
 try:
     cli_report.main(sys.argv[1:])
 except SystemExit:
     pass
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "salpeterbounds"))))
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps({"modules": sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "salpeterbounds")),
+                  "threads": threads}))
 """
 
 WOODS_SAXON = ["--set", "potential=woods-saxon", "--set", "v=2.0", "--set", "m=1"]
@@ -66,8 +73,8 @@ def _loaded(modules, package):
 
 
 @pytest.fixture(scope="module")
-def loaded_modules(tmp_path_factory):
-    """The scipy modules left loaded by each command, all children run at once."""
+def command_runs(tmp_path_factory):
+    """Modules and threads each command leaves, all children run at once."""
     procs = {}
     for name, argv in COMMANDS.items():
         cwd = tmp_path_factory.mktemp("cmd")
@@ -81,6 +88,30 @@ def loaded_modules(tmp_path_factory):
         assert proc.returncode == 0, stderr
         out[name] = json.loads(stdout.splitlines()[-1])
     return out
+
+
+@pytest.fixture(scope="module")
+def loaded_modules(command_runs):
+    return {name: run["modules"] for name, run in command_runs.items()}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_runs_blas_on_one_thread(command_runs, command):
+    # OpenBLAS starts a worker per extra core when it loads; on one core
+    # there is none to start, so this holds there at any setting
+    threads = command_runs[command]["threads"]
+    if threads is None:
+        pytest.skip("no /proc/self/task")
+    assert threads == 1
+
+
+@pytest.mark.parametrize("setting, expected", [(None, "1"), ("2", "2")])
+def test_cli_pin_keeps_a_user_setting(setting, expected):
+    env = CHILD_ENV if setting is None else dict(CHILD_ENV, OPENBLAS_NUM_THREADS=setting)
+    probe = "import os, salpeterbounds.cli_report; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [expected]
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
