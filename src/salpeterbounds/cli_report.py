@@ -28,7 +28,9 @@ from .potentials import (CouplingOutOfRange, Kind, NoBoundState, NonBindingSearc
 # the solvers are imported inside the functions that run them: most of a
 # command's start-up is import time, and each command pays only for the
 # solvers it uses.  kleingordon loads scipy's compiled LAPACK extension
-# alone, and salpeter and gaussian_bound numpy alone
+# alone, and only where its finite-difference engine runs (Woods-Saxon, a
+# grid override, or an exponential coupling past the series' rounding
+# guard); salpeter and gaussian_bound load numpy alone
 
 BOUNDS_HEADER = "v,m,e_kg,E_srs,E_gauss,e0,delta,status"
 ORDER_TOL = 1e-6
@@ -113,13 +115,16 @@ class SweepConfig:
         raise ConfigError("this command needs a single coupling v")
 
     def grid_override(self):
-        """The radial_schrodinger.GridConfig of r_max / grid_points, or None."""
-        from .radial_schrodinger import GridConfig
+        """The radial_schrodinger.GridConfig of r_max / grid_points, or None.
 
+        radial_schrodinger, and with it scipy's LAPACK extension, loads
+        only when an override is set."""
         if self.r_max is None and self.grid_points is None:
             return None
         if self.r_max is None:
             raise ConfigError("grid_points override requires r_max as well")
+        from .radial_schrodinger import GridConfig
+
         return GridConfig(self.r_max) if self.grid_points is None else GridConfig(self.r_max, self.grid_points)
 
 

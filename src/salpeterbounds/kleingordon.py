@@ -6,11 +6,19 @@ exists it is negative, decreasing and concave, and its slope satisfies
 F'(e) = 2 <V>.  A mass-m ground energy is the smallest e in (-m, m) with
 F(e) = e^2 - m^2.  Because dW/de = 2V <= 0, the set of e where h(e) binds
 is an interval stretching up from an existence edge e0 (where F -> 0).
-Every e is solved in one box that covers the range of V, closed by the
-exact exterior matching of radial_schrodinger.  Its signed Neumann
-eigenvalue is the binding test: the no-binding verdict is its sign, and
-the edge and both critical couplings are its roots, found by
-potentials.brentq (a port of scipy's Brent method).
+
+Two of the three shapes are exactly solvable.  The Coulomb curve is a
+closed form.  The exponential curve, its edge and its critical couplings
+come from the e^{-r} series of _ExponentialCurve, summed in float64; where
+that sum cancels past the call's root tolerance (large couplings), the
+whole call runs on the finite-difference engine instead.  Woods-Saxon
+always runs on it: every e is solved in one box that covers the range of V,
+closed by the exact exterior matching of radial_schrodinger, whose signed
+Neumann eigenvalue is the binding test.  Only that engine imports
+radial_schrodinger, and with it scipy's compiled LAPACK extension.  Each
+engine's binding test is negative exactly when h(e) binds; the edge and
+both critical couplings are its roots, found by potentials.brentq (a port
+of scipy's Brent method).
 
 h(e) is affine in e, so F (taken as the continuum edge 0 below e0) is a
 minimum of affine functions and G(e) = F(e) - e^2 + m^2 is concave.  solve
@@ -22,19 +30,25 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from . import potentials
 from .potentials import Kind, NoBoundState, NonBindingSearchError, PotentialSpec, Theory, brentq, check_mass
-from .radial_schrodinger import GridConfig, expectation, lowest_eigenvalue, neumann_eigenvalue
+
+if TYPE_CHECKING:
+    from .radial_schrodinger import GridConfig
 
 WINDOW_MARGIN = 1e-6   # relative margin keeping the search inside the open window
 ROOT_XTOL = 1e-10      # intersections and the existence edge
 COUPLING_XTOL = 1e-9   # critical couplings
 
 _H_FULL = 0.025        # coarsest spacing of the default three-level grid
+
+_KAPPA_SCAN = 24       # steps of the downward kappa scan for the largest root of S
+_KAPPA_XTOL = 1e-14    # kappa root tolerance; a root below it is the continuum edge
 
 
 class KgStatus(Enum):
@@ -90,17 +104,128 @@ class _CoulombCurve:
         return SpectralCurvePoint(e=e, F=f_val, F_prime=f_prime, delta=e - 0.5 * f_prime)
 
 
+class _SeriesRounding(Exception):
+    """The float64 e^{-r} series cancels past the call's root tolerance."""
+
+
+class _ExponentialCurve:
+    """The exponential curve from its e^{-r} series.
+
+    With t = e^{-r}, h(e) = p^2 - 2ev t - v^2 t^2, and u = sum c_n t^(n + kappa)
+    with c_0 = 1 and n (n + 2 kappa) c_n = -2ev c_{n-1} - v^2 c_{n-2} solves
+    -u'' + W u = -kappa^2 u and decays like e^{-kappa r}: it is Kummer's
+    function e^{-iv} M(1/2 + kappa + ie, 1 + 2 kappa, 2iv) (DLMF 13.2),
+    which is real.  u(0) = 0 reads S(kappa) = sum c_n = 0, so every root
+    kappa > 0 of S is a bound state, and F(e) = -kappa^2 for the largest.
+    As -W < v^2 + 2ev, the roots lie below sqrt(v^2 + 2ev), where S > 0.
+
+    S(0) is the zero-energy solution that is flat at infinity, taken at
+    r = 0; by Sturm oscillation its sign is (-1)^N for N bound states.
+    That alone is not the binding test (at v = 4.5, e = 1, h(e) holds two
+    bound states and S(0) > 0), so binding falls back to the kappa scan
+    where S(0) >= 0.  Near the edge it is S(0) on both sides, so the edge
+    and the critical couplings are roots of the kappa = 0 sum.
+
+    Each sum carries the rounding bound eps * sum |c_n|, which grows like
+    e^v; where it exceeds tol, _SeriesRounding is raised.
+    """
+
+    def __init__(self, spec: PotentialSpec, tol: float = ROOT_XTOL):
+        self.v = spec.v
+        self.tol = tol
+        self.binding = functools.cache(self._binding)
+
+    def _sum(self, kappa: float, e: float) -> float:
+        """S(kappa; e, v), summed until the terms past the peak are
+        negligible."""
+        a, b = -2.0 * e * self.v, -self.v * self.v
+        c_prev, c = 0.0, 1.0
+        total = total_abs = 1.0
+        n = 0
+        while True:
+            n += 1
+            d = n * (n + 2.0 * kappa)
+            c_prev, c = c, (a * c + b * c_prev) / d
+            total += c
+            total_abs += abs(c)
+            if d > abs(a) + abs(b) and abs(c) + abs(c_prev) <= 1e-18 * total_abs:
+                break
+        bound = sys.float_info.epsilon * total_abs
+        if bound > self.tol:
+            raise _SeriesRounding(f"the series at v = {self.v} cancels to {bound:.1e}")
+        return total
+
+    def _slopes(self, kappa: float, e: float) -> tuple[float, float]:
+        """dS/de and dS/dkappa, each carried through the recurrence."""
+        a, b = -2.0 * e * self.v, -self.v * self.v
+        c_prev, c = 0.0, 1.0
+        ce_prev = ce = ck_prev = ck = 0.0
+        total_abs = 1.0
+        s_e = s_k = 0.0
+        n = 0
+        while True:
+            n += 1
+            d = n * (n + 2.0 * kappa)
+            c_new = (a * c + b * c_prev) / d
+            ce_prev, ce = ce, (-2.0 * self.v * c + a * ce + b * ce_prev) / d
+            ck_prev, ck = ck, (-2.0 * n * c_new + a * ck + b * ck_prev) / d
+            c_prev, c = c, c_new
+            s_e += ce
+            s_k += ck
+            total_abs += abs(c) + abs(ce) + abs(ck)
+            tail = abs(c) + abs(c_prev) + abs(ce) + abs(ce_prev) + abs(ck) + abs(ck_prev)
+            if d > abs(a) + abs(b) and tail <= 1e-18 * total_abs:
+                return s_e, s_k
+
+    def _ground_kappa(self, e: float) -> float | None:
+        """The largest root of S, by a downward scan from sqrt(v^2 + 2ev)
+        and brentq; None where there is none above _KAPPA_XTOL."""
+        top_sq = self.v * (self.v + 2.0 * e)
+        if top_sq <= 0:
+            return None
+        step = math.sqrt(top_sq) / _KAPPA_SCAN
+        s = functools.cache(lambda kappa: self._sum(kappa, e))
+        for j in range(_KAPPA_SCAN - 1, -1, -1):
+            if s(j * step) <= 0:
+                kappa = float(brentq(s, j * step, (j + 1) * step, xtol=_KAPPA_XTOL))
+                return kappa if kappa > _KAPPA_XTOL else None
+        return None
+
+    def _binding(self, e: float) -> float:
+        """Negative exactly when h(e) binds: S(0) where it is negative (an
+        odd number of bound states) or h(e) does not bind, else -kappa^2 of
+        the ground state (an even number)."""
+        s0 = self._sum(0.0, e)
+        if s0 < 0:
+            return s0
+        kappa = self._ground_kappa(e)
+        return s0 if kappa is None else -kappa * kappa
+
+    def point(self, e: float) -> SpectralCurvePoint:
+        kappa = self._ground_kappa(e)
+        if kappa is None:
+            raise NoBoundState(f"the exponential h(e) has no bound state at e = {e}")
+        s_e, s_k = self._slopes(kappa, e)
+        # F = -kappa^2 with dkappa/de = -S_e / S_kappa along S = 0
+        f_prime = 2.0 * kappa * s_e / s_k
+        return SpectralCurvePoint(e=e, F=-kappa * kappa, F_prime=f_prime, delta=e - 0.5 * f_prime)
+
+
 class _CurveEngine:
-    """Per-solve evaluator for one potential, with one grid for every e:
-    the caller's, or by default the box [0, tail_radius(spec, TAIL_EPS)] on
-    the three-level grid."""
+    """Per-solve finite-difference evaluator for one potential, with one
+    grid for every e: the caller's, or by default the box
+    [0, tail_radius(spec, TAIL_EPS)] on the three-level grid."""
 
     def __init__(self, spec: PotentialSpec, grid: GridConfig | None = None):
+        # the one import of the FD solver, and so of scipy's LAPACK extension
+        from . import radial_schrodinger
+
+        self.fd = radial_schrodinger
         self.spec = spec
         if grid is None:
             r_max = potentials.tail_radius(spec, potentials.TAIL_EPS)
             # 64 is the fewest points GridConfig accepts
-            grid = GridConfig(r_max, max(64, math.ceil(r_max / _H_FULL)))
+            grid = radial_schrodinger.GridConfig(r_max, max(64, math.ceil(r_max / _H_FULL)))
         self.full = grid
         self.binding = functools.cache(self._binding)
 
@@ -113,29 +238,40 @@ class _CurveEngine:
 
     def _binding(self, e: float) -> float:
         """Signed binding test of h(e): negative exactly when it binds."""
-        return neumann_eigenvalue(self._w(e), self.full)
+        return self.fd.neumann_eigenvalue(self._w(e), self.full)
 
     def point(self, e: float) -> SpectralCurvePoint:
-        res = lowest_eigenvalue(self._w(e), self.full)
+        res = self.fd.lowest_eigenvalue(self._w(e), self.full)
         spec = self.spec
-        f_prime = 2.0 * expectation(res, lambda r: potentials.evaluate(spec, r))
+        f_prime = 2.0 * self.fd.expectation(res, lambda r: potentials.evaluate(spec, r))
         return SpectralCurvePoint(e=e, F=res.eigenvalue, F_prime=f_prime, delta=e - 0.5 * f_prime)
 
 
-def _engine(spec: PotentialSpec, grid: GridConfig | None) -> _CurveEngine | _CoulombCurve:
-    """The curve of an admissible spec: closed form for the Coulomb kind,
-    which ignores grid, else on the grid.  Raises ValueError otherwise."""
+def _on_curve(spec: PotentialSpec, grid: GridConfig | None, run: Callable):
+    """run(engine) on the curve of an admissible spec: the closed form or
+    the series where the kind has one (they ignore grid), else FD on the
+    grid.  Where the series cancels, the whole of run starts again on FD,
+    so no root search mixes the two.  Raises ValueError for an
+    inadmissible spec."""
     potentials.validate(spec, Theory.KLEIN_GORDON)
-    return _CoulombCurve(spec) if spec.kind is Kind.COULOMB else _CurveEngine(spec, grid)
+    if spec.kind is Kind.COULOMB:
+        return run(_CoulombCurve(spec))
+    if spec.kind is Kind.EXPONENTIAL:
+        try:
+            return run(_ExponentialCurve(spec))
+        except _SeriesRounding:
+            pass
+    return run(_CurveEngine(spec, grid))
 
 
 def F(spec: PotentialSpec, e: float, grid: GridConfig | None = None) -> SpectralCurvePoint:
     """Lowest eigenvalue of h(e) = p^2 + 2eV - V^2 plus slope data.
 
-    The Coulomb kind is in closed form and bypasses the grid.  Raises
-    NoBoundState where the curve does not exist.
+    The Coulomb and exponential kinds are exact and bypass the grid (the
+    exponential one unless its series cancels).  Raises NoBoundState where
+    the curve does not exist.
     """
-    return _engine(spec, grid).point(e)
+    return _on_curve(spec, grid, lambda engine: engine.point(e))
 
 
 def curve(spec: PotentialSpec, e_values, grid: GridConfig | None = None) -> list[SpectralCurvePoint]:
@@ -146,14 +282,18 @@ def curve(spec: PotentialSpec, e_values, grid: GridConfig | None = None) -> list
     stops at the first e where h(e) does not bind: no e below it binds
     either, and no edge search is needed.
     """
-    engine = _engine(spec, grid)
-    points = []
-    for e in sorted((float(e) for e in e_values), reverse=True):
-        try:
-            points.append(engine.point(e))
-        except NoBoundState:
-            break
-    return points[::-1]
+    e_desc = sorted((float(e) for e in e_values), reverse=True)
+
+    def walk(engine) -> list[SpectralCurvePoint]:
+        points = []
+        for e in e_desc:
+            try:
+                points.append(engine.point(e))
+            except NoBoundState:
+                break
+        return points[::-1]
+
+    return _on_curve(spec, grid, walk)
 
 
 def _continuum_point(e: float) -> SpectralCurvePoint:
@@ -179,7 +319,10 @@ def solve(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> KgSo
     if not, G < 0 across the whole window: supercritical.
     """
     check_mass(m)
-    engine = _engine(spec, grid)
+    return _on_curve(spec, grid, functools.partial(_solve, m=m))
+
+
+def _solve(engine, m: float) -> KgSolution:
     if isinstance(engine, _CoulombCurve):
         return _solve_coulomb(engine, m)
 
@@ -241,18 +384,39 @@ def _binding_at(spec: PotentialSpec, e: float, grid: GridConfig, v: float) -> fl
 def _critical_coupling(spec: PotentialSpec, m: float, e_probe: float, grid: GridConfig | None) -> float:
     """The v where the binding test of h(e_probe) changes sign, by brentq.
 
-    Every v is probed on one grid, the caller's or the default grid of the
-    bracket's upper v, whose box covers the range of V for every smaller v;
-    on a fixed grid the test is smooth in v.
+    The exponential kind probes the kappa = 0 sum of its series; where that
+    cancels, the whole search runs on FD.  FD probes every v on one grid,
+    the caller's or the default grid of the bracket's upper v, whose box
+    covers the range of V for every smaller v; on a fixed grid the test is
+    smooth in v.
     """
     if spec.kind is Kind.COULOMB:
         raise ValueError("critical couplings are defined for the short-range kinds only")
     check_mass(m)
+    if spec.kind is Kind.EXPONENTIAL:
+        @functools.cache
+        def series(v: float) -> float:
+            return _ExponentialCurve(potentials.exponential(v), COUPLING_XTOL).binding(e_probe)
 
+        try:
+            return _coupling_root(lambda hi: series, m)
+        except _SeriesRounding:
+            pass
+
+    def fd_probe(hi: float) -> Callable[[float], float]:
+        box = grid or _CurveEngine(PotentialSpec(spec.kind, hi, spec.a, spec.b)).full
+        return functools.cache(functools.partial(_binding_at, spec, e_probe, box))
+
+    return _coupling_root(fd_probe, m)
+
+
+def _coupling_root(probe_for: Callable[[float], Callable[[float], float]], m: float) -> float:
+    """brentq on probe_for(hi), the binding test as a function of v, over
+    [lo, hi]: hi doubles from max(2m, 4) until it binds, then lo quarters
+    from 1e-2 until it does not."""
     hi = max(2.0 * m, 4.0)
     for _ in range(40):
-        box = grid or _CurveEngine(PotentialSpec(spec.kind, hi, spec.a, spec.b)).full
-        probe = functools.cache(functools.partial(_binding_at, spec, e_probe, box))
+        probe = probe_for(hi)
         if probe(hi) < 0:
             break
         hi *= 2.0

@@ -1,11 +1,13 @@
 """Independent oracles used to freeze expected values.
 
 Everything here avoids the package's own numerical paths: plain bisection,
-closed forms, scipy.integrate.quad, and solve_ivp shooting with brentq.
+closed forms, scipy.integrate.quad, solve_ivp shooting with brentq, and
+the e^{-r} series of the exponential curve summed in float64 and in mpmath.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
@@ -40,6 +42,65 @@ def bessel_ground_eigenvalue(v: float) -> tuple[float, float]:
             k = 0.5 * (lo + hi)
             return k, -k * k
     raise ValueError(f"no bound state for v = {v}")
+
+
+def exp_series(kappa: float, e: float, v: float) -> tuple[float, float]:
+    """S(kappa; e, v) = sum c_n and sum |c_n| in float64, for the exponential
+    h(e) = p^2 - 2ev t - v^2 t^2, t = e^{-r}.
+
+    u = sum c_n t^(n + kappa), c_0 = 1, n (n + 2 kappa) c_n = -2ev c_{n-1}
+    - v^2 c_{n-2}, solves h(e) u = -kappa^2 u and decays like e^{-kappa r},
+    so the roots kappa > 0 of S (u(0) = 0) are the bound states.  Summed to
+    a fixed 200 terms, far past where they underflow for v <= 30.
+    """
+    a, b = -2.0 * e * v, -v * v
+    c_prev, c = 0.0, 1.0
+    total = total_abs = 1.0
+    for n in range(1, 200):
+        c_prev, c = c, (a * c + b * c_prev) / (n * (n + 2.0 * kappa))
+        total += c
+        total_abs += abs(c)
+    return total, total_abs
+
+
+def exp_series_mp(kappa, e, v, dps: int = 50):
+    """exp_series' S in mpmath at dps digits (an mpf), to 300 terms."""
+    with mpmath.workdps(dps):
+        kappa, e, v = (mpmath.mpf(x) for x in (kappa, e, v))
+        a, b = -2 * e * v, -v * v
+        c_prev, c = mpmath.mpf(0), mpmath.mpf(1)
+        total = mpmath.mpf(1)
+        for n in range(1, 300):
+            c_prev, c = c, (a * c + b * c_prev) / (n * (n + 2 * kappa))
+            total += c
+        return +total
+
+
+def exp_series_roots(e: float, v: float, steps: int = 400) -> list[float]:
+    """Every root kappa of exp_series in (0, sqrt(v^2 + 2ev)), largest
+    first, by a uniform scan plus plain bisection; F(e) = -kappa^2 for the
+    first."""
+    top_sq = v * (v + 2.0 * e)
+    if top_sq <= 0:
+        return []
+    ks = np.linspace(0.0, math.sqrt(top_sq), steps + 1)[::-1]
+    vals = [exp_series(float(k), e, v)[0] for k in ks]
+    roots = [bisect(lambda k: exp_series(k, e, v)[0], float(ks[i + 1]), float(ks[i]))
+             for i in range(len(ks) - 1) if (vals[i] < 0) != (vals[i + 1] < 0)]
+    return [k for k in roots if k > 1e-12]
+
+
+def bisect(f, lo: float, hi: float, steps: int = 200) -> float:
+    """Plain bisection of a sign change of f on [lo, hi]."""
+    flo = f(lo)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if (fmid < 0) == (flo < 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # frozen from bessel_ground_eigenvalue, kept literal so a regression in the

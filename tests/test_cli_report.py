@@ -450,7 +450,7 @@ class TestMainEntry:
     def test_critical_search_failure_exits_cleanly(self, monkeypatch, capsys):
         # a positive binding test: h(e) binds at no coupling
         monkeypatch.setattr(kleingordon, "_binding_at", lambda *args: 1.0)
-        rc = cli.main(["critical", "--set", "potential=exponential", "--set", "m=1"])
+        rc = cli.main(["critical", "--set", "potential=woods-saxon", "--set", "m=1"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: no binding found up to v = ")
 

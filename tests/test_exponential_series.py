@@ -1,0 +1,152 @@
+"""The exponential Klein-Gordon curve from its e^{-r} series.
+
+The series oracle (tests/oracles.py) is checked three ways first: float64
+against a 50-digit mpmath sum, the Bessel form at e = 0, and the two
+critical couplings at m = 1.  It is then the reference for kleingordon's
+series path, and that path the reference for the finite-difference engine,
+built directly on exponential specs, for as long as FD serves any kind.
+"""
+
+import mpmath
+import numpy as np
+import pytest
+
+import salpeterbounds as sb
+from salpeterbounds import cli_report, kleingordon, radial_schrodinger
+from salpeterbounds.potentials import NoBoundState
+
+from oracles import bessel_ground_eigenvalue, bisect, exp_series, exp_series_mp, exp_series_roots
+
+EPS = np.finfo(float).eps
+# (v, e) where FD and the series were first compared
+BASELINE = [(2.5, 0.8), (3.4, 0.3), (5.0, -0.5), (5.68, -0.99), (5.5, 0.9)]
+# thresholds at m = 1, as the zero-energy ODE oracle gives them
+LOWER_M1, UPPER_M1 = 0.6729993526, 5.6808003643
+
+
+class TestOracle:
+    @pytest.mark.parametrize("v, e", BASELINE)
+    def test_float_sum_matches_mpmath(self, v, e):
+        kappa_ground = exp_series_roots(e, v)[0]
+        for kappa in (0.0, 0.5, kappa_ground):
+            value, size = exp_series(kappa, e, v)
+            assert abs(value - float(exp_series_mp(kappa, e, v))) <= EPS * size
+
+    @pytest.mark.parametrize("v", [2.5, 4.5])
+    def test_zero_energy_is_the_bessel_form(self, v):
+        # at e = 0, S = Gamma(1 + kappa) (v/2)^-kappa J_kappa(v), and h(0) is
+        # -v^2 e^{-2r}: bessel_ground_eigenvalue of v^2/4 in r' = 2r
+        for kappa in (0.0, 0.7, 1.9):
+            want = float(mpmath.gamma(1 + kappa) * (v / 2) ** -kappa * mpmath.besselj(kappa, v))
+            assert exp_series(kappa, 0.0, v)[0] == pytest.approx(want, abs=1e-14)
+        k, _ = bessel_ground_eigenvalue(v * v / 4.0)
+        assert exp_series_roots(0.0, v)[0] == pytest.approx(2.0 * k, abs=1e-12)
+
+    def test_kappa_zero_sum_gives_the_thresholds(self):
+        lower = bisect(lambda v: exp_series(0.0, 1.0, v)[0], 0.1, 1.0)
+        upper = bisect(lambda v: exp_series(0.0, -1.0, v)[0], 4.0, 6.0)
+        assert lower == pytest.approx(LOWER_M1, abs=1e-10)
+        assert upper == pytest.approx(UPPER_M1, abs=1e-10)
+        with mpmath.workdps(40):
+            assert float(mpmath.findroot(lambda v: exp_series_mp(0, -1, v, 40), upper)) == pytest.approx(upper, abs=1e-13)
+
+
+class TestSeriesPath:
+    @pytest.mark.parametrize("v, e", BASELINE)
+    def test_curve_is_minus_the_largest_root_squared(self, v, e):
+        kappa = exp_series_roots(e, v)[0]
+        assert sb.F(sb.exponential(v), e).F == pytest.approx(-kappa * kappa, abs=1e-13 * max(1.0, kappa * kappa))
+
+    def test_two_bound_states_take_the_largest_root(self):
+        # h(e) at (4.5, 1.0) holds two bound states and S(0) > 0: the sign
+        # of the kappa = 0 sum alone would call it unbound
+        roots = exp_series_roots(1.0, 4.5)
+        assert len(roots) == 2 and roots[0] == pytest.approx(2.6289, abs=1e-4) and roots[1] == pytest.approx(0.8444, abs=1e-4)
+        assert exp_series(0.0, 1.0, 4.5)[0] > 0
+        curve = kleingordon._ExponentialCurve(sb.exponential(4.5))
+        assert curve.binding(1.0) == pytest.approx(-roots[0] ** 2, abs=1e-12)
+        assert sb.F(sb.exponential(4.5), 1.0).F == pytest.approx(-roots[0] ** 2, abs=1e-12)
+
+    @pytest.mark.parametrize("v, e", [(4.086, 0.0), (3.336, 0.5), (4.5, 1.0), (2.5, 0.0), (5.5, -0.5)])
+    def test_slope_matches_a_central_difference(self, v, e):
+        spec, step = sb.exponential(v), 1e-5
+        central = (sb.F(spec, e + step).F - sb.F(spec, e - step).F) / (2.0 * step)
+        pt = sb.F(spec, e)
+        assert abs(pt.F_prime - central) <= 1e-7
+        assert pt.delta == pt.e - 0.5 * pt.F_prime
+
+    @pytest.mark.parametrize("v", [2.5, 3.4, 4.5])
+    def test_edge_is_the_root_of_the_kappa_zero_sum(self, v):
+        want = bisect(lambda e: exp_series(0.0, e, v)[0], -0.99, 0.99)
+        assert sb.solve(sb.exponential(v), 1.0).e0 == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("search, want", [(sb.critical_coupling_lower, LOWER_M1),
+                                              (sb.critical_coupling_upper, UPPER_M1)], ids=["lower", "upper"])
+    def test_critical_couplings_within_their_root_tolerance(self, search, want):
+        assert search(sb.exponential(1.0), 1.0) == pytest.approx(want, abs=kleingordon.COUPLING_XTOL)
+
+
+def _fd(v):
+    return kleingordon._CurveEngine(sb.exponential(v))
+
+
+class TestFiniteDifferenceAgainstSeries:
+    @pytest.mark.parametrize("v, e", [*BASELINE, (4.5, 1.0)])
+    def test_curve_within_the_error_estimate(self, v, e):
+        engine = _fd(v)
+        res = radial_schrodinger.lowest_eigenvalue(engine._w(e), engine.full)
+        assert abs(res.eigenvalue - sb.F(sb.exponential(v), e).F) <= res.error_estimate
+
+    @pytest.mark.parametrize("v", [2.5, 3.4, 4.5])
+    def test_edge_and_intersection(self, v):
+        fd = kleingordon._solve(_fd(v), 1.0)
+        series = sb.solve(sb.exponential(v), 1.0)
+        assert fd.status is series.status is sb.KgStatus.BOUND
+        assert abs(fd.e0 - series.e0) <= 10 * kleingordon.ROOT_XTOL
+        assert abs(fd.e - series.e) <= 10 * kleingordon.ROOT_XTOL
+
+    def test_a_curve_that_ends_at_its_edge(self):
+        # FD's box cuts the potential where it falls below 1e-12, so FD
+        # binds no e that the series does not
+        spec, e_values = sb.exponential(2.5), np.linspace(-0.95, 0.95, 77)
+        engine, fd = _fd(2.5), []
+        for e in e_values[::-1]:
+            try:
+                fd.append(engine.point(float(e)).e)
+            except NoBoundState:
+                break
+        series = [p.e for p in sb.curve(spec, e_values)]
+        assert 0 < len(fd) < len(e_values)
+        assert set(fd) <= set(series)
+
+
+class TestRoundingGuard:
+    @pytest.mark.parametrize("v, tol", [(4.5, 1e-10), (10.0, 1e-10), (20.0, 1e-10), (20.0, 1e-6), (25.0, 1e-6)])
+    def test_guard_is_the_rounding_bound(self, v, tol):
+        value, size = exp_series(0.3, -1.0, v)
+        # the bound covers the float64 sum's measured error
+        assert abs(value - float(exp_series_mp(0.3, -1.0, v, 60))) <= EPS * size
+        curve = kleingordon._ExponentialCurve(sb.exponential(v), tol)
+        if EPS * size > tol:
+            with pytest.raises(kleingordon._SeriesRounding):
+                curve._sum(0.3, -1.0)
+        else:
+            assert curve._sum(0.3, -1.0) == pytest.approx(value, abs=EPS * size)
+
+    def test_a_call_past_the_guard_runs_wholly_on_fd(self):
+        # the kappa = 0 sum at v = 11, e = -4 cancels to 8e-10
+        spec = sb.exponential(11.0)
+        assert EPS * exp_series(0.0, -4.0, 11.0)[1] > kleingordon.ROOT_XTOL
+        assert sb.solve(spec, 4.0) == kleingordon._solve(kleingordon._CurveEngine(spec), 4.0)
+
+    @pytest.mark.parametrize("m, lines", [
+        ("1", ["binding_threshold_v=0.672999 (root tol 1e-09)", "supercritical_v=5.680800 (root tol 1e-09)"]),
+        # the upper threshold lies past the guard, at v = 26.7, and runs on FD
+        ("10", ["binding_threshold_v=0.072233 (root tol 1e-09)", "supercritical_v=26.735025 (root tol 1e-09)"]),
+    ])
+    def test_critical_prints_the_fd_digits(self, m, lines, capsys):
+        assert cli_report.main(["critical", "--set", "potential=exponential", "--set", f"m={m}"]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"potential=exponential m={m}", *lines]
+
+    def test_upper_threshold_at_m_ten_is_past_the_guard(self):
+        assert EPS * exp_series(0.0, -10.0, 26.7)[1] > kleingordon.COUPLING_XTOL

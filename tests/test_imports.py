@@ -41,14 +41,20 @@ print(json.dumps({"modules": sorted(m for m in sys.modules if m.split(".")[0] in
 """
 
 WOODS_SAXON = ["--set", "potential=woods-saxon", "--set", "v=2.0", "--set", "m=1"]
+EXPONENTIAL = ["--set", "potential=exponential", "--set", "v=3.4", "--set", "m=1"]
 COMMANDS = {
     "--help": ["--help"],
     "gaussian": ["gaussian", *WOODS_SAXON],
     "kg": ["kg", *WOODS_SAXON],
-    "critical": ["critical", "--set", "potential=exponential", "--set", "m=1"],
+    "critical": ["critical", "--set", "potential=woods-saxon", "--set", "m=1"],
     "fcurves": ["fcurves", *WOODS_SAXON, "--set", "e_steps=5", "--set", "out=curves"],
     "bounds": ["bounds", *WOODS_SAXON, "--set", "basis_size=64", "--set", "out=rows.csv"],
     "salpeter": ["salpeter", *WOODS_SAXON, "--set", "basis_size=64"],
+    "kg-exponential": ["kg", *EXPONENTIAL],
+    "critical-exponential": ["critical", "--set", "potential=exponential", "--set", "m=1"],
+    "fcurves-exponential": ["fcurves", *EXPONENTIAL, "--set", "e_steps=5", "--set", "out=curves"],
+    "bounds-coulomb": ["bounds", "--set", "potential=coulomb", "--set", "v=0.05", "--set", "m=1",
+                       "--set", "basis_size=64", "--set", "out=rows.csv"],
 }
 # the scipy.linalg extension module that _lapack loads without its package
 FLAPACK = "scipy.linalg._flapack"
@@ -64,8 +70,12 @@ FORBIDDEN = {
     "bounds": SINE_BASIS,
     "salpeter": (*SINE_BASIS, "scipy.linalg"),
 }
-# the Klein-Gordon commands load LAPACK's extension module and no scipy package
+# the Woods-Saxon Klein-Gordon commands run the FD solver: they load LAPACK's
+# extension module and no scipy package
 KLEIN_GORDON = ("kg", "critical", "fcurves")
+# the exponential series and the Coulomb closed form run on no LAPACK
+NO_LAPACK = ("kg-exponential", "critical-exponential", "fcurves-exponential", "bounds-coulomb")
+FORBIDDEN.update(dict.fromkeys(NO_LAPACK, ("scipy",)))
 
 
 def _loaded(modules, package):
@@ -134,7 +144,14 @@ def test_salpeter_command_loads_no_scipy(loaded_modules):
     assert _loaded(loaded_modules["salpeter"], "scipy") == []
 
 
-@pytest.mark.parametrize("command", ["--help", *KLEIN_GORDON])
+@pytest.mark.parametrize("command", NO_LAPACK)
+def test_exact_curve_commands_load_no_finite_difference_layer(loaded_modules, command):
+    assert _loaded(loaded_modules[command], "scipy") == []
+    for module in ("radial_schrodinger", "_lapack"):
+        assert f"salpeterbounds.{module}" not in loaded_modules[command]
+
+
+@pytest.mark.parametrize("command", ["--help", *KLEIN_GORDON, *NO_LAPACK[:3]])
 def test_gaussian_bound_loads_only_where_it_runs(loaded_modules, command):
     assert "salpeterbounds.gaussian_bound" not in loaded_modules[command]
 

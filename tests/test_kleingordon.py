@@ -6,7 +6,7 @@ import pytest
 from scipy.special import expit
 
 import salpeterbounds as sb
-from salpeterbounds import kleingordon
+from salpeterbounds import kleingordon, radial_schrodinger
 from salpeterbounds.kleingordon import KgStatus, curve_csv_rows
 from salpeterbounds.radial_schrodinger import GridConfig, NoBoundState
 
@@ -65,11 +65,11 @@ class TestSpectralCurveShortRange:
         # exactly one eigenvalue solve fails
         calls = {"neumann_eigenvalue": 0, "lowest_eigenvalue": 0}
         for name in calls:
-            def spy(*args, _name=name, _inner=getattr(kleingordon, name)):
+            def spy(*args, _name=name, _inner=getattr(radial_schrodinger, name)):
                 calls[_name] += 1
                 return _inner(*args)
-            monkeypatch.setattr(kleingordon, name, spy)
-        points = kleingordon.curve(sb.exponential(2.5), np.linspace(-0.95, 0.95, 21))
+            monkeypatch.setattr(radial_schrodinger, name, spy)
+        points = kleingordon.curve(sb.woods_saxon(1.5), np.linspace(-0.95, 0.95, 21))
         assert 0 < len(points) < 21
         assert calls == {"neumann_eigenvalue": 0, "lowest_eigenvalue": len(points) + 1}
 
@@ -215,18 +215,18 @@ class TestSolveClassification:
         pt = sb.F(spec, sol.secondary_e)
         assert abs(pt.F - (sol.secondary_e**2 - 1.0)) <= 1e-8
 
-    @pytest.mark.parametrize("spec", [sb.exponential(3.4), sb.woods_saxon(2.0)])
+    @pytest.mark.parametrize("spec", [sb.woods_saxon(1.5), sb.woods_saxon(2.0)])
     def test_root_search_cost(self, spec, monkeypatch):
         # concavity of G leaves one bracketed root search: a handful of
         # eigenvalue solves, not a scan of the window
         calls = []
-        real = kleingordon.lowest_eigenvalue
+        real = radial_schrodinger.lowest_eigenvalue
 
         def counted(*args, **kwargs):
             calls.append(None)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(kleingordon, "lowest_eigenvalue", counted)
+        monkeypatch.setattr(radial_schrodinger, "lowest_eigenvalue", counted)
         assert sb.solve(spec, 1.0).status is KgStatus.BOUND
         assert len(calls) <= 16
 
@@ -334,19 +334,23 @@ class TestCriticalCouplings:
 
 
 class TestExistenceEdge:
-    @pytest.mark.parametrize("grid, r_end", [
-        (None, 40.0),
-        # the override box cuts the potential at r = 8, which moves the
-        # edge by about 1e-4; the binding test must see that box
-        (GridConfig(8.0, 512), 8.0),
+    @pytest.mark.parametrize("kind, v, grid, r_end", [
+        ("exponential", 3.4, None, 40.0),
+        # the override box cuts the potential at r = 2, which moves the
+        # edge by about 1e-3; the FD binding test must see that box
+        ("woods-saxon", 1.5, GridConfig(2.0, 512), 2.0),
     ])
-    def test_edge_is_zero_energy_root(self, grid, r_end):
+    def test_edge_is_zero_energy_root(self, kind, v, grid, r_end):
         # e0 is the e where the zero-energy solution of h(e) leaves the box
         # flat, u'(R) = 0
-        shape = ZERO_ENERGY_SHAPES["exponential"][1]
-        want = zero_energy_root(lambda e: zero_energy_slope(shape, 3.4, e, r_end), np.linspace(-0.99, 0.99, 12))
-        sol = sb.solve(sb.exponential(3.4), 1.0, grid)
+        make, shape, _ = ZERO_ENERGY_SHAPES[kind]
+        want = zero_energy_root(lambda e: zero_energy_slope(shape, v, e, r_end), np.linspace(-0.99, 0.99, 12))
+        sol = sb.solve(make(v), 1.0, grid)
         assert sol.e0 == pytest.approx(want, abs=1e-9)
+
+    def test_exponential_kind_ignores_the_grid(self):
+        # the series has no box: an override applies only where FD runs
+        assert sb.solve(sb.exponential(3.4), 1.0, GridConfig(8.0, 512)) == sb.solve(sb.exponential(3.4), 1.0)
 
     def test_edge_itself_is_not_bound(self):
         # at its own edge the matched kappa falls below the root tolerance;

@@ -326,7 +326,7 @@ class TestCertifiedBracket:
             return robin_levels(*args)
 
         monkeypatch.setattr(radial_schrodinger, "_robin_levels", counted)
-        for spec in (sb.exponential(3.4), sb.woods_saxon(1.0)):
+        for spec in (sb.woods_saxon(2.6), sb.woods_saxon(1.0)):
             del selects[:], builds[:]
             sb.solve(spec, 1.0)
             assert len(selects) == len(builds)

@@ -63,7 +63,7 @@ def test_fcurves_curve_runs_no_binding_test(tmp_path):
     # the curve walks down to its existence edge through lowest_eigenvalue
     # alone; solve keeps the one edge search, so the binding test runs
     # under solve and never under curve
-    spans = traced_spans(tmp_path, "fcurves", "--set", "potential=exponential", "--set", "v=2.5",
+    spans = traced_spans(tmp_path, "fcurves", "--set", "potential=woods-saxon", "--set", "v=1.5",
                          "--set", "m=1", "--set", "e_steps=9", "--set", "out=curves")
 
     def ancestors(span):
