@@ -28,9 +28,10 @@ from .potentials import (CouplingOutOfRange, Kind, NoBoundState, NonBindingSearc
 # the solvers are imported inside the functions that run them: most of a
 # command's start-up is import time, and each command pays only for the
 # solvers it uses.  kleingordon loads scipy's compiled LAPACK extension
-# alone, and only where its finite-difference engine runs (Woods-Saxon, a
-# grid override, or an exponential coupling past the series' rounding
-# guard); salpeter and gaussian_bound load numpy alone
+# alone, and only where its finite-difference engine runs (Woods-Saxon, or
+# an exponential coupling past the series' rounding guard); salpeter and
+# gaussian_bound load numpy alone.  Each solver sizes its own box, grid and
+# basis, so no key sets them
 
 BOUNDS_HEADER = "v,m,e_kg,E_srs,E_gauss,e0,delta,status"
 ORDER_TOL = 1e-6
@@ -39,8 +40,7 @@ _KIND_NAMES = {k.value: k for k in Kind}
 
 _KEYS = {
     "potential", "a", "b", "m", "m_min", "m_max", "m_step",
-    "v", "v_min", "v_max", "v_steps",
-    "r_max", "grid_points", "basis_size", "tol",
+    "v", "v_min", "v_max", "v_steps", "tol",
     "out", "threads", "e_steps",
 }
 
@@ -60,9 +60,6 @@ class SweepConfig:
     v_min: float | None = None
     v_max: float | None = None
     v_steps: int = 1
-    r_max: float | None = None
-    grid_points: int | None = None
-    basis_size: int | None = None  # None: salpeter.DEFAULT_BASIS_SIZE
     tol: float = ORDER_TOL
     out: str | None = None
     e_steps: int = 61
@@ -114,19 +111,6 @@ class SweepConfig:
             return grid[0]
         raise ConfigError("this command needs a single coupling v")
 
-    def grid_override(self):
-        """The radial_schrodinger.GridConfig of r_max / grid_points, or None.
-
-        radial_schrodinger, and with it scipy's LAPACK extension, loads
-        only when an override is set."""
-        if self.r_max is None and self.grid_points is None:
-            return None
-        if self.r_max is None:
-            raise ConfigError("grid_points override requires r_max as well")
-        from .radial_schrodinger import GridConfig
-
-        return GridConfig(self.r_max) if self.grid_points is None else GridConfig(self.r_max, self.grid_points)
-
 
 def _parse_assignments(pairs: list[tuple[str, str, str]]) -> SweepConfig:
     cfg = SweepConfig()
@@ -143,11 +127,11 @@ def _parse_assignments(pairs: list[tuple[str, str, str]]) -> SweepConfig:
                 cfg.tol = float(value)
                 if not (np.isfinite(cfg.tol) and cfg.tol >= 0):
                     raise ValueError(f"tol must be finite and >= 0, got {value}")
-            elif key in ("m", "v", "v_min", "v_max", "r_max"):
+            elif key in ("m", "v", "v_min", "v_max"):
                 setattr(cfg, key, float(value))
             elif key in ("m_min", "m_max", "m_step"):
                 seen_mass_grid[key] = float(value)
-            elif key in ("v_steps", "grid_points", "basis_size", "e_steps"):
+            elif key in ("v_steps", "e_steps"):
                 setattr(cfg, key, int(value))
             elif key == "threads":
                 int(value)  # still read, so old configs parse; sweeps run serially
@@ -173,7 +157,7 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> SweepC
     """Read a flat key = value config file, then apply --set overrides.
 
     Keys: potential, a, b, m (or m_min/m_max/m_step), v, v_min, v_max,
-    v_steps, r_max, grid_points, basis_size, tol, out, threads, e_steps.
+    v_steps, tol, out, threads, e_steps.
     threads must be an integer but has no effect.  Blank lines and '#'
     comments are ignored.  Errors carry file:line positions.
     """
@@ -233,26 +217,18 @@ class BoundsRow:
         return True
 
 
-def _ground_energy(cfg: SweepConfig, spec: PotentialSpec, m: float):
-    from . import salpeter
-
-    if cfg.basis_size is None:
-        return salpeter.ground_energy(spec, m)
-    return salpeter.ground_energy(spec, m, cfg.basis_size)
-
-
-def _bounds_row(cfg: SweepConfig, v: float, m: float, grid) -> BoundsRow:
-    from . import gaussian_bound, kleingordon
+def _bounds_row(cfg: SweepConfig, v: float, m: float) -> BoundsRow:
+    from . import gaussian_bound, kleingordon, salpeter
 
     spec = cfg.potential(v)
     try:
-        sol = kleingordon.solve(spec, m, grid)
+        sol = kleingordon.solve(spec, m)
     except (NonConvergence, ValueError):
         return BoundsRow(v, m, None, None, None, None, None, "error")
     if sol.status is not kleingordon.KgStatus.BOUND:
         return BoundsRow(v, m, None, None, None, sol.e0, None, sol.status.value)
     try:
-        e_srs = _ground_energy(cfg, spec, m).E
+        e_srs = salpeter.ground_energy(spec, m).E
     except (NoBoundState, NonConvergence):
         return BoundsRow(v, m, sol.e, None, None, sol.e0, sol.delta_at_e, "error")
     e_gauss = None
@@ -274,8 +250,7 @@ def run_bounds(cfg: SweepConfig) -> tuple[Path, int]:
     if cfg.out is None:
         raise ConfigError("bounds needs an output file: set out = <path>")
     m = cfg.single_mass()
-    grid = cfg.grid_override()
-    rows = [_bounds_row(cfg, v, m, grid) for v in cfg.coupling_grid()]
+    rows = [_bounds_row(cfg, v, m) for v in cfg.coupling_grid()]
     violations = sum(0 if row.ordering_ok(cfg.tol) else 1 for row in rows)
     out = Path(cfg.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -285,11 +260,10 @@ def run_bounds(cfg: SweepConfig) -> tuple[Path, int]:
     return out, violations
 
 
-def _fcurve_lines(cfg: SweepConfig, v: float, e_values: list[float], grid) -> list[str]:
+def _fcurve_lines(cfg: SweepConfig, v: float, e_values: list[float]) -> list[str]:
     from . import kleingordon
 
-    spec = cfg.potential(v)
-    points = kleingordon.curve(spec, e_values, grid)
+    points = kleingordon.curve(cfg.potential(v), e_values)
     status = "ok" if points else "empty"
     return [f"# v={v:.12g} status={status}", "e,F,F_prime,delta"] + kleingordon.curve_csv_rows(points)
 
@@ -305,7 +279,6 @@ def run_fcurves(cfg: SweepConfig) -> list[Path]:
         raise ConfigError(f"e_steps must be >= 1, got {cfg.e_steps}")
     masses = cfg.masses()
     couplings = cfg.coupling_grid()
-    grid = cfg.grid_override()
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     m_top = max(masses)
@@ -318,7 +291,7 @@ def run_fcurves(cfg: SweepConfig) -> list[Path]:
 
     for v in couplings:
         path = out_dir / f"fcurve_v{v:.6g}.csv"
-        path.write_text("\n".join(_fcurve_lines(cfg, v, e_values, grid)) + "\n", encoding="utf-8")
+        path.write_text("\n".join(_fcurve_lines(cfg, v, e_values)) + "\n", encoding="utf-8")
         written.append(path)
 
     lines = ["m,e,g"]
@@ -333,7 +306,7 @@ def run_fcurves(cfg: SweepConfig) -> list[Path]:
     inter_lines = ["v,m,e,status"]
     for v in couplings:
         for m in masses:
-            sol = kleingordon.solve(cfg.potential(v), m, grid)
+            sol = kleingordon.solve(cfg.potential(v), m)
             inter_lines.append(f"{v:.12g},{m:.12g},{_fmt(sol.e)},{sol.status.value}")
     intersections = out_dir / "intersections.csv"
     intersections.write_text("\n".join(inter_lines) + "\n", encoding="utf-8")
@@ -349,8 +322,8 @@ def run_critical(cfg: SweepConfig, out=None) -> tuple[float, float]:
         raise ConfigError("criticality is a coupling window for Coulomb, not a spectral threshold")
     m = cfg.single_mass()
     template = cfg.potential(1.0)
-    lower = kleingordon.critical_coupling_lower(template, m, cfg.grid_override())
-    upper = kleingordon.critical_coupling_upper(template, m, cfg.grid_override())
+    lower = kleingordon.critical_coupling_lower(template, m)
+    upper = kleingordon.critical_coupling_upper(template, m)
     print(f"potential={cfg.kind.value} m={m:.12g}", file=out)
     print(f"binding_threshold_v={lower:.6f} (root tol {kleingordon.COUPLING_XTOL:g})", file=out)
     print(f"supercritical_v={upper:.6f} (root tol {kleingordon.COUPLING_XTOL:g})", file=out)
@@ -360,7 +333,7 @@ def run_critical(cfg: SweepConfig, out=None) -> tuple[float, float]:
 def _cmd_kg(cfg: SweepConfig) -> int:
     from . import kleingordon
 
-    sol = kleingordon.solve(cfg.potential(cfg.single_coupling()), cfg.single_mass(), cfg.grid_override())
+    sol = kleingordon.solve(cfg.potential(cfg.single_coupling()), cfg.single_mass())
     print(f"status={sol.status.value}")
     print(f"e={_fmt(sol.e)}")
     print(f"e0={_fmt(sol.e0)}")
@@ -371,8 +344,9 @@ def _cmd_kg(cfg: SweepConfig) -> int:
 
 
 def _cmd_salpeter(cfg: SweepConfig) -> int:
-    spec = cfg.potential(cfg.single_coupling())
-    sol = _ground_energy(cfg, spec, cfg.single_mass())
+    from . import salpeter
+
+    sol = salpeter.ground_energy(cfg.potential(cfg.single_coupling()), cfg.single_mass())
     print(f"E={sol.E:.12g}")
     print(f"basis_tail={sol.basis_tail:.3e}")
     for n, r_box, energy in sol.convergence_history:

@@ -10,11 +10,12 @@ is an interval stretching up from an existence edge e0 (where F -> 0).
 Two of the three shapes are exactly solvable.  The Coulomb curve is a
 closed form.  The exponential curve, its edge and its critical couplings
 come from the e^{-r} series of _ExponentialCurve, summed in float64; where
-that sum cancels past the call's root tolerance (large couplings), the
-whole call runs on the finite-difference engine instead.  Woods-Saxon
-always runs on it: every e is solved in one box that covers the range of V,
-closed by the exact exterior matching of radial_schrodinger, whose signed
-Neumann eigenvalue is the binding test.  Only that engine imports
+a sum cancels past the call's root tolerance and its sign is lost to
+rounding (large couplings), the whole call runs on the finite-difference
+engine instead.  Woods-Saxon always runs on it: every e is solved in one
+box that covers the range of V, sized from the potential alone and closed
+by the exact exterior matching of radial_schrodinger, whose signed Neumann
+eigenvalue is the binding test.  Only that engine imports
 radial_schrodinger, and with it scipy's compiled LAPACK extension.  Each
 engine's binding test is negative exactly when h(e) binds; the edge and
 both critical couplings are its roots, found by potentials.brentq (a port
@@ -33,13 +34,10 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from . import potentials
 from .potentials import Kind, NoBoundState, NonBindingSearchError, PotentialSpec, Theory, brentq, check_mass
-
-if TYPE_CHECKING:
-    from .radial_schrodinger import GridConfig
 
 WINDOW_MARGIN = 1e-6   # relative margin keeping the search inside the open window
 ROOT_XTOL = 1e-10      # intersections and the existence edge
@@ -127,7 +125,9 @@ class _ExponentialCurve:
     and the critical couplings are roots of the kappa = 0 sum.
 
     Each sum carries the rounding bound eps * sum |c_n|, which grows like
-    e^v; where it exceeds tol, _SeriesRounding is raised.
+    e^v.  The root searches read only the sign of S, so _SeriesRounding is
+    raised only where the bound exceeds tol and |S| does not exceed the
+    bound: there the sign is not certain.
     """
 
     def __init__(self, spec: PotentialSpec, tol: float = ROOT_XTOL):
@@ -151,7 +151,7 @@ class _ExponentialCurve:
             if d > abs(a) + abs(b) and abs(c) + abs(c_prev) <= 1e-18 * total_abs:
                 break
         bound = sys.float_info.epsilon * total_abs
-        if bound > self.tol:
+        if bound > self.tol and not abs(total) > bound:
             raise _SeriesRounding(f"the series at v = {self.v} cancels to {bound:.1e}")
         return total
 
@@ -213,20 +213,19 @@ class _ExponentialCurve:
 
 class _CurveEngine:
     """Per-solve finite-difference evaluator for one potential, with one
-    grid for every e: the caller's, or by default the box
-    [0, tail_radius(spec, TAIL_EPS)] on the three-level grid."""
+    grid for every e: the box [0, r_max] on the three-level grid, where
+    r_max is tail_radius(spec, TAIL_EPS) unless given."""
 
-    def __init__(self, spec: PotentialSpec, grid: GridConfig | None = None):
+    def __init__(self, spec: PotentialSpec, r_max: float | None = None):
         # the one import of the FD solver, and so of scipy's LAPACK extension
         from . import radial_schrodinger
 
         self.fd = radial_schrodinger
         self.spec = spec
-        if grid is None:
+        if r_max is None:
             r_max = potentials.tail_radius(spec, potentials.TAIL_EPS)
-            # 64 is the fewest points GridConfig accepts
-            grid = radial_schrodinger.GridConfig(r_max, max(64, math.ceil(r_max / _H_FULL)))
-        self.full = grid
+        # 64 is the fewest points GridConfig accepts
+        self.full = radial_schrodinger.GridConfig(r_max, max(64, math.ceil(r_max / _H_FULL)))
         self.binding = functools.cache(self._binding)
 
     def _w(self, e: float) -> Callable:
@@ -247,12 +246,11 @@ class _CurveEngine:
         return SpectralCurvePoint(e=e, F=res.eigenvalue, F_prime=f_prime, delta=e - 0.5 * f_prime)
 
 
-def _on_curve(spec: PotentialSpec, grid: GridConfig | None, run: Callable):
+def _on_curve(spec: PotentialSpec, run: Callable):
     """run(engine) on the curve of an admissible spec: the closed form or
-    the series where the kind has one (they ignore grid), else FD on the
-    grid.  Where the series cancels, the whole of run starts again on FD,
-    so no root search mixes the two.  Raises ValueError for an
-    inadmissible spec."""
+    the series where the kind has one, else FD.  Where the series loses a
+    sign to rounding, the whole of run starts again on FD, so no root
+    search mixes the two.  Raises ValueError for an inadmissible spec."""
     potentials.validate(spec, Theory.KLEIN_GORDON)
     if spec.kind is Kind.COULOMB:
         return run(_CoulombCurve(spec))
@@ -261,20 +259,20 @@ def _on_curve(spec: PotentialSpec, grid: GridConfig | None, run: Callable):
             return run(_ExponentialCurve(spec))
         except _SeriesRounding:
             pass
-    return run(_CurveEngine(spec, grid))
+    return run(_CurveEngine(spec))
 
 
-def F(spec: PotentialSpec, e: float, grid: GridConfig | None = None) -> SpectralCurvePoint:
+def F(spec: PotentialSpec, e: float) -> SpectralCurvePoint:
     """Lowest eigenvalue of h(e) = p^2 + 2eV - V^2 plus slope data.
 
-    The Coulomb and exponential kinds are exact and bypass the grid (the
-    exponential one unless its series cancels).  Raises NoBoundState where
-    the curve does not exist.
+    The Coulomb and exponential kinds are exact and need no grid (the
+    exponential one unless its series loses a sign to rounding).  Raises
+    NoBoundState where the curve does not exist.
     """
-    return _on_curve(spec, grid, lambda engine: engine.point(e))
+    return _on_curve(spec, lambda engine: engine.point(e))
 
 
-def curve(spec: PotentialSpec, e_values, grid: GridConfig | None = None) -> list[SpectralCurvePoint]:
+def curve(spec: PotentialSpec, e_values) -> list[SpectralCurvePoint]:
     """Sample the spectral curve at the given e values, in increasing e,
     leaving out the part of the axis where h(e) has no bound state.
 
@@ -293,7 +291,7 @@ def curve(spec: PotentialSpec, e_values, grid: GridConfig | None = None) -> list
                 break
         return points[::-1]
 
-    return _on_curve(spec, grid, walk)
+    return _on_curve(spec, walk)
 
 
 def _continuum_point(e: float) -> SpectralCurvePoint:
@@ -307,7 +305,7 @@ def _solve_coulomb(curve: _CoulombCurve, m: float) -> KgSolution:
     return KgSolution(e=e, m=m, status=KgStatus.BOUND, e0=0.0, delta_at_e=pt.delta)
 
 
-def solve(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> KgSolution:
+def solve(spec: PotentialSpec, m: float) -> KgSolution:
     """Smallest root of F(e) = e^2 - m^2 in (-m, m), with classification.
 
     G(e) = F(e) - e^2 + m^2 is concave, so root searches find every root.
@@ -319,7 +317,7 @@ def solve(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> KgSo
     if not, G < 0 across the whole window: supercritical.
     """
     check_mass(m)
-    return _on_curve(spec, grid, functools.partial(_solve, m=m))
+    return _on_curve(spec, functools.partial(_solve, m=m))
 
 
 def _solve(engine, m: float) -> KgSolution:
@@ -377,18 +375,14 @@ def _solve(engine, m: float) -> KgSolution:
     )
 
 
-def _binding_at(spec: PotentialSpec, e: float, grid: GridConfig, v: float) -> float:
-    return _CurveEngine(PotentialSpec(spec.kind, v, spec.a, spec.b), grid).binding(e)
-
-
-def _critical_coupling(spec: PotentialSpec, m: float, e_probe: float, grid: GridConfig | None) -> float:
+def _critical_coupling(spec: PotentialSpec, m: float, e_probe: float) -> float:
     """The v where the binding test of h(e_probe) changes sign, by brentq.
 
     The exponential kind probes the kappa = 0 sum of its series; where that
-    cancels, the whole search runs on FD.  FD probes every v on one grid,
-    the caller's or the default grid of the bracket's upper v, whose box
-    covers the range of V for every smaller v; on a fixed grid the test is
-    smooth in v.
+    loses a sign to rounding, the whole search runs on FD.  FD probes every
+    v in one box, the default box of the bracket's upper v, which covers
+    the range of V for every smaller v; in a fixed box the test is smooth
+    in v.
     """
     if spec.kind is Kind.COULOMB:
         raise ValueError("critical couplings are defined for the short-range kinds only")
@@ -403,9 +397,12 @@ def _critical_coupling(spec: PotentialSpec, m: float, e_probe: float, grid: Grid
         except _SeriesRounding:
             pass
 
+    def at(v: float) -> PotentialSpec:
+        return PotentialSpec(spec.kind, v, spec.a, spec.b)
+
     def fd_probe(hi: float) -> Callable[[float], float]:
-        box = grid or _CurveEngine(PotentialSpec(spec.kind, hi, spec.a, spec.b)).full
-        return functools.cache(functools.partial(_binding_at, spec, e_probe, box))
+        r_max = potentials.tail_radius(at(hi), potentials.TAIL_EPS)
+        return functools.cache(lambda v: _CurveEngine(at(v), r_max).binding(e_probe))
 
     return _coupling_root(fd_probe, m)
 
@@ -430,16 +427,16 @@ def _coupling_root(probe_for: Callable[[float], Callable[[float], float]], m: fl
     return float(brentq(probe, lo, hi, xtol=COUPLING_XTOL))
 
 
-def critical_coupling_lower(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> float:
+def critical_coupling_lower(spec: PotentialSpec, m: float) -> float:
     """Binding threshold: smallest v whose curve meets the parabola.
 
     At threshold the intersection sits at e -> m with F(m) -> 0, so the
     transition coincides with h(m) first acquiring a negative eigenvalue.
     """
-    return _critical_coupling(spec, m, m, grid)
+    return _critical_coupling(spec, m, m)
 
 
-def critical_coupling_upper(spec: PotentialSpec, m: float, grid: GridConfig | None = None) -> float:
+def critical_coupling_upper(spec: PotentialSpec, m: float) -> float:
     """Supercritical threshold: the v where h(-m) first binds, F(-m; v) = 0.
 
     Past it the existence edge e0 lies below -m, but G can still have roots
@@ -448,7 +445,7 @@ def critical_coupling_upper(spec: PotentialSpec, m: float, grid: GridConfig | No
     e = -0.999904 with delta < 0); it reports supercritical only where G
     stays negative across the whole window.
     """
-    return _critical_coupling(spec, m, -m, grid)
+    return _critical_coupling(spec, m, -m)
 
 
 def curve_csv_rows(points: list[SpectralCurvePoint]) -> list[str]:

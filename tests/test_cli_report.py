@@ -1,7 +1,9 @@
 import functools
 import io
+import re
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from salpeterbounds.cli_report import (
     BOUNDS_HEADER,
     BoundsRow,
     ConfigError,
-    SweepConfig,
     parse_config,
     run_bounds,
     run_critical,
@@ -96,10 +97,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="threads"):
             parse_config(None, overrides=["threads=2.5"])
 
-    def test_grid_override_requires_r_max(self):
-        cfg = SweepConfig(grid_points=2048)
-        with pytest.raises(ConfigError):
-            cfg.grid_override()
+    @pytest.mark.parametrize("key, value", [("r_max", "8"), ("grid_points", "512"), ("basis_size", "64")])
+    def test_removed_solver_keys_are_unknown(self, key, value, tmp_path, capsys):
+        # each solver sizes its own box, grid and basis: an old config that
+        # names one of these keys exits 1 like any unknown key
+        point = ["--set", "potential=woods-saxon", "--set", "v=2.0", "--set", "m=1"]
+        path = write_config(tmp_path, f"potential = woods-saxon\n{key} = {value}\n")
+        assert cli.main(["kg", "--config", str(path), *point]) == 1
+        assert capsys.readouterr() == ("", f"config error: {path}:2: unknown key {key!r}\n")
+        assert cli.main(["kg", *point, "--set", f"{key}={value}"]) == 1
+        assert capsys.readouterr() == ("", f"config error: --set: unknown key {key!r}\n")
+
+    def test_readme_lists_exactly_the_config_keys(self):
+        # the README's key block names each key once, in its first column
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Config files are flat", 1)[1].split("```", 2)[1]
+        listed = [key for line in block.splitlines() if line and not line[0].isspace()
+                  for key in re.split(r"\s{2,}", line)[0].split(", ")]
+        assert sorted(listed) == sorted(cli._KEYS)
 
 
 class TestBoundsRow:
@@ -414,22 +429,6 @@ class TestMainEntry:
         assert captured.err == "error: mass must be positive, got -1.0\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, target", [("bounds", "rows.csv"), ("fcurves", "curves")])
-    @pytest.mark.parametrize("override, reason", [
-        (["r_max=-3"], "r_max must be positive, got -3.0"),
-        (["r_max=10", "grid_points=10"], "n_points must be >= 64, got 10"),
-    ])
-    def test_bad_grid_override_exits_before_writing(self, command, target, override, reason, tmp_path, capsys):
-        out = tmp_path / target
-        grid_args = [arg for item in override for arg in ("--set", item)]
-        rc = cli.main([command, "--set", "potential=woods-saxon", "--set", "v=2.0", "--set", "m=1",
-                       "--set", "e_steps=5", *grid_args, "--set", f"out={out}"])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {reason}\n"
-        assert not out.exists()
-
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
     def test_tol_must_be_finite_and_not_negative(self, tol, tmp_path, capsys):
         out = tmp_path / "rows.csv"
@@ -449,7 +448,7 @@ class TestMainEntry:
 
     def test_critical_search_failure_exits_cleanly(self, monkeypatch, capsys):
         # a positive binding test: h(e) binds at no coupling
-        monkeypatch.setattr(kleingordon, "_binding_at", lambda *args: 1.0)
+        monkeypatch.setattr(radial_schrodinger, "neumann_eigenvalue", lambda *args: 1.0)
         rc = cli.main(["critical", "--set", "potential=woods-saxon", "--set", "m=1"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: no binding found up to v = ")
@@ -464,22 +463,6 @@ class TestMainEntry:
         assert out.read_text().splitlines()[1] == "2,1,,,,,,error"
         assert cli.main(["kg", *point]) == 1
         assert capsys.readouterr().err.startswith("error: brentq did not converge in 1 iterations")
-
-    @pytest.mark.parametrize("command", ["bounds", "salpeter"])
-    def test_basis_size_override(self, command, tmp_path, monkeypatch):
-        seen = []
-
-        def fake_ground_energy(spec, m, basis_size):
-            seen.append(basis_size)
-            return salpeter.SalpeterSolution(E=0.99, m=m, basis_tail=0.0)
-
-        monkeypatch.setattr(salpeter, "ground_energy", fake_ground_energy)
-        rc = cli.main([
-            command, "--set", "potential=coulomb", "--set", "v=0.3", "--set", "m=1",
-            "--set", "basis_size=64", "--set", f"out={tmp_path / 'bounds.csv'}",
-        ])
-        assert rc == 0
-        assert seen == [64]
 
     def test_salpeter_single_point(self, capsys):
         rc = cli.main([

@@ -124,29 +124,86 @@ class TestRoundingGuard:
     @pytest.mark.parametrize("v, tol", [(4.5, 1e-10), (10.0, 1e-10), (20.0, 1e-10), (20.0, 1e-6), (25.0, 1e-6)])
     def test_guard_is_the_rounding_bound(self, v, tol):
         value, size = exp_series(0.3, -1.0, v)
+        exact = float(exp_series_mp(0.3, -1.0, v, 60))
         # the bound covers the float64 sum's measured error
-        assert abs(value - float(exp_series_mp(0.3, -1.0, v, 60))) <= EPS * size
+        assert abs(value - exact) <= EPS * size
         curve = kleingordon._ExponentialCurve(sb.exponential(v), tol)
-        if EPS * size > tol:
+        # the root searches read signs only: the guard trips where the bound
+        # exceeds tol and also |S|, so that the sign is not certain
+        if EPS * size > tol and not abs(value) > EPS * size:
             with pytest.raises(kleingordon._SeriesRounding):
                 curve._sum(0.3, -1.0)
         else:
             assert curve._sum(0.3, -1.0) == pytest.approx(value, abs=EPS * size)
+            assert (value < 0) == (exact < 0)
+
+    def test_guard_trips_where_the_sign_is_uncertain(self):
+        # at v = 20 the smallest root of S(kappa; -1) has a rounding bound of
+        # 1.8e-9, and there the float64 sum has the wrong sign
+        kappa = exp_series_roots(-1.0, 20.0)[-1]
+        value, size = exp_series(kappa, -1.0, 20.0)
+        assert abs(value) <= EPS * size and (value < 0) != (float(exp_series_mp(kappa, -1.0, 20.0, 60)) < 0)
+        with pytest.raises(kleingordon._SeriesRounding):
+            kleingordon._ExponentialCurve(sb.exponential(20.0), kleingordon.COUPLING_XTOL)._sum(kappa, -1.0)
 
     def test_a_call_past_the_guard_runs_wholly_on_fd(self):
-        # the kappa = 0 sum at v = 11, e = -4 cancels to 8e-10
         spec = sb.exponential(11.0)
-        assert EPS * exp_series(0.0, -4.0, 11.0)[1] > kleingordon.ROOT_XTOL
+        with pytest.raises(kleingordon._SeriesRounding):
+            kleingordon._solve(kleingordon._ExponentialCurve(spec), 4.0)
         assert sb.solve(spec, 4.0) == kleingordon._solve(kleingordon._CurveEngine(spec), 4.0)
 
     @pytest.mark.parametrize("m, lines", [
         ("1", ["binding_threshold_v=0.672999 (root tol 1e-09)", "supercritical_v=5.680800 (root tol 1e-09)"]),
         # the upper threshold lies past the guard, at v = 26.7, and runs on FD
         ("10", ["binding_threshold_v=0.072233 (root tol 1e-09)", "supercritical_v=26.735025 (root tol 1e-09)"]),
+        # on the series; FD prints the same digits
+        ("2", ["binding_threshold_v=0.354576 (root tol 1e-09)", "supercritical_v=8.332279 (root tol 1e-09)"]),
+        ("5", ["binding_threshold_v=0.144126 (root tol 1e-09)", "supercritical_v=15.516588 (root tol 1e-09)"]),
+        # the upper threshold runs on FD
+        ("7", ["binding_threshold_v=0.103106 (root tol 1e-09)", "supercritical_v=20.068471 (root tol 1e-09)"]),
     ])
     def test_critical_prints_the_fd_digits(self, m, lines, capsys):
         assert cli_report.main(["critical", "--set", "potential=exponential", "--set", f"m={m}"]) == 0
         assert capsys.readouterr().out.splitlines() == [f"potential=exponential m={m}", *lines]
 
-    def test_upper_threshold_at_m_ten_is_past_the_guard(self):
-        assert EPS * exp_series(0.0, -10.0, 26.7)[1] > kleingordon.COUPLING_XTOL
+    def test_upper_threshold_at_m_ten_is_past_the_guard(self, monkeypatch):
+        engines = _count_engines(monkeypatch)
+        sb.critical_coupling_upper(sb.exponential(1.0), 10.0)
+        assert engines
+
+
+def _count_engines(monkeypatch) -> list:
+    """Record every FD engine kleingordon builds from here on."""
+    built, engine = [], kleingordon._CurveEngine
+
+    def counted(*args):
+        built.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(kleingordon, "_CurveEngine", counted)
+    return built
+
+
+class TestSignOnlyGuard:
+    @pytest.mark.parametrize("m", [2.0, 5.0])
+    @pytest.mark.parametrize("search, side", [(sb.critical_coupling_lower, 1.0), (sb.critical_coupling_upper, -1.0)],
+                             ids=["lower", "upper"])
+    def test_thresholds_stay_on_the_series(self, m, search, side, monkeypatch):
+        # the upper search at m = 2 doubles to v = 16, where the bound is
+        # 4e-9 but |S| = 3.3: the sign is certain, so no FD engine is built
+        engines = _count_engines(monkeypatch)
+        got = search(sb.exponential(1.0), m)
+        assert engines == []
+        with mpmath.workdps(50):
+            want = mpmath.findroot(lambda v: exp_series_mp(0, side * m, v), got)
+        assert abs(got - float(want)) <= kleingordon.COUPLING_XTOL
+
+    def test_a_solve_that_left_fd(self, monkeypatch):
+        # e is where kappa = sqrt(m^2 - e^2) is a root of S; FD's e at
+        # (v, m) = (12, 4) is 8.9e-10 off
+        engines = _count_engines(monkeypatch)
+        sol = sb.solve(sb.exponential(12.0), 4.0)
+        assert engines == [] and sol.status is sb.KgStatus.BOUND
+        with mpmath.workdps(50):
+            want = mpmath.findroot(lambda e: exp_series_mp(mpmath.sqrt(16 - e * e), e, 12.0), sol.e)
+        assert abs(sol.e - float(want)) <= kleingordon.ROOT_XTOL

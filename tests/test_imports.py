@@ -48,13 +48,13 @@ COMMANDS = {
     "kg": ["kg", *WOODS_SAXON],
     "critical": ["critical", "--set", "potential=woods-saxon", "--set", "m=1"],
     "fcurves": ["fcurves", *WOODS_SAXON, "--set", "e_steps=5", "--set", "out=curves"],
-    "bounds": ["bounds", *WOODS_SAXON, "--set", "basis_size=64", "--set", "out=rows.csv"],
-    "salpeter": ["salpeter", *WOODS_SAXON, "--set", "basis_size=64"],
+    "bounds": ["bounds", *WOODS_SAXON, "--set", "out=rows.csv"],
+    "salpeter": ["salpeter", *WOODS_SAXON],
     "kg-exponential": ["kg", *EXPONENTIAL],
     "critical-exponential": ["critical", "--set", "potential=exponential", "--set", "m=1"],
     "fcurves-exponential": ["fcurves", *EXPONENTIAL, "--set", "e_steps=5", "--set", "out=curves"],
     "bounds-coulomb": ["bounds", "--set", "potential=coulomb", "--set", "v=0.05", "--set", "m=1",
-                       "--set", "basis_size=64", "--set", "out=rows.csv"],
+                       "--set", "out=rows.csv"],
 }
 # the scipy.linalg extension module that _lapack loads without its package
 FLAPACK = "scipy.linalg._flapack"

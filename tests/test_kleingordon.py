@@ -6,9 +6,9 @@ import pytest
 from scipy.special import expit
 
 import salpeterbounds as sb
-from salpeterbounds import kleingordon, radial_schrodinger
+from salpeterbounds import kleingordon, potentials, radial_schrodinger
 from salpeterbounds.kleingordon import KgStatus, curve_csv_rows
-from salpeterbounds.radial_schrodinger import GridConfig, NoBoundState
+from salpeterbounds.radial_schrodinger import NoBoundState
 
 from oracles import (
     coulomb_kg_energy,
@@ -76,17 +76,17 @@ class TestSpectralCurveShortRange:
     def test_curve_of_no_e_values_is_empty(self):
         assert sb.curve(sb.exponential(2.5), []) == []
 
-    @pytest.mark.parametrize("spec, window, grid", [
-        (sb.exponential(2.5), np.linspace(-0.05, 0.0, 11), None),
-        (sb.exponential(3.4), np.linspace(-0.3, -0.25, 11), GridConfig(8.0, 512)),
-        (sb.woods_saxon(1.5), np.linspace(0.26, 0.31, 11), None),
+    @pytest.mark.parametrize("spec, window", [
+        (sb.exponential(2.5), np.linspace(-0.05, 0.0, 11)),
+        (sb.exponential(3.4), np.linspace(-0.3, -0.25, 11)),
+        (sb.woods_saxon(1.5), np.linspace(0.26, 0.31, 11)),
     ])
-    def test_curve_samples_exactly_the_grid_above_the_edge(self, spec, window, grid):
+    def test_curve_samples_exactly_the_grid_above_the_edge(self, spec, window):
         # solve's edge search is the oracle for where the walk stops
-        e0 = sb.solve(spec, 1.0, grid).e0
+        e0 = sb.solve(spec, 1.0).e0
         assert window[0] < e0 < window[-1]
         assert np.min(np.abs(window - e0)) > 1e-6
-        points = sb.curve(spec, window[::-1], grid)
+        points = sb.curve(spec, window[::-1])
         assert [p.e for p in points] == [float(e) for e in window if e > e0]
 
     def test_delta_consistency(self):
@@ -334,23 +334,20 @@ class TestCriticalCouplings:
 
 
 class TestExistenceEdge:
-    @pytest.mark.parametrize("kind, v, grid, r_end", [
-        ("exponential", 3.4, None, 40.0),
-        # the override box cuts the potential at r = 2, which moves the
-        # edge by about 1e-3; the FD binding test must see that box
-        ("woods-saxon", 1.5, GridConfig(2.0, 512), 2.0),
+    @pytest.mark.parametrize("kind, v, r_end", [
+        ("exponential", 3.4, 40.0),
+        # FD's default box for a = 1, b = 0.2 ends at
+        # tail_radius(spec, TAIL_EPS) = 8, where the binding test closes it
+        ("woods-saxon", 1.5, 8.0),
     ])
-    def test_edge_is_zero_energy_root(self, kind, v, grid, r_end):
+    def test_edge_is_zero_energy_root(self, kind, v, r_end):
         # e0 is the e where the zero-energy solution of h(e) leaves the box
         # flat, u'(R) = 0
         make, shape, _ = ZERO_ENERGY_SHAPES[kind]
+        if kind == "woods-saxon":
+            assert potentials.tail_radius(make(v), potentials.TAIL_EPS) == r_end
         want = zero_energy_root(lambda e: zero_energy_slope(shape, v, e, r_end), np.linspace(-0.99, 0.99, 12))
-        sol = sb.solve(make(v), 1.0, grid)
-        assert sol.e0 == pytest.approx(want, abs=1e-9)
-
-    def test_exponential_kind_ignores_the_grid(self):
-        # the series has no box: an override applies only where FD runs
-        assert sb.solve(sb.exponential(3.4), 1.0, GridConfig(8.0, 512)) == sb.solve(sb.exponential(3.4), 1.0)
+        assert sb.solve(make(v), 1.0).e0 == pytest.approx(want, abs=1e-9)
 
     def test_edge_itself_is_not_bound(self):
         # at its own edge the matched kappa falls below the root tolerance;

@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from salpeterbounds.salpeter import DEFAULT_BASIS_SIZE
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 WOODS_SAXON = ["--set", "potential=woods-saxon", "--set", "v=2.0", "--set", "m=1"]
@@ -29,7 +31,7 @@ def traced_spans(tmp_path, *cli_args):
 
 
 def test_salpeter_spans(tmp_path):
-    spans = traced_spans(tmp_path, "salpeter", *WOODS_SAXON, "--set", "basis_size=64")
+    spans = traced_spans(tmp_path, "salpeter", *WOODS_SAXON)
     names = {span[0] for span in spans}
     assert {"salpeter.ground_energy", "salpeter.default_box_radius", "salpeter.eigh"} <= names
     # one wrapper per eigensolve: a second one would double eigh_s and
@@ -37,8 +39,8 @@ def test_salpeter_spans(tmp_path):
     solves = [span for span in spans if span[0] == "salpeter.eigh"]
     assert not any(span[3] is not None and spans[span[3]][0] == span[0] for span in solves)
     sizes = [span[5] for span in spans if span[0] == "salpeter.ground_energy_at"]
-    # the box pre-diagonalization, then the doubling from 64 modes
-    assert sizes[:3] == [128, 64, 128]
+    # the box pre-diagonalization, then the doubling from the default size
+    assert sizes[:3] == [128, DEFAULT_BASIS_SIZE, 2 * DEFAULT_BASIS_SIZE]
 
 
 def test_kg_spans(tmp_path):
