@@ -9,6 +9,7 @@ written in grid order.  Exit codes: 0 success, 1 config/usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -17,21 +18,22 @@ from pathlib import Path
 # each CLI process runs BLAS on one thread unless OPENBLAS_NUM_THREADS is
 # set: numpy and scipy's LAPACK extension each load an OpenBLAS whose
 # worker threads spin from load on, and the solvers do small-vector work
-# only.  OpenBLAS reads the variable when it loads, so this precedes numpy
+# only.  OpenBLAS reads the variable when it loads, so this precedes any
+# import of numpy
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402
 
 from .potentials import (CouplingOutOfRange, Kind, NoBoundState, NonBindingSearchError, NonConvergence,  # noqa: E402
                          PotentialSpec, check_mass)
 
-# the solvers are imported inside the functions that run them: most of a
+# this module and potentials load the standard library alone, and the
+# solvers are imported inside the functions that run them: most of a
 # command's start-up is import time, and each command pays only for the
-# solvers it uses.  kleingordon loads scipy's compiled LAPACK extension
-# alone, and only where its finite-difference engine runs (Woods-Saxon, or
-# an exponential coupling past the series' rounding guard); salpeter and
-# gaussian_bound load numpy alone.  Each solver sizes its own box, grid and
-# basis, so no key sets them
+# solvers it uses.  kleingordon loads numpy and scipy's compiled LAPACK
+# extension only where its finite-difference engine runs (Woods-Saxon, or
+# an exponential coupling past the series' rounding guard), so `--help` and
+# the exponential and Coulomb Klein-Gordon commands load no numpy; salpeter
+# and gaussian_bound load numpy alone.  Each solver sizes its own box, grid
+# and basis, so no key sets them
 
 BOUNDS_HEADER = "v,m,e_kg,E_srs,E_gauss,e0,delta,status"
 ORDER_TOL = 1e-6
@@ -47,6 +49,32 @@ _KEYS = {
 
 class ConfigError(Exception):
     """Malformed or inconsistent configuration."""
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) as a list of floats, point for point:
+    i * step + start with the last point exactly stop, and i / (num - 1)
+    * (stop - start) + start where step underflows to 0, as numpy does."""
+    div = num - 1
+    delta = stop - start
+    if div <= 0:
+        return [0.0 * delta + start] * num
+    step = delta / div
+    if step == 0:
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
+def _energy_grid(m_top: float, num: int) -> list[float]:
+    """The fcurves e-grid: num points on [-m_top, m_top], 1e-6 * m_top
+    inside each end, antisymmetrized so that the grid is symmetric about 0
+    and an odd grid holds e = 0 exactly, where the Coulomb curve starts."""
+    margin = 1e-6 * m_top
+    grid = _linspace(-m_top + margin, m_top - margin, num)
+    return [0.5 * (x - y) for x, y in zip(grid, reversed(grid))]
 
 
 @dataclass
@@ -76,9 +104,12 @@ class SweepConfig:
             raise ConfigError(f"v_steps must be >= 1, got {self.v_steps}")
         if self.v_steps == 1:
             return [self.v_min]
+        for key, value in (("v_min", self.v_min), ("v_max", self.v_max)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if not self.v_min < self.v_max:
             raise ConfigError(f"v_min = {self.v_min} must be below v_max = {self.v_max}")
-        return [float(x) for x in np.linspace(self.v_min, self.v_max, self.v_steps)]
+        return _linspace(self.v_min, self.v_max, self.v_steps)
 
     def masses(self) -> list[float]:
         """The mass grid, or [m]; every mass must be positive and finite."""
@@ -125,12 +156,14 @@ def _parse_assignments(pairs: list[tuple[str, str, str]]) -> SweepConfig:
                 setattr(cfg, key, float(value))
             elif key == "tol":
                 cfg.tol = float(value)
-                if not (np.isfinite(cfg.tol) and cfg.tol >= 0):
+                if not (math.isfinite(cfg.tol) and cfg.tol >= 0):
                     raise ValueError(f"tol must be finite and >= 0, got {value}")
             elif key in ("m", "v", "v_min", "v_max"):
                 setattr(cfg, key, float(value))
             elif key in ("m_min", "m_max", "m_step"):
                 seen_mass_grid[key] = float(value)
+                if not math.isfinite(seen_mass_grid[key]):
+                    raise ValueError(f"{key} must be finite, got {value}")
             elif key in ("v_steps", "e_steps"):
                 setattr(cfg, key, int(value))
             elif key == "threads":
@@ -148,7 +181,7 @@ def _parse_assignments(pairs: list[tuple[str, str, str]]) -> SweepConfig:
         lo, hi, step = seen_mass_grid["m_min"], seen_mass_grid["m_max"], seen_mass_grid["m_step"]
         if step <= 0 or hi < lo:
             raise ConfigError(f"bad mass grid: m_min={lo}, m_max={hi}, m_step={step}")
-        count = int(np.floor((hi - lo) / step + 1e-9)) + 1
+        count = math.floor((hi - lo) / step + 1e-9) + 1
         cfg.mass_grid = [lo + i * step for i in range(count)]
     return cfg
 
@@ -218,7 +251,7 @@ class BoundsRow:
 
 
 def _bounds_row(cfg: SweepConfig, v: float, m: float) -> BoundsRow:
-    from . import gaussian_bound, kleingordon, salpeter
+    from . import kleingordon, salpeter
 
     spec = cfg.potential(v)
     try:
@@ -233,6 +266,8 @@ def _bounds_row(cfg: SweepConfig, v: float, m: float) -> BoundsRow:
         return BoundsRow(v, m, sol.e, None, None, sol.e0, sol.delta_at_e, "error")
     e_gauss = None
     if cfg.kind is Kind.WOODS_SAXON:
+        from . import gaussian_bound
+
         try:
             e_gauss = gaussian_bound.eg_optimized(m, cfg.a, cfg.b, v)
         except CouplingOutOfRange:
@@ -281,12 +316,7 @@ def run_fcurves(cfg: SweepConfig) -> list[Path]:
     couplings = cfg.coupling_grid()
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    m_top = max(masses)
-    margin = 1e-6 * m_top
-    # antisymmetrized so that the grid is symmetric about 0 and an odd grid
-    # holds e = 0 exactly, where the Coulomb curve starts
-    e_grid = np.linspace(-m_top + margin, m_top - margin, cfg.e_steps)
-    e_values = [float(x) for x in 0.5 * (e_grid - e_grid[::-1])]
+    e_values = _energy_grid(max(masses), cfg.e_steps)
     written: list[Path] = []
 
     for v in couplings:

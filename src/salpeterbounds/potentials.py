@@ -2,11 +2,12 @@
 
 All shapes are nonpositive, nondecreasing in r, and vanish at infinity.
 Units: hbar = c = 1, so the coupling v carries energy units and radii
-carry length units.  The pieces the solvers share live here too, in the
-one module that needs only numpy: their exceptions, which a caller can
-catch without loading a solver, and brentq, the one root finder of every
-1-D search, scipy's Brent method ported step for step so that no command
-imports scipy's optimization package.
+carry length units.  The pieces the solvers share live here too, in a
+module that loads only the standard library (numpy is imported inside
+`evaluate`, whose callers load it anyway): their exceptions, which a
+caller can catch without loading a solver, and brentq, the one root finder
+of every 1-D search, scipy's Brent method ported step for step so that no
+command imports scipy's optimization package.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from enum import Enum
 import math
 import sys
 from typing import Callable
-
-import numpy as np
 
 COULOMB_MIN_RADIUS = 1e-12
 
@@ -135,12 +134,12 @@ class PotentialSpec:
     b: float = 0.2
 
     def __post_init__(self):
-        if not (np.isfinite(self.v) and self.v > 0):
+        if not (math.isfinite(self.v) and self.v > 0):
             raise ValueError(f"coupling v must be positive and finite, got {self.v}")
         if self.kind is Kind.WOODS_SAXON:
-            if not (np.isfinite(self.a) and self.a > 0):
+            if not (math.isfinite(self.a) and self.a > 0):
                 raise ValueError(f"Woods-Saxon radius a must be positive, got {self.a}")
-            if not (np.isfinite(self.b) and self.b > 0):
+            if not (math.isfinite(self.b) and self.b > 0):
                 raise ValueError(f"Woods-Saxon thickness b must be positive, got {self.b}")
 
 
@@ -164,6 +163,8 @@ def evaluate(spec: PotentialSpec, r):
     overflow.  No solver samples the Coulomb kind: its Klein-Gordon curve
     and its sine-basis moments are closed forms.
     """
+    import numpy as np
+
     r_arr = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r_arr)):
         raise ValueError("radius must be finite")
@@ -203,7 +204,7 @@ def validate(spec: PotentialSpec, theory: Theory) -> None:
 
 def check_mass(m: float) -> None:
     """Raise ValueError unless the mass m is positive and finite."""
-    if not (np.isfinite(m) and m > 0):
+    if not (math.isfinite(m) and m > 0):
         raise ValueError(f"mass must be positive, got {m}")
 
 
@@ -219,7 +220,7 @@ def tail_radius(spec: PotentialSpec, epsilon: float) -> float:
     overshoot by up to a factor 2.  A degenerate epsilon >= |V(r0)| just
     returns r0: any truncation radius is then adequate.
     """
-    if not (np.isfinite(epsilon) and epsilon > 0):
+    if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     r0 = max(spec.a, 1.0) if spec.kind is Kind.WOODS_SAXON else 1.0
     if spec.kind is Kind.EXPONENTIAL:

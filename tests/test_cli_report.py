@@ -117,6 +117,64 @@ class TestParseConfig:
         assert sorted(listed) == sorted(cli._KEYS)
 
 
+class TestGrids:
+    """The numpy-free grids against np.linspace and the e-grid's numpy
+    expression: equal as floats, bit for bit, not merely close."""
+
+    # the seed-1 benchmark inputs as the runner passes them to the CLI:
+    # (v_min, v_max) of ws-bounds, kg-curves and coulomb-bounds, each with
+    # v_steps = 2, and the kg-curves mass, with e_steps = 61
+    SEED_ONE_COUPLINGS = [(2.66593619593405, 3.16593619593405), (3.336311357499204, 4.086311357499204),
+                          (0.03811254911021573, 0.2)]
+    SEED_ONE_MASS = 0.9723527950177351
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got == want
+        assert [x.hex() for x in got] == [float(x).hex() for x in want]
+
+    @staticmethod
+    def numpy_energy_grid(m_top, num):
+        margin = 1e-6 * m_top
+        grid = np.linspace(-m_top + margin, m_top - margin, num)
+        return [float(x) for x in 0.5 * (grid - grid[::-1])]
+
+    @pytest.mark.parametrize("num", [1, 2, 61])
+    @pytest.mark.parametrize("start, stop", [(1.0, 3.5), (-0.999999, 0.999999), (0.1, 0.42), (3.0, 4.5)])
+    def test_linspace_counts(self, start, stop, num):
+        self.assert_same(cli._linspace(start, stop, num), [float(x) for x in np.linspace(start, stop, num)])
+
+    def test_linspace_random_normal_range(self):
+        rng = np.random.default_rng(20090)
+        for _ in range(2000):
+            start, stop = (float(x) for x in rng.normal(size=2) * 10.0 ** rng.uniform(-6, 6, size=2))
+            num = int(rng.integers(1, 400))
+            self.assert_same(cli._linspace(start, stop, num), [float(x) for x in np.linspace(start, stop, num)])
+
+    def test_linspace_subnormal_step_takes_the_zero_step_branch(self):
+        start, stop, num = 0.0, 1e-323, 61
+        assert (stop - start) / (num - 1) == 0.0
+        want = [float(x) for x in np.linspace(start, stop, num)]
+        assert 0.0 < min(x for x in want if x > 0) < stop  # points inside, not only the end
+        self.assert_same(cli._linspace(start, stop, num), want)
+
+    @pytest.mark.parametrize("v_min, v_max", SEED_ONE_COUPLINGS)
+    def test_seed_one_coupling_grids(self, v_min, v_max):
+        cfg = parse_config(None, overrides=[f"v_min={v_min!r}", f"v_max={v_max!r}", "v_steps=2"])
+        self.assert_same(cfg.coupling_grid(), [float(x) for x in np.linspace(v_min, v_max, 2)])
+
+    @pytest.mark.parametrize("m_top, num", [(SEED_ONE_MASS, 61), (1.0, 61), (2.1, 61), (1.0, 1), (1.0, 2),
+                                            (0.8, 9), (1.0, 21)])
+    def test_energy_grid(self, m_top, num):
+        self.assert_same(cli._energy_grid(m_top, num), self.numpy_energy_grid(m_top, num))
+
+    def test_energy_grid_random(self):
+        rng = np.random.default_rng(20091)
+        for _ in range(500):
+            m_top, num = float(10.0 ** rng.uniform(-3, 3)), int(rng.integers(1, 300))
+            self.assert_same(cli._energy_grid(m_top, num), self.numpy_energy_grid(m_top, num))
+
+
 class TestBoundsRow:
     def test_csv_empty_fields(self):
         row = BoundsRow(1.0, 1.0, None, None, None, None, None, "no-binding")
@@ -437,6 +495,31 @@ class TestMainEntry:
         assert rc == 1
         assert capsys.readouterr().err == (
             f"config error: --set tol={tol}: tol must be finite and >= 0, got {tol}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["kg", "fcurves"])
+    @pytest.mark.parametrize("key, value", [("m_min", "-inf"), ("m_max", "inf"), ("m_step", "nan"),
+                                            ("m_step", "inf")])
+    def test_non_finite_mass_grid_bound_names_the_key(self, command, key, value, tmp_path, capsys):
+        grid = {"m_min": "0.1", "m_max": "1", "m_step": "0.1", key: value}
+        out = tmp_path / "curves"
+        rc = cli.main([command, "--set", "potential=exponential", "--set", "v=3",
+                       *(arg for k, x in grid.items() for arg in ("--set", f"{k}={x}")),
+                       "--set", "e_steps=5", "--set", f"out={out}"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"config error: --set {key}={value}: {key} must be finite, got {value}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, out_name", [("fcurves", "curves"), ("bounds", "rows.csv")])
+    @pytest.mark.parametrize("key, value", [("v_min", "-inf"), ("v_max", "inf"), ("v_max", "nan")])
+    def test_non_finite_coupling_grid_bound_names_the_key(self, command, out_name, key, value, tmp_path, capsys):
+        grid = {"v_min": "3", "v_max": "4", key: value}
+        out = tmp_path / out_name
+        rc = cli.main([command, "--set", "potential=exponential", "--set", "m=1", "--set", "v_steps=3",
+                       *(arg for k, x in grid.items() for arg in ("--set", f"{k}={x}")),
+                       "--set", "e_steps=5", "--set", f"out={out}"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"config error: {key} must be finite, got {float(value)}\n")
         assert not out.exists()
 
     def test_bounds_row_of_an_inadmissible_coulomb_coupling_is_error(self, tmp_path):

@@ -27,7 +27,8 @@ CHILD_ENV = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
 CHILD_ENV["PYTHONPATH"] = str(ROOT / "src")
 
 # runs cli_report.main on argv, then prints the loaded scipy and package
-# modules and the process's thread count (None where /proc/self/task is missing)
+# modules, whether numpy is loaded, and the process's thread count (None
+# where /proc/self/task is missing)
 RUN_COMMAND = """
 import json, os, sys
 from salpeterbounds import cli_report
@@ -37,7 +38,7 @@ except SystemExit:
     pass
 threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
 print(json.dumps({"modules": sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "salpeterbounds")),
-                  "threads": threads}))
+                  "numpy": "numpy" in sys.modules, "threads": threads}))
 """
 
 WOODS_SAXON = ["--set", "potential=woods-saxon", "--set", "v=2.0", "--set", "m=1"]
@@ -55,6 +56,8 @@ COMMANDS = {
     "fcurves-exponential": ["fcurves", *EXPONENTIAL, "--set", "e_steps=5", "--set", "out=curves"],
     "bounds-coulomb": ["bounds", "--set", "potential=coulomb", "--set", "v=0.05", "--set", "m=1",
                        "--set", "out=rows.csv"],
+    "kg-coulomb": ["kg", "--set", "potential=coulomb", "--set", "v=0.3", "--set", "m=1"],
+    "bounds-exponential": ["bounds", *EXPONENTIAL, "--set", "out=rows.csv"],
 }
 # the scipy.linalg extension module that _lapack loads without its package
 FLAPACK = "scipy.linalg._flapack"
@@ -74,8 +77,13 @@ FORBIDDEN = {
 # extension module and no scipy package
 KLEIN_GORDON = ("kg", "critical", "fcurves")
 # the exponential series and the Coulomb closed form run on no LAPACK
-NO_LAPACK = ("kg-exponential", "critical-exponential", "fcurves-exponential", "bounds-coulomb")
+NO_LAPACK = ("kg-exponential", "critical-exponential", "fcurves-exponential", "bounds-coulomb", "kg-coulomb",
+             "bounds-exponential")
 FORBIDDEN.update(dict.fromkeys(NO_LAPACK, ("scipy",)))
+# cli_report and potentials load the standard library alone, so help and the
+# Klein-Gordon commands on the exponential series or the Coulomb closed form
+# start without numpy
+NO_NUMPY = ("--help", "kg-exponential", "critical-exponential", "fcurves-exponential", "kg-coulomb")
 
 
 def _loaded(modules, package):
@@ -151,7 +159,12 @@ def test_exact_curve_commands_load_no_finite_difference_layer(loaded_modules, co
         assert f"salpeterbounds.{module}" not in loaded_modules[command]
 
 
-@pytest.mark.parametrize("command", ["--help", *KLEIN_GORDON, *NO_LAPACK[:3]])
+@pytest.mark.parametrize("command", NO_NUMPY)
+def test_command_loads_no_numpy(command_runs, command):
+    assert command_runs[command]["numpy"] is False
+
+
+@pytest.mark.parametrize("command", ["--help", *KLEIN_GORDON, *NO_LAPACK])
 def test_gaussian_bound_loads_only_where_it_runs(loaded_modules, command):
     assert "salpeterbounds.gaussian_bound" not in loaded_modules[command]
 
