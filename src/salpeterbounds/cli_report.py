@@ -29,9 +29,9 @@ from .potentials import (CouplingOutOfRange, Kind, NoBoundState, NonBindingSearc
 # solvers are imported inside the functions that run them: most of a
 # command's start-up is import time, and each command pays only for the
 # solvers it uses.  kleingordon loads numpy and scipy's compiled LAPACK
-# extension only where its finite-difference engine runs (Woods-Saxon, or
-# an exponential coupling past the series' rounding guard), so `--help` and
-# the exponential and Coulomb Klein-Gordon commands load no numpy; salpeter
+# extension only for Woods-Saxon, the one kind on its finite-difference
+# engine, so `--help` and the exponential (at every coupling) and Coulomb
+# Klein-Gordon commands load no numpy; salpeter
 # and gaussian_bound load numpy alone.  Each solver sizes its own box, grid
 # and basis, so no key sets them
 
@@ -179,7 +179,7 @@ def _parse_assignments(pairs: list[tuple[str, str, str]]) -> SweepConfig:
         if missing:
             raise ConfigError(f"incomplete mass grid: missing {sorted(missing)}")
         lo, hi, step = seen_mass_grid["m_min"], seen_mass_grid["m_max"], seen_mass_grid["m_step"]
-        if step <= 0 or hi < lo:
+        if step <= 0 or hi < lo or not math.isfinite((hi - lo) / step):
             raise ConfigError(f"bad mass grid: m_min={lo}, m_max={hi}, m_step={step}")
         count = math.floor((hi - lo) / step + 1e-9) + 1
         cfg.mass_grid = [lo + i * step for i in range(count)]

@@ -7,19 +7,14 @@ F'(e) = 2 <V>.  A mass-m ground energy is the smallest e in (-m, m) with
 F(e) = e^2 - m^2.  Because dW/de = 2V <= 0, the set of e where h(e) binds
 is an interval stretching up from an existence edge e0 (where F -> 0).
 
-Two of the three shapes are exactly solvable.  The Coulomb curve is a
-closed form.  The exponential curve, its edge and its critical couplings
-come from the e^{-r} series of _ExponentialCurve, summed in float64; where
-a sum cancels past the call's root tolerance and its sign is lost to
-rounding (large couplings), the whole call runs on the finite-difference
-engine instead.  Woods-Saxon always runs on it: every e is solved in one
-box that covers the range of V, sized from the potential alone and closed
-by the exact exterior matching of radial_schrodinger, whose signed Neumann
-eigenvalue is the binding test.  Only that engine imports
-radial_schrodinger, and with it scipy's compiled LAPACK extension.  Each
-engine's binding test is negative exactly when h(e) binds; the edge and
-both critical couplings are its roots, found by potentials.brentq (a port
-of scipy's Brent method).
+Each shape has one backend.  The Coulomb curve is a closed form.  The
+exponential curve, its edge and its critical couplings come from the
+e^{-r} series of _ExponentialCurve at every coupling.  Woods-Saxon runs on
+the finite-difference engine, the one importer of radial_schrodinger and
+scipy's LAPACK extension: one box covering the range of V, closed by exact
+exterior matching, whose signed Neumann eigenvalue is the binding test.
+Each binding test is negative exactly when h(e) binds; the edge and both
+critical couplings are its roots, found by potentials.brentq.
 
 h(e) is affine in e, so F (taken as the continuum edge 0 below e0) is a
 minimum of affine functions and G(e) = F(e) - e^2 + m^2 is concave.  solve
@@ -102,8 +97,63 @@ class _CoulombCurve:
         return SpectralCurvePoint(e=e, F=f_val, F_prime=f_prime, delta=e - 0.5 * f_prime)
 
 
-class _SeriesRounding(Exception):
-    """The float64 e^{-r} series cancels past the call's root tolerance."""
+def _kummer_sum(kappa, e, v, one, cutoff):
+    """S(kappa; e, v) = sum c_n, sum |c_n| and the number of terms, in one's
+    number type, until the terms past the peak are below cutoff * sum |c_n|."""
+    a, b = -2 * e * v, -v * v
+    c_prev, c = 0 * one, one
+    total = total_abs = one
+    n = 0
+    while True:
+        n += 1
+        d = n * (n + 2 * kappa)
+        c_prev, c = c, (a * c + b * c_prev) / d
+        total += c
+        total_abs += abs(c)
+        if d > abs(a) + abs(b) and abs(c) + abs(c_prev) <= cutoff * total_abs:
+            return total, total_abs, n
+
+
+def _kummer_slopes(kappa, e, v, one, cutoff):
+    """dS/de and dS/dkappa, each carried through the recurrence, with the
+    sum of every |term| and the number of terms, as _kummer_sum."""
+    a, b = -2 * e * v, -v * v
+    c_prev, c = 0 * one, one
+    ce_prev = ce = ck_prev = ck = s_e = s_k = 0 * one
+    total_abs = one
+    n = 0
+    while True:
+        n += 1
+        d = n * (n + 2 * kappa)
+        c_new = (a * c + b * c_prev) / d
+        ce_prev, ce = ce, (-2 * v * c + a * ce + b * ce_prev) / d
+        ck_prev, ck = ck, (-2 * n * c_new + a * ck + b * ck_prev) / d
+        c_prev, c = c, c_new
+        s_e += ce
+        s_k += ck
+        total_abs += abs(c) + abs(ce) + abs(ck)
+        tail = abs(c) + abs(c_prev) + abs(ce) + abs(ce_prev) + abs(ck) + abs(ck_prev)
+        if d > abs(a) + abs(b) and tail <= cutoff * total_abs:
+            return s_e, s_k, total_abs, n
+
+
+def _in_decimal(series, kappa: float, e: float, v: float, size: float, digits: int) -> list[float]:
+    """The sums of series in decimal, each good to digits digits (its sign
+    if digits = 0): the precision doubles until each exceeds 10^digits times
+    the rounding bound n 10^(1 - prec) sum |terms| of n terms, or until that
+    bound is below 1e-325, under half the smallest float64 subnormal, where
+    no more digits can change the floats returned."""
+    import decimal  # only the sums that float64 cannot certify load it
+
+    prec = 20 + digits + math.ceil(math.log10(size))
+    while True:
+        with decimal.localcontext(decimal.Context(prec=prec)):
+            one = decimal.Decimal(1)
+            *sums, total_abs, n = series(*map(decimal.Decimal, (kappa, e, v)), one, one.scaleb(-prec))
+            bound = n * total_abs.scaleb(1 - prec)
+            if all(abs(x) > bound.scaleb(digits) for x in sums) or bound.adjusted() < -325:
+                return [float(x) for x in sums]
+        prec *= 2
 
 
 class _ExponentialCurve:
@@ -124,10 +174,9 @@ class _ExponentialCurve:
     where S(0) >= 0.  Near the edge it is S(0) on both sides, so the edge
     and the critical couplings are roots of the kappa = 0 sum.
 
-    Each sum carries the rounding bound eps * sum |c_n|, which grows like
-    e^v.  The root searches read only the sign of S, so _SeriesRounding is
-    raised only where the bound exceeds tol and |S| does not exceed the
-    bound: there the sign is not certain.
+    A float64 sum carries the rounding bound eps * sum |c_n|, which grows
+    like e^v.  The root searches read only signs, so S is summed again in
+    decimal only where the bound exceeds tol and |S|: the sign is in doubt.
     """
 
     def __init__(self, spec: PotentialSpec, tol: float = ROOT_XTOL):
@@ -135,47 +184,15 @@ class _ExponentialCurve:
         self.tol = tol
         self.binding = functools.cache(self._binding)
 
-    def _sum(self, kappa: float, e: float) -> float:
-        """S(kappa; e, v), summed until the terms past the peak are
-        negligible."""
-        a, b = -2.0 * e * self.v, -self.v * self.v
-        c_prev, c = 0.0, 1.0
-        total = total_abs = 1.0
-        n = 0
-        while True:
-            n += 1
-            d = n * (n + 2.0 * kappa)
-            c_prev, c = c, (a * c + b * c_prev) / d
-            total += c
-            total_abs += abs(c)
-            if d > abs(a) + abs(b) and abs(c) + abs(c_prev) <= 1e-18 * total_abs:
-                break
-        bound = sys.float_info.epsilon * total_abs
-        if bound > self.tol and not abs(total) > bound:
-            raise _SeriesRounding(f"the series at v = {self.v} cancels to {bound:.1e}")
-        return total
+    def _float_sum(self, kappa: float, e: float) -> tuple[float, float, bool]:
+        """S and sum |c_n| in float64, and whether the sign of S is in doubt."""
+        total, size, _ = _kummer_sum(kappa, e, self.v, 1.0, 1e-18)
+        bound = sys.float_info.epsilon * size
+        return total, size, bound > self.tol and not abs(total) > bound
 
-    def _slopes(self, kappa: float, e: float) -> tuple[float, float]:
-        """dS/de and dS/dkappa, each carried through the recurrence."""
-        a, b = -2.0 * e * self.v, -self.v * self.v
-        c_prev, c = 0.0, 1.0
-        ce_prev = ce = ck_prev = ck = 0.0
-        total_abs = 1.0
-        s_e = s_k = 0.0
-        n = 0
-        while True:
-            n += 1
-            d = n * (n + 2.0 * kappa)
-            c_new = (a * c + b * c_prev) / d
-            ce_prev, ce = ce, (-2.0 * self.v * c + a * ce + b * ce_prev) / d
-            ck_prev, ck = ck, (-2.0 * n * c_new + a * ck + b * ck_prev) / d
-            c_prev, c = c, c_new
-            s_e += ce
-            s_k += ck
-            total_abs += abs(c) + abs(ce) + abs(ck)
-            tail = abs(c) + abs(c_prev) + abs(ce) + abs(ce_prev) + abs(ck) + abs(ck_prev)
-            if d > abs(a) + abs(b) and tail <= 1e-18 * total_abs:
-                return s_e, s_k
+    def _sum(self, kappa: float, e: float) -> float:
+        total, size, doubtful = self._float_sum(kappa, e)
+        return _in_decimal(_kummer_sum, kappa, e, self.v, size, 0)[0] if doubtful else total
 
     def _ground_kappa(self, e: float) -> float | None:
         """The largest root of S, by a downward scan from sqrt(v^2 + 2ev)
@@ -205,15 +222,19 @@ class _ExponentialCurve:
         kappa = self._ground_kappa(e)
         if kappa is None:
             raise NoBoundState(f"the exponential h(e) has no bound state at e = {e}")
-        s_e, s_k = self._slopes(kappa, e)
+        s_e, s_k, size, _ = _kummer_slopes(kappa, e, self.v, 1.0, 1e-18)
+        if self._float_sum(kappa, e)[2]:
+            # where float64 cannot sign S at its root, it cannot give S's
+            # slopes there either
+            s_e, s_k = _in_decimal(_kummer_slopes, kappa, e, self.v, size, 17)
         # F = -kappa^2 with dkappa/de = -S_e / S_kappa along S = 0
         f_prime = 2.0 * kappa * s_e / s_k
         return SpectralCurvePoint(e=e, F=-kappa * kappa, F_prime=f_prime, delta=e - 0.5 * f_prime)
 
 
 class _CurveEngine:
-    """Per-solve finite-difference evaluator for one potential, with one
-    grid for every e: the box [0, r_max] on the three-level grid, where
+    """Per-solve finite-difference evaluator, the Woods-Saxon backend, with
+    one grid for every e: the box [0, r_max] on the three-level grid, where
     r_max is tail_radius(spec, TAIL_EPS) unless given."""
 
     def __init__(self, spec: PotentialSpec, r_max: float | None = None):
@@ -246,30 +267,25 @@ class _CurveEngine:
         return SpectralCurvePoint(e=e, F=res.eigenvalue, F_prime=f_prime, delta=e - 0.5 * f_prime)
 
 
-def _on_curve(spec: PotentialSpec, run: Callable):
-    """run(engine) on the curve of an admissible spec: the closed form or
-    the series where the kind has one, else FD.  Where the series loses a
-    sign to rounding, the whole of run starts again on FD, so no root
-    search mixes the two.  Raises ValueError for an inadmissible spec."""
+def _on_curve(spec: PotentialSpec):
+    """The curve of an admissible spec, one backend per kind: the Coulomb
+    closed form, the exponential series, Woods-Saxon on FD.  Raises
+    ValueError for an inadmissible spec."""
     potentials.validate(spec, Theory.KLEIN_GORDON)
     if spec.kind is Kind.COULOMB:
-        return run(_CoulombCurve(spec))
+        return _CoulombCurve(spec)
     if spec.kind is Kind.EXPONENTIAL:
-        try:
-            return run(_ExponentialCurve(spec))
-        except _SeriesRounding:
-            pass
-    return run(_CurveEngine(spec))
+        return _ExponentialCurve(spec)
+    return _CurveEngine(spec)
 
 
 def F(spec: PotentialSpec, e: float) -> SpectralCurvePoint:
     """Lowest eigenvalue of h(e) = p^2 + 2eV - V^2 plus slope data.
 
-    The Coulomb and exponential kinds are exact and need no grid (the
-    exponential one unless its series loses a sign to rounding).  Raises
+    The Coulomb and exponential kinds are exact and need no grid.  Raises
     NoBoundState where the curve does not exist.
     """
-    return _on_curve(spec, lambda engine: engine.point(e))
+    return _on_curve(spec).point(e)
 
 
 def curve(spec: PotentialSpec, e_values) -> list[SpectralCurvePoint]:
@@ -280,29 +296,18 @@ def curve(spec: PotentialSpec, e_values) -> list[SpectralCurvePoint]:
     stops at the first e where h(e) does not bind: no e below it binds
     either, and no edge search is needed.
     """
-    e_desc = sorted((float(e) for e in e_values), reverse=True)
-
-    def walk(engine) -> list[SpectralCurvePoint]:
-        points = []
-        for e in e_desc:
-            try:
-                points.append(engine.point(e))
-            except NoBoundState:
-                break
-        return points[::-1]
-
-    return _on_curve(spec, walk)
+    engine = _on_curve(spec)
+    points = []
+    for e in sorted((float(e) for e in e_values), reverse=True):
+        try:
+            points.append(engine.point(e))
+        except NoBoundState:
+            break
+    return points[::-1]
 
 
 def _continuum_point(e: float) -> SpectralCurvePoint:
     return SpectralCurvePoint(e=e, F=0.0, F_prime=0.0, delta=e)
-
-
-def _solve_coulomb(curve: _CoulombCurve, m: float) -> KgSolution:
-    # F(e) = -(e v / gamma)^2 meets e^2 - m^2 in closed form
-    e = m / math.sqrt(1.0 + curve.ratio ** 2)
-    pt = curve.point(e)
-    return KgSolution(e=e, m=m, status=KgStatus.BOUND, e0=0.0, delta_at_e=pt.delta)
 
 
 def solve(spec: PotentialSpec, m: float) -> KgSolution:
@@ -317,12 +322,14 @@ def solve(spec: PotentialSpec, m: float) -> KgSolution:
     if not, G < 0 across the whole window: supercritical.
     """
     check_mass(m)
-    return _on_curve(spec, functools.partial(_solve, m=m))
+    return _solve(_on_curve(spec), m)
 
 
 def _solve(engine, m: float) -> KgSolution:
     if isinstance(engine, _CoulombCurve):
-        return _solve_coulomb(engine, m)
+        # F(e) = -(e v / gamma)^2 meets e^2 - m^2 in closed form
+        e = m / math.sqrt(1.0 + engine.ratio ** 2)
+        return KgSolution(e=e, m=m, status=KgStatus.BOUND, e0=0.0, delta_at_e=engine.point(e).delta)
 
     eps = WINDOW_MARGIN * m
     hi = m - eps
@@ -378,11 +385,10 @@ def _solve(engine, m: float) -> KgSolution:
 def _critical_coupling(spec: PotentialSpec, m: float, e_probe: float) -> float:
     """The v where the binding test of h(e_probe) changes sign, by brentq.
 
-    The exponential kind probes the kappa = 0 sum of its series; where that
-    loses a sign to rounding, the whole search runs on FD.  FD probes every
-    v in one box, the default box of the bracket's upper v, which covers
-    the range of V for every smaller v; in a fixed box the test is smooth
-    in v.
+    The exponential kind probes its series, whose signs are certain at
+    every v (_in_decimal).  FD (Woods-Saxon) probes every v in one box,
+    the default box of the bracket's upper v, which covers the range of V
+    for every smaller v; in a fixed box the test is smooth in v.
     """
     if spec.kind is Kind.COULOMB:
         raise ValueError("critical couplings are defined for the short-range kinds only")
@@ -392,10 +398,7 @@ def _critical_coupling(spec: PotentialSpec, m: float, e_probe: float) -> float:
         def series(v: float) -> float:
             return _ExponentialCurve(potentials.exponential(v), COUPLING_XTOL).binding(e_probe)
 
-        try:
-            return _coupling_root(lambda hi: series, m)
-        except _SeriesRounding:
-            pass
+        return _coupling_root(lambda hi: series, m)
 
     def at(v: float) -> PotentialSpec:
         return PotentialSpec(spec.kind, v, spec.a, spec.b)

@@ -64,16 +64,27 @@ def exp_series(kappa: float, e: float, v: float) -> tuple[float, float]:
 
 
 def exp_series_mp(kappa, e, v, dps: int = 50):
-    """exp_series' S in mpmath at dps digits (an mpf), to 300 terms."""
+    """exp_series' S in mpmath at dps digits (an mpf), summed until the terms
+    past the peak fall below 10^-dps of sum |c_n|.
+
+    Past the peak, n (n + 2 kappa) exceeds |2ev| + v^2, so every later term
+    is smaller than the larger of the two before it.
+    """
     with mpmath.workdps(dps):
         kappa, e, v = (mpmath.mpf(x) for x in (kappa, e, v))
         a, b = -2 * e * v, -v * v
         c_prev, c = mpmath.mpf(0), mpmath.mpf(1)
-        total = mpmath.mpf(1)
-        for n in range(1, 300):
-            c_prev, c = c, (a * c + b * c_prev) / (n * (n + 2 * kappa))
+        total = total_abs = mpmath.mpf(1)
+        cutoff = mpmath.mpf(10) ** -dps
+        n = 0
+        while True:
+            n += 1
+            d = n * (n + 2 * kappa)
+            c_prev, c = c, (a * c + b * c_prev) / d
             total += c
-        return +total
+            total_abs += abs(c)
+            if abs(d) > abs(a) + abs(b) and abs(c) + abs(c_prev) <= cutoff * total_abs:
+                return +total
 
 
 def exp_series_roots(e: float, v: float, steps: int = 400) -> list[float]:

@@ -510,6 +510,16 @@ class TestMainEntry:
         assert capsys.readouterr() == ("", f"config error: --set {key}={value}: {key} must be finite, got {value}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["kg", "fcurves"])
+    def test_mass_grid_whose_count_overflows_is_a_config_error(self, command, tmp_path, capsys):
+        # finite bounds, but (m_max - m_min) / m_step is inf
+        out = tmp_path / "curves"
+        rc = cli.main([command, "--set", "potential=exponential", "--set", "v=3", "--set", "m_min=0.1",
+                       "--set", "m_max=1e300", "--set", "m_step=1e-10", "--set", f"out={out}"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "config error: bad mass grid: m_min=0.1, m_max=1e+300, m_step=1e-10\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, out_name", [("fcurves", "curves"), ("bounds", "rows.csv")])
     @pytest.mark.parametrize("key, value", [("v_min", "-inf"), ("v_max", "inf"), ("v_max", "nan")])
     def test_non_finite_coupling_grid_bound_names_the_key(self, command, out_name, key, value, tmp_path, capsys):

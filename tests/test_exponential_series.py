@@ -7,6 +7,8 @@ series path, and that path the reference for the finite-difference engine,
 built directly on exponential specs, for as long as FD serves any kind.
 """
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -128,48 +130,39 @@ class TestRoundingGuard:
         # the bound covers the float64 sum's measured error
         assert abs(value - exact) <= EPS * size
         curve = kleingordon._ExponentialCurve(sb.exponential(v), tol)
-        # the root searches read signs only: the guard trips where the bound
-        # exceeds tol and also |S|, so that the sign is not certain
+        # the root searches read signs only: where the bound exceeds tol and
+        # also |S|, the sign is not certain and the decimal sum gives it
         if EPS * size > tol and not abs(value) > EPS * size:
-            with pytest.raises(kleingordon._SeriesRounding):
-                curve._sum(0.3, -1.0)
+            assert (curve._sum(0.3, -1.0) < 0) == (exact < 0)
         else:
             assert curve._sum(0.3, -1.0) == pytest.approx(value, abs=EPS * size)
             assert (value < 0) == (exact < 0)
 
     def test_guard_trips_where_the_sign_is_uncertain(self):
         # at v = 20 the smallest root of S(kappa; -1) has a rounding bound of
-        # 1.8e-9, and there the float64 sum has the wrong sign
+        # 1.8e-9, and there the float64 sum has the wrong sign; _sum returns
+        # the sign of the 60-digit sum
         kappa = exp_series_roots(-1.0, 20.0)[-1]
         value, size = exp_series(kappa, -1.0, 20.0)
-        assert abs(value) <= EPS * size and (value < 0) != (float(exp_series_mp(kappa, -1.0, 20.0, 60)) < 0)
-        with pytest.raises(kleingordon._SeriesRounding):
-            kleingordon._ExponentialCurve(sb.exponential(20.0), kleingordon.COUPLING_XTOL)._sum(kappa, -1.0)
-
-    def test_a_call_past_the_guard_runs_wholly_on_fd(self):
-        spec = sb.exponential(11.0)
-        with pytest.raises(kleingordon._SeriesRounding):
-            kleingordon._solve(kleingordon._ExponentialCurve(spec), 4.0)
-        assert sb.solve(spec, 4.0) == kleingordon._solve(kleingordon._CurveEngine(spec), 4.0)
+        exact = exp_series_mp(kappa, -1.0, 20.0, 60)
+        assert abs(value) <= EPS * size and (value < 0) != (exact < 0)
+        got = kleingordon._ExponentialCurve(sb.exponential(20.0), kleingordon.COUPLING_XTOL)._sum(kappa, -1.0)
+        assert (got < 0) == (exact < 0) and got != 0
 
     @pytest.mark.parametrize("m, lines", [
         ("1", ["binding_threshold_v=0.672999 (root tol 1e-09)", "supercritical_v=5.680800 (root tol 1e-09)"]),
-        # the upper threshold lies past the guard, at v = 26.7, and runs on FD
+        # the upper threshold lies at v = 26.7, where float64 cannot sign the
+        # sums near the root and the decimal sums do; FD printed the same
         ("10", ["binding_threshold_v=0.072233 (root tol 1e-09)", "supercritical_v=26.735025 (root tol 1e-09)"]),
         # on the series; FD prints the same digits
         ("2", ["binding_threshold_v=0.354576 (root tol 1e-09)", "supercritical_v=8.332279 (root tol 1e-09)"]),
         ("5", ["binding_threshold_v=0.144126 (root tol 1e-09)", "supercritical_v=15.516588 (root tol 1e-09)"]),
-        # the upper threshold runs on FD
+        # likewise the upper threshold
         ("7", ["binding_threshold_v=0.103106 (root tol 1e-09)", "supercritical_v=20.068471 (root tol 1e-09)"]),
     ])
     def test_critical_prints_the_fd_digits(self, m, lines, capsys):
         assert cli_report.main(["critical", "--set", "potential=exponential", "--set", f"m={m}"]) == 0
         assert capsys.readouterr().out.splitlines() == [f"potential=exponential m={m}", *lines]
-
-    def test_upper_threshold_at_m_ten_is_past_the_guard(self, monkeypatch):
-        engines = _count_engines(monkeypatch)
-        sb.critical_coupling_upper(sb.exponential(1.0), 10.0)
-        assert engines
 
 
 def _count_engines(monkeypatch) -> list:
@@ -185,25 +178,62 @@ def _count_engines(monkeypatch) -> list:
 
 
 class TestSignOnlyGuard:
-    @pytest.mark.parametrize("m", [2.0, 5.0])
+    @pytest.mark.parametrize("m", [2.0, 5.0, 7.0, 10.0, 50.0])
     @pytest.mark.parametrize("search, side", [(sb.critical_coupling_lower, 1.0), (sb.critical_coupling_upper, -1.0)],
                              ids=["lower", "upper"])
     def test_thresholds_stay_on_the_series(self, m, search, side, monkeypatch):
         # the upper search at m = 2 doubles to v = 16, where the bound is
-        # 4e-9 but |S| = 3.3: the sign is certain, so no FD engine is built
+        # 4e-9 but |S| = 3.3: the sign is certain in float64.  Near the
+        # upper roots at m = 7, 10 and 50 (v = 20.1, 26.7 and 111.1) it is
+        # not, and the decimal sums give it; FD missed these roots by 9.4e-9,
+        # 3.1e-8 and 0.13
         engines = _count_engines(monkeypatch)
         got = search(sb.exponential(1.0), m)
         assert engines == []
-        with mpmath.workdps(50):
-            want = mpmath.findroot(lambda v: exp_series_mp(0, side * m, v), got)
+        # findroot checks |S|^2 against its working precision, and S runs to
+        # 1e81 at m = 50
+        with mpmath.workdps(200):
+            want = mpmath.findroot(lambda v: exp_series_mp(0, side * m, v, 200), got)
         assert abs(got - float(want)) <= kleingordon.COUPLING_XTOL
 
-    def test_a_solve_that_left_fd(self, monkeypatch):
-        # e is where kappa = sqrt(m^2 - e^2) is a root of S; FD's e at
-        # (v, m) = (12, 4) is 8.9e-10 off
+    @pytest.mark.parametrize("v, m", [(12.0, 4.0), (11.0, 4.0), (20.0, 7.0), (60.0, 30.0)])
+    def test_a_solve_that_left_fd(self, v, m, monkeypatch):
+        # e is where kappa = sqrt(m^2 - e^2) is a root of S, e0 the root of
+        # S(0; e), and F' = 2 kappa S_e / S_kappa there.  FD's e at (12, 4)
+        # is 8.9e-10 off, its e0 at (60, 30) 0.02; the float64 slopes at
+        # (60, 30) are 2e-7 off, so a point whose root float64 cannot sign
+        # takes its slopes in decimal too
         engines = _count_engines(monkeypatch)
-        sol = sb.solve(sb.exponential(12.0), 4.0)
+        sol = sb.solve(sb.exponential(v), m)
         assert engines == [] and sol.status is sb.KgStatus.BOUND
-        with mpmath.workdps(50):
-            want = mpmath.findroot(lambda e: exp_series_mp(mpmath.sqrt(16 - e * e), e, 12.0), sol.e)
-        assert abs(sol.e - float(want)) <= kleingordon.ROOT_XTOL
+        with mpmath.workdps(120):
+            def s(kappa, e):
+                return exp_series_mp(kappa, e, v, 120)
+
+            want_e = mpmath.findroot(lambda e: s(mpmath.sqrt(m * m - e * e), e), sol.e)
+            want_e0 = mpmath.findroot(lambda e: s(0, e), sol.e0)
+            kappa, h = mpmath.sqrt(m * m - want_e ** 2), mpmath.mpf("1e-30")
+            s_e = (s(kappa, want_e + h) - s(kappa, want_e - h)) / (2 * h)
+            s_k = (s(kappa + h, want_e) - s(kappa - h, want_e)) / (2 * h)
+            want_slope = float(2 * kappa * s_e / s_k)
+        assert abs(sol.e - float(want_e)) <= kleingordon.ROOT_XTOL
+        assert abs(sol.e0 - float(want_e0)) <= kleingordon.ROOT_XTOL
+        assert abs(2.0 * (sol.e - sol.delta_at_e) - want_slope) <= 1e-7 * abs(want_slope)
+
+    def test_a_supercritical_coupling_on_the_series(self, monkeypatch):
+        # at v = 100 every top-of-scan sum needs the decimal pass
+        engines = _count_engines(monkeypatch)
+        assert sb.solve(sb.exponential(100.0), 1.0).status is sb.KgStatus.SUPERCRITICAL
+        assert engines == []
+
+    @pytest.mark.parametrize("j", [24, 23])
+    def test_sum_takes_the_sign_of_the_exact_sum(self, j):
+        # the kappa scan of solve at v = 100, m = 1 starts from the top,
+        # sqrt(v (v + 2e)) at e = -1 + 1e-6, in 24 steps: the exact sums
+        # there are +2.8e-13 and +2.7e-14, and float64 gives the second
+        # the wrong sign
+        v, e = 100.0, -1.0 + kleingordon.WINDOW_MARGIN
+        kappa = j * math.sqrt(v * (v + 2.0 * e)) / 24
+        exact = exp_series_mp(kappa, e, v, 120)
+        got = kleingordon._ExponentialCurve(sb.exponential(v))._sum(kappa, e)
+        assert exact > 0 and got > 0

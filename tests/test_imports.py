@@ -27,8 +27,8 @@ CHILD_ENV = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
 CHILD_ENV["PYTHONPATH"] = str(ROOT / "src")
 
 # runs cli_report.main on argv, then prints the loaded scipy and package
-# modules, whether numpy is loaded, and the process's thread count (None
-# where /proc/self/task is missing)
+# modules, whether numpy and decimal are loaded, and the process's thread
+# count (None where /proc/self/task is missing)
 RUN_COMMAND = """
 import json, os, sys
 from salpeterbounds import cli_report
@@ -38,7 +38,7 @@ except SystemExit:
     pass
 threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
 print(json.dumps({"modules": sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "salpeterbounds")),
-                  "numpy": "numpy" in sys.modules, "threads": threads}))
+                  "numpy": "numpy" in sys.modules, "decimal": "decimal" in sys.modules, "threads": threads}))
 """
 
 WOODS_SAXON = ["--set", "potential=woods-saxon", "--set", "v=2.0", "--set", "m=1"]
@@ -58,6 +58,9 @@ COMMANDS = {
                        "--set", "out=rows.csv"],
     "kg-coulomb": ["kg", "--set", "potential=coulomb", "--set", "v=0.3", "--set", "m=1"],
     "bounds-exponential": ["bounds", *EXPONENTIAL, "--set", "out=rows.csv"],
+    # float64 cannot sign some of these sums, and decimal sums them instead
+    "critical-exponential-m10": ["critical", "--set", "potential=exponential", "--set", "m=10"],
+    "kg-exponential-v20": ["kg", "--set", "potential=exponential", "--set", "v=20", "--set", "m=7"],
 }
 # the scipy.linalg extension module that _lapack loads without its package
 FLAPACK = "scipy.linalg._flapack"
@@ -78,12 +81,15 @@ FORBIDDEN = {
 KLEIN_GORDON = ("kg", "critical", "fcurves")
 # the exponential series and the Coulomb closed form run on no LAPACK
 NO_LAPACK = ("kg-exponential", "critical-exponential", "fcurves-exponential", "bounds-coulomb", "kg-coulomb",
-             "bounds-exponential")
+             "bounds-exponential", "critical-exponential-m10", "kg-exponential-v20")
 FORBIDDEN.update(dict.fromkeys(NO_LAPACK, ("scipy",)))
 # cli_report and potentials load the standard library alone, so help and the
 # Klein-Gordon commands on the exponential series or the Coulomb closed form
 # start without numpy
-NO_NUMPY = ("--help", "kg-exponential", "critical-exponential", "fcurves-exponential", "kg-coulomb")
+NO_NUMPY = ("--help", "kg-exponential", "critical-exponential", "fcurves-exponential", "kg-coulomb",
+            "critical-exponential-m10", "kg-exponential-v20")
+# at m = 1 every exponential sum has a certain float64 sign
+NO_DECIMAL = ("kg-exponential", "critical-exponential", "fcurves-exponential", "bounds-exponential")
 
 
 def _loaded(modules, package):
@@ -162,6 +168,31 @@ def test_exact_curve_commands_load_no_finite_difference_layer(loaded_modules, co
 @pytest.mark.parametrize("command", NO_NUMPY)
 def test_command_loads_no_numpy(command_runs, command):
     assert command_runs[command]["numpy"] is False
+
+
+@pytest.mark.parametrize("command", NO_DECIMAL)
+def test_command_loads_no_decimal(command_runs, command):
+    assert command_runs[command]["decimal"] is False
+
+
+# pyproject allows Python 3.10, which has no numpy in some installs and no
+# prec= keyword of decimal.localcontext
+OLDEST_PYTHON = "python3.10"
+RUN_MAIN = "import sys; from salpeterbounds import cli_report; sys.exit(cli_report.main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("command", ["critical-exponential-m10", "kg-exponential-v20"])
+def test_numpy_free_command_runs_on_the_oldest_python(command, tmp_path):
+    try:
+        probe = subprocess.run([OLDEST_PYTHON, "-c", "pass"], env=CHILD_ENV, capture_output=True, timeout=60)
+    except OSError:
+        probe = None
+    if probe is None or probe.returncode != 0:
+        pytest.skip(f"{OLDEST_PYTHON} does not start")
+    runs = [subprocess.run([python, "-c", RUN_MAIN, *COMMANDS[command]], env=CHILD_ENV, cwd=tmp_path,
+                           capture_output=True, text=True, timeout=300) for python in (OLDEST_PYTHON, sys.executable)]
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert (runs[0].stdout, runs[0].stderr) == (runs[1].stdout, runs[1].stderr)
 
 
 @pytest.mark.parametrize("command", ["--help", *KLEIN_GORDON, *NO_LAPACK])
