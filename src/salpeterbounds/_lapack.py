@@ -1,9 +1,8 @@
 """LAPACK's symmetric tridiagonal routines, loaded from scipy's compiled
 extension scipy/linalg/_flapack alone.
 
-Importing the scipy.linalg package costs more start-up than a Klein-Gordon
-command spends computing, and the FD solver needs four Fortran routines of
-it.  A process that has already loaded scipy.linalg reuses its extension
+Importing the scipy.linalg package costs more start-up than the FD solver
+spends computing, and it needs four Fortran routines of it.  A process that has already loaded scipy.linalg reuses its extension
 module; otherwise the extension is loaded here and registered under its
 own name, so a later import of scipy.linalg shares it.
 """

@@ -28,12 +28,10 @@ from .potentials import (CouplingOutOfRange, Kind, NoBoundState, NonBindingSearc
 # this module and potentials load the standard library alone, and the
 # solvers are imported inside the functions that run them: most of a
 # command's start-up is import time, and each command pays only for the
-# solvers it uses.  kleingordon loads numpy and scipy's compiled LAPACK
-# extension only for Woods-Saxon, the one kind on its finite-difference
-# engine, so `--help` and the exponential (at every coupling) and Coulomb
-# Klein-Gordon commands load no numpy; salpeter
-# and gaussian_bound load numpy alone.  Each solver sizes its own box, grid
-# and basis, so no key sets them
+# solvers it uses.  kleingordon runs every kind on a series or a closed
+# form in the standard library, so `--help` and every Klein-Gordon command
+# load no numpy; salpeter and gaussian_bound load numpy alone.  Each solver
+# sizes its own box, grid and basis, so no key sets them
 
 BOUNDS_HEADER = "v,m,e_kg,E_srs,E_gauss,e0,delta,status"
 ORDER_TOL = 1e-6

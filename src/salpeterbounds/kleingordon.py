@@ -7,14 +7,12 @@ F'(e) = 2 <V>.  A mass-m ground energy is the smallest e in (-m, m) with
 F(e) = e^2 - m^2.  Because dW/de = 2V <= 0, the set of e where h(e) binds
 is an interval stretching up from an existence edge e0 (where F -> 0).
 
-Each shape has one backend.  The Coulomb curve is a closed form.  The
-exponential curve, its edge and its critical couplings come from the
-e^{-r} series of _ExponentialCurve at every coupling.  Woods-Saxon runs on
-the finite-difference engine, the one importer of radial_schrodinger and
-scipy's LAPACK extension: one box covering the range of V, closed by exact
-exterior matching, whose signed Neumann eigenvalue is the binding test.
-Each binding test is negative exactly when h(e) binds; the edge and both
-critical couplings are its roots, found by potentials.brentq.
+Each shape has one backend, and none needs a grid or numpy.  The Coulomb
+curve is a closed form.  The exponential curve comes from its e^{-r}
+series (_ExponentialCurve), the Woods-Saxon curve from two hypergeometric
+series matched at r = a (_WoodsSaxonCurve); both share _SeriesCurve's
+binding test, negative exactly when h(e) binds, whose roots, found by
+potentials.brentq, are the edge and both critical couplings.
 
 h(e) is affine in e, so F (taken as the continuum edge 0 below e0) is a
 minimum of affine functions and G(e) = F(e) - e^2 + m^2 is concave.  solve
@@ -32,16 +30,16 @@ from enum import Enum
 from typing import Callable
 
 from . import potentials
-from .potentials import Kind, NoBoundState, NonBindingSearchError, PotentialSpec, Theory, brentq, check_mass
+from .potentials import (Kind, NoBoundState, NonBindingSearchError, NonConvergence, PotentialSpec, Theory, brentq,
+                         check_mass)
 
 WINDOW_MARGIN = 1e-6   # relative margin keeping the search inside the open window
 ROOT_XTOL = 1e-10      # intersections and the existence edge
 COUPLING_XTOL = 1e-9   # critical couplings
 
-_H_FULL = 0.025        # coarsest spacing of the default three-level grid
-
 _KAPPA_SCAN = 24       # steps of the downward kappa scan for the largest root of S
 _KAPPA_XTOL = 1e-14    # kappa root tolerance; a root below it is the continuum edge
+_MAX_TERMS = 100_000   # terms after which a series past its peak has failed to settle
 
 
 class KgStatus(Enum):
@@ -97,21 +95,28 @@ class _CoulombCurve:
         return SpectralCurvePoint(e=e, F=f_val, F_prime=f_prime, delta=e - 0.5 * f_prime)
 
 
+def _unsettled(kappa, e, v) -> NonConvergence:
+    """The error of a series that runs to _MAX_TERMS: past its peak the
+    terms shrink, so it has not settled where it should have."""
+    return NonConvergence(f"the series at (kappa, e, v) = ({float(kappa):.12g}, {float(e):.12g}, "
+                          f"{float(v):.12g}) did not settle in {_MAX_TERMS} terms")
+
+
 def _kummer_sum(kappa, e, v, one, cutoff):
     """S(kappa; e, v) = sum c_n, sum |c_n| and the number of terms, in one's
     number type, until the terms past the peak are below cutoff * sum |c_n|."""
     a, b = -2 * e * v, -v * v
     c_prev, c = 0 * one, one
     total = total_abs = one
-    n = 0
-    while True:
-        n += 1
+    for n in range(1, _MAX_TERMS + 1):
         d = n * (n + 2 * kappa)
         c_prev, c = c, (a * c + b * c_prev) / d
         total += c
         total_abs += abs(c)
-        if d > abs(a) + abs(b) and abs(c) + abs(c_prev) <= cutoff * total_abs:
+        # past the peak; written so that a sum that overflowed float64 stops too
+        if d > abs(a) + abs(b) and not abs(c) + abs(c_prev) > cutoff * total_abs:
             return total, total_abs, n
+    raise _unsettled(kappa, e, v)
 
 
 def _kummer_slopes(kappa, e, v, one, cutoff):
@@ -121,9 +126,7 @@ def _kummer_slopes(kappa, e, v, one, cutoff):
     c_prev, c = 0 * one, one
     ce_prev = ce = ck_prev = ck = s_e = s_k = 0 * one
     total_abs = one
-    n = 0
-    while True:
-        n += 1
+    for n in range(1, _MAX_TERMS + 1):
         d = n * (n + 2 * kappa)
         c_new = (a * c + b * c_prev) / d
         ce_prev, ce = ce, (-2 * v * c + a * ce + b * ce_prev) / d
@@ -133,66 +136,241 @@ def _kummer_slopes(kappa, e, v, one, cutoff):
         s_k += ck
         total_abs += abs(c) + abs(ce) + abs(ck)
         tail = abs(c) + abs(c_prev) + abs(ce) + abs(ce_prev) + abs(ck) + abs(ck_prev)
-        if d > abs(a) + abs(b) and tail <= cutoff * total_abs:
+        if d > abs(a) + abs(b) and not tail > cutoff * total_abs:
             return s_e, s_k, total_abs, n
+    raise _unsettled(kappa, e, v)
 
 
-def _in_decimal(series, kappa: float, e: float, v: float, size: float, digits: int) -> list[float]:
-    """The sums of series in decimal, each good to digits digits (its sign
-    if digits = 0): the precision doubles until each exceeds 10^digits times
-    the rounding bound n 10^(1 - prec) sum |terms| of n terms, or until that
-    bound is below 1e-325, under half the smallest float64 subnormal, where
-    no more digits can change the floats returned."""
+class _Complex:
+    """x + iy in decimal, which has no complex type: the arithmetic of the
+    series and nothing more.  abs() is |x| + |y|, a norm within sqrt(2) of
+    the modulus, which is all a size needs."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
+
+    def __add__(self, other):
+        if isinstance(other, _Complex):
+            return _Complex(self.real + other.real, self.imag + other.imag)
+        return _Complex(self.real + other, self.imag)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Complex(-self.real, -self.imag)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, _Complex):
+            return _Complex(self.real * other.real - self.imag * other.imag,
+                            self.real * other.imag + self.imag * other.real)
+        return _Complex(self.real * other, self.imag * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, _Complex):
+            norm = other.real * other.real + other.imag * other.imag
+            return self * _Complex(other.real / norm, -other.imag / norm)
+        return _Complex(self.real / other, self.imag / other)
+
+    def __abs__(self):
+        return abs(self.real) + abs(self.imag)
+
+    def __float__(self):
+        return float(self.real)
+
+
+def _phase(bsq, ell, one, cutoff):
+    """sin(beta ell) / beta and cos(beta ell) for beta^2 = bsq, both even in
+    beta (cosh and sinh where bsq < 0): Taylor series at ell / 2^j, where
+    |beta ell| / 2^j <= 1/2, then j angle doublings.  decimal has neither
+    sin nor cos, and this needs neither."""
+    j = 0
+    while 4 * abs(bsq) * ell * ell > 4 ** j:
+        j += 1
+    ell = ell / 2 ** j
+    x = -bsq * ell * ell
+    sn_term = c_term = sn_sum = c_sum = one
+    i = 0
+    while abs(c_term) > cutoff:
+        i += 2
+        c_term = c_term * x / ((i - 1) * i)
+        sn_term = sn_term * x / (i * (i + 1))
+        c_sum += c_term
+        sn_sum += sn_term
+    sn, c = ell * sn_sum, c_sum
+    for _ in range(j):
+        sn, c = 2 * sn * c, c * c - bsq * sn * sn
+    return sn, c
+
+
+def _woods_saxon_sum(kappa, e, v, a, b, one, cutoff):
+    """S(kappa; e, v) of _WoodsSaxonCurve, the size of its terms (a rounding
+    scale, as sum |c_n| is for _kummer_sum) and the number of terms, in
+    one's number type; kappa or e may be complex (_woods_saxon_slopes)."""
+    # z0 = 1 - y(0) and ell = ln(1 / 2 z0), from e^{-a/b}, which cannot overflow
+    q = a / b
+    if isinstance(one, float):
+        ex = math.exp(-q)
+        z0, ell = ex / (1 + ex), q + math.log1p(ex) - math.log(2)
+    else:
+        ex = (-q).exp()
+        z0, ell = ex / (1 + ex), q + (1 + ex).ln() - (2 * one).ln()
+    h = b * b * v * v
+
+    # u_L = sum t_n (2y)^(n + s) at y = 1/2, and y u_L'(y) there; the
+    # recurrence's polynomials in k are expanded
+    s, g = b * kappa, 2 * b * b * e * v
+    left_a, left_b, peak = 2 - 2 * g, 2 + h, abs(g) + h
+    t = ul = one
+    ul_y = s
+    l_size = 1 + abs(s)
+    t_prev = tail_prev = 0 * one
+    for n_left in range(1, _MAX_TERMS + 1):
+        k = n_left + s
+        t_prev, t = t, (((4 * k - 6) * k + left_a) * t - ((k - 3) * k + left_b) * t_prev) / (
+            4 * n_left * (n_left + 2 * s))
+        ul += t
+        ul_y += k * t
+        # the size of the terms of ul and ul_y
+        tail = (1 + abs(k)) * abs(t)
+        l_size += tail
+        # past the peak; written so that a sum that overflowed float64 stops too
+        if n_left * n_left > peak and not tail + tail_prev > cutoff * l_size:
+            break
+        tail_prev = tail
+    else:
+        raise _unsettled(kappa, e, v)
+
+    # P = sum d_n (2z)^(n + i beta), d_n = p_n + i beta q_n, at z = 1/2 (x, y
+    # and the z P'(z) sums xt, yt) and at z0 (x0, y0, with w0 = (2 z0)^n)
+    bsq = b * b * (v * v + 2 * e * v - kappa * kappa)
+    # A_n = (n-1)(2n-1) + a_shift + i beta (4n - 3), B_n = (n-2)(n-1) + b_shift + i beta (2n - 3)
+    a_shift, b_shift = b * b * (2 * e * v + 2 * v * v) - 2 * bsq, h - bsq
+    peak = abs(a_shift) + abs(b_shift)
+    bsq2, bsq4, z2 = 2 * bsq, 4 * bsq, 2 * z0
+    p_prev = q_prev = 0 * one
+    p = x = x0 = w0 = size = size0 = one
+    q = y = y0 = xt = yt = pq_prev = 0 * one
+    for n in range(1, _MAX_TERMS + 1):
+        ar, ai = (2 * n - 3) * n + 1 + a_shift, 4 * n - 3
+        br, bi = (n - 3) * n + 2 + b_shift, 2 * n - 3
+        # 4 (A_n d_{n-1} / 2 - B_n d_{n-2} / 4), then divided by 4 n (n + 2 i beta)
+        rp = 2 * (ar * p - ai * bsq * q) - (br * p_prev - bi * bsq * q_prev)
+        rq = 2 * (ai * p + ar * q) - (bi * p_prev + br * q_prev)
+        den = 4 * n * (n * n + bsq4)
+        p_prev, q_prev = p, q
+        p, q = (n * rp + bsq2 * rq) / den, (n * rq - 2 * rp) / den
+        w0 *= z2
+        x += p
+        y += q
+        xt += n * p
+        yt += n * q
+        x0 += p * w0
+        y0 += q * w0
+        pq = abs(p) + abs(q)
+        size += (1 + n) * pq
+        size0 += w0 * pq
+        # the last terms' share of x0 x and the like
+        if n * n > peak and not (1 + n) * (pq + pq_prev) * (size0 + w0 * size) > cutoff * size * size0:
+            break
+        pq_prev = pq
+    else:
+        raise _unsettled(kappa, e, v)
+
+    # u_R = Im[conj(P(z0)) P(z)] / beta and its z du_R/dz at z = 1/2; the
+    # phase is (1 / 2 z0)^(i beta) = e^(i beta ell)
+    sn, c = _phase(bsq, ell, one, cutoff)
+    xd, yd = xt - bsq * y, x + yt
+    u_r = sn * (x0 * x + bsq * y0 * y) + c * (x0 * y - y0 * x)
+    u_rz = sn * (x0 * xd + bsq * y0 * yd) + c * (x0 * yd - y0 * xd)
+    # each of x, y, xd and yd is below (1 + |bsq|) size, x0 and y0 below size0
+    r_size = (abs(sn) * (1 + abs(bsq)) + abs(c)) * (1 + abs(bsq)) * size * size0
+    return (ul * u_rz + u_r * ul_y) / 2, l_size * r_size / 2, n_left + n
+
+
+def _woods_saxon_slopes(kappa, e, v, a, b, one, cutoff):
+    """dS/de and dS/dkappa of _woods_saxon_sum by complex steps, with its
+    size and the number of terms: S at e + ih (or kappa + ih) carries
+    h dS/de in its imaginary part through both series, free of
+    cancellation, and h = cutoff^2 leaves the h^2 error below every digit
+    the sums keep."""
+    h = cutoff * cutoff
+    step = 1j * h if isinstance(one, float) else _Complex(0 * one, h)
+    by_e, size, n_e = _woods_saxon_sum(kappa, e + step, v, a, b, one, cutoff)
+    by_kappa, _, n_kappa = _woods_saxon_sum(kappa + step, e, v, a, b, one, cutoff)
+    return by_e.imag / h, by_kappa.imag / h, size, n_e + n_kappa
+
+
+def _in_decimal(series, args: tuple, size: float, digits: int) -> list[float]:
+    """The sums of series(*args, one, cutoff) in decimal, each good to digits
+    digits (its sign if digits = 0): the precision doubles until each
+    exceeds 10^digits times the rounding bound n 10^(1 - prec) sum |terms|
+    of n terms, or until that bound is below 1e-325, under half the
+    smallest float64 subnormal, where no more digits can change the floats
+    returned.  The start takes the float64 size, or the largest float where
+    that overflowed."""
     import decimal  # only the sums that float64 cannot certify load it
 
-    prec = 20 + digits + math.ceil(math.log10(size))
+    prec = 20 + digits + math.ceil(math.log10(size if size < sys.float_info.max else sys.float_info.max))
     while True:
         with decimal.localcontext(decimal.Context(prec=prec)):
             one = decimal.Decimal(1)
-            *sums, total_abs, n = series(*map(decimal.Decimal, (kappa, e, v)), one, one.scaleb(-prec))
+            *sums, total_abs, n = series(*map(decimal.Decimal, args), one, one.scaleb(-prec))
             bound = n * total_abs.scaleb(1 - prec)
             if all(abs(x) > bound.scaleb(digits) for x in sums) or bound.adjusted() < -325:
                 return [float(x) for x in sums]
         prec *= 2
 
 
-class _ExponentialCurve:
-    """The exponential curve from its e^{-r} series.
-
-    With t = e^{-r}, h(e) = p^2 - 2ev t - v^2 t^2, and u = sum c_n t^(n + kappa)
-    with c_0 = 1 and n (n + 2 kappa) c_n = -2ev c_{n-1} - v^2 c_{n-2} solves
-    -u'' + W u = -kappa^2 u and decays like e^{-kappa r}: it is Kummer's
-    function e^{-iv} M(1/2 + kappa + ie, 1 + 2 kappa, 2iv) (DLMF 13.2),
-    which is real.  u(0) = 0 reads S(kappa) = sum c_n = 0, so every root
-    kappa > 0 of S is a bound state, and F(e) = -kappa^2 for the largest.
-    As -W < v^2 + 2ev, the roots lie below sqrt(v^2 + 2ev), where S > 0.
+class _SeriesCurve:
+    """A short-range curve from a sum S(kappa; e, v): the solution of
+    -u'' + W u = -kappa^2 u that decays like e^{-kappa r}, normalized at
+    infinity, taken at r = 0.  u(0) = 0 reads S = 0, so every root kappa > 0
+    of S is a bound state, and F(e) = -kappa^2 for the largest.  As
+    -W < v^2 + 2ev, the roots lie below sqrt(v^2 + 2ev), where S > 0.
 
     S(0) is the zero-energy solution that is flat at infinity, taken at
     r = 0; by Sturm oscillation its sign is (-1)^N for N bound states.
-    That alone is not the binding test (at v = 4.5, e = 1, h(e) holds two
-    bound states and S(0) > 0), so binding falls back to the kappa scan
-    where S(0) >= 0.  Near the edge it is S(0) on both sides, so the edge
-    and the critical couplings are roots of the kappa = 0 sum.
+    That alone is not the binding test (at v = 4.5, e = 1, the exponential
+    h(e) holds two bound states and S(0) > 0), so binding falls back to the
+    kappa scan where S(0) >= 0.  Near the edge it is S(0) on both sides, so
+    the edge and the critical couplings are roots of the kappa = 0 sum.
 
-    A float64 sum carries the rounding bound eps * sum |c_n|, which grows
-    like e^v.  The root searches read only signs, so S is summed again in
-    decimal only where the bound exceeds tol and |S|: the sign is in doubt.
+    A float64 sum carries the rounding bound eps * sum |terms|, which grows
+    with v.  The root searches read only signs, so S is summed again in
+    decimal only where the bound exceeds tol and |S|: the sign is in doubt,
+    as it is where float64 overflows.  Each kind gives _series and _slopes,
+    functions of (*_args(kappa, e), one, cutoff) in one's number type.
     """
 
     def __init__(self, spec: PotentialSpec, tol: float = ROOT_XTOL):
+        self.spec = spec
         self.v = spec.v
         self.tol = tol
         self.binding = functools.cache(self._binding)
 
+    def _args(self, kappa: float, e: float) -> tuple:
+        return kappa, e, self.v
+
     def _float_sum(self, kappa: float, e: float) -> tuple[float, float, bool]:
-        """S and sum |c_n| in float64, and whether the sign of S is in doubt."""
-        total, size, _ = _kummer_sum(kappa, e, self.v, 1.0, 1e-18)
+        """S and sum |terms| in float64, and whether the sign of S is in doubt."""
+        total, size, _ = self._series(*self._args(kappa, e), 1.0, 1e-18)
         bound = sys.float_info.epsilon * size
-        return total, size, bound > self.tol and not abs(total) > bound
+        # written so that a NaN or infinite bound is in doubt too
+        return total, size, not bound <= self.tol and not abs(total) > bound
 
     def _sum(self, kappa: float, e: float) -> float:
         total, size, doubtful = self._float_sum(kappa, e)
-        return _in_decimal(_kummer_sum, kappa, e, self.v, size, 0)[0] if doubtful else total
+        return _in_decimal(self._series, self._args(kappa, e), size, 0)[0] if doubtful else total
 
     def _ground_kappa(self, e: float) -> float | None:
         """The largest root of S, by a downward scan from sqrt(v^2 + 2ev)
@@ -211,79 +389,113 @@ class _ExponentialCurve:
     def _binding(self, e: float) -> float:
         """Negative exactly when h(e) binds: S(0) where it is negative (an
         odd number of bound states) or h(e) does not bind, else -kappa^2 of
-        the ground state (an even number)."""
+        the ground state (an even number).  Bargmann's bound N < int r
+        max(0, -W) dr (Proc. Natl. Acad. Sci. 38 (1952) 961) skips the kappa
+        scan where it allows at most one state, which S(0) >= 0 rules out."""
         s0 = self._sum(0.0, e)
-        if s0 < 0:
+        if s0 < 0 or self._bargmann(e) <= 2:
             return s0
         kappa = self._ground_kappa(e)
         return s0 if kappa is None else -kappa * kappa
 
+    def _bargmann(self, e: float) -> float:
+        """An upper bound on int r max(0, -W) dr, -W = 2ev f + v^2 f^2, from
+        the shape's moments m1 >= int r f dr and m2 >= int r f^2 dr; for
+        e < 0, -W <= (v^2 + 2ev) f^2 as f <= 1."""
+        m1, m2 = self._moments()
+        v = self.v
+        return v * v * m2 + 2.0 * e * v * m1 if e >= 0 else max(0.0, v * (v + 2.0 * e)) * m2
+
     def point(self, e: float) -> SpectralCurvePoint:
         kappa = self._ground_kappa(e)
         if kappa is None:
-            raise NoBoundState(f"the exponential h(e) has no bound state at e = {e}")
-        s_e, s_k, size, _ = _kummer_slopes(kappa, e, self.v, 1.0, 1e-18)
-        if self._float_sum(kappa, e)[2]:
+            raise NoBoundState(f"the {self.spec.kind.value} h(e) has no bound state at e = {e}")
+        s_e, s_k, size, _ = self._slopes(*self._args(kappa, e), 1.0, 1e-18)
+        if self._float_sum(kappa, e)[2] or not size < math.inf:
             # where float64 cannot sign S at its root, it cannot give S's
             # slopes there either
-            s_e, s_k = _in_decimal(_kummer_slopes, kappa, e, self.v, size, 17)
+            s_e, s_k = _in_decimal(self._slopes, self._args(kappa, e), size, 17)
         # F = -kappa^2 with dkappa/de = -S_e / S_kappa along S = 0
         f_prime = 2.0 * kappa * s_e / s_k
         return SpectralCurvePoint(e=e, F=-kappa * kappa, F_prime=f_prime, delta=e - 0.5 * f_prime)
 
 
-class _CurveEngine:
-    """Per-solve finite-difference evaluator, the Woods-Saxon backend, with
-    one grid for every e: the box [0, r_max] on the three-level grid, where
-    r_max is tail_radius(spec, TAIL_EPS) unless given."""
+class _ExponentialCurve(_SeriesCurve):
+    """The exponential curve from its e^{-r} series.
 
-    def __init__(self, spec: PotentialSpec, r_max: float | None = None):
-        # the one import of the FD solver, and so of scipy's LAPACK extension
-        from . import radial_schrodinger
+    With t = e^{-r}, h(e) = p^2 - 2ev t - v^2 t^2, and u = sum c_n t^(n + kappa)
+    with c_0 = 1 and n (n + 2 kappa) c_n = -2ev c_{n-1} - v^2 c_{n-2} solves
+    -u'' + W u = -kappa^2 u and decays like e^{-kappa r}: it is Kummer's
+    function e^{-iv} M(1/2 + kappa + ie, 1 + 2 kappa, 2iv) (DLMF 13.2),
+    which is real.  S(kappa) = sum c_n is u(0).
+    """
 
-        self.fd = radial_schrodinger
-        self.spec = spec
-        if r_max is None:
-            r_max = potentials.tail_radius(spec, potentials.TAIL_EPS)
-        # 64 is the fewest points GridConfig accepts
-        self.full = radial_schrodinger.GridConfig(r_max, max(64, math.ceil(r_max / _H_FULL)))
-        self.binding = functools.cache(self._binding)
+    _series = staticmethod(_kummer_sum)
+    _slopes = staticmethod(_kummer_slopes)
 
-    def _w(self, e: float) -> Callable:
-        spec = self.spec
-        def W(r):
-            V = potentials.evaluate(spec, r)
-            return 2.0 * e * V - V * V
-        return W
-
-    def _binding(self, e: float) -> float:
-        """Signed binding test of h(e): negative exactly when it binds."""
-        return self.fd.neumann_eigenvalue(self._w(e), self.full)
-
-    def point(self, e: float) -> SpectralCurvePoint:
-        res = self.fd.lowest_eigenvalue(self._w(e), self.full)
-        spec = self.spec
-        f_prime = 2.0 * self.fd.expectation(res, lambda r: potentials.evaluate(spec, r))
-        return SpectralCurvePoint(e=e, F=res.eigenvalue, F_prime=f_prime, delta=e - 0.5 * f_prime)
+    def _moments(self) -> tuple[float, float]:
+        # int r e^{-r} dr and int r e^{-2r} dr
+        return 1.0, 0.25
 
 
-def _on_curve(spec: PotentialSpec):
+class _WoodsSaxonCurve(_SeriesCurve):
+    """The Woods-Saxon curve from two series matched at r = a.
+
+    With y = 1/(1 + e^{(r-a)/b}), V = -v y and D = y (1 - y) d/dy, h(e)
+    reads D^2 u = b^2 (kappa^2 - 2ev y - v^2 y^2) u, a hypergeometric
+    equation (Rojas and Villalba, Phys. Rev. A 71 (2005) 052101).
+    - About y = 0 (r -> infinity): u_L = sum t_n (2y)^(n + s), s = b kappa,
+      k = n + s, t_0 = 1 and 4 n (n + 2s) t_n = 2 ((k-1)(2k-1) - 2b^2 ev)
+      t_{n-1} - ((k-2)(k-1) + b^2 v^2) t_{n-2}.  It decays like e^{-kappa r}.
+    - About z = 1 - y = 0 (r -> -infinity): P = sum d_n (2z)^(n + i beta),
+      beta = b sqrt(v^2 + 2ev - kappa^2), d_0 = 1 and n (n + 2 i beta) d_n
+      = d_{n-1} ((k-1)(2k-1) + b^2 (2ev + 2v^2)) - d_{n-2} ((k-2)(k-1)
+      + b^2 v^2), now k = n + i beta.  u_R = Im[conj(P(z0)) P(z)] / beta is
+      real and vanishes at r = 0, z0 = 1/(1 + e^{a/b}).  It is even in
+      beta, so d_n = p_n + i beta q_n is carried as the real pair (p_n, q_n).
+    Both converge like 2^{-n} at y = z = 1/2.  There u_R has the Wronskian
+    z du_R/dz = 1/(1 - z0) at z0, so r = 0 gives S = u_L(0) =
+    (u_L z u_R' + u_R y u_L') / 2 at y = 1/2.
+
+    Where kappa^2 >= v^2 + 2ev, -W <= max(0, v^2 + 2ev) leaves no state at
+    or below -kappa^2 and S > 0: _sum returns 1 there without a sum.
+    """
+
+    _series = staticmethod(_woods_saxon_sum)
+    _slopes = staticmethod(_woods_saxon_slopes)
+
+    def _args(self, kappa: float, e: float) -> tuple:
+        return kappa, e, self.v, self.spec.a, self.spec.b
+
+    def _moments(self) -> tuple[float, float]:
+        # int r y dr = a^2/2 + pi^2 b^2/6 + b^2 Li2(-e^{-a/b}), whose last
+        # term is negative; y^2 = y - y (1 - y) and int r y (1 - y) dr =
+        # b int y dr = b^2 ln(1 + e^{a/b}) >= a b
+        a, b = self.spec.a, self.spec.b
+        m1 = 0.5 * a * a + math.pi ** 2 * b * b / 6.0
+        return m1, m1 - a * b
+
+    def _sum(self, kappa: float, e: float) -> float:
+        if kappa * kappa >= self.v * (self.v + 2.0 * e):
+            return 1.0
+        return super()._sum(kappa, e)
+
+
+def _on_curve(spec: PotentialSpec, tol: float = ROOT_XTOL):
     """The curve of an admissible spec, one backend per kind: the Coulomb
-    closed form, the exponential series, Woods-Saxon on FD.  Raises
-    ValueError for an inadmissible spec."""
+    closed form, the exponential and Woods-Saxon series.  Raises ValueError
+    for an inadmissible spec."""
     potentials.validate(spec, Theory.KLEIN_GORDON)
     if spec.kind is Kind.COULOMB:
         return _CoulombCurve(spec)
     if spec.kind is Kind.EXPONENTIAL:
-        return _ExponentialCurve(spec)
-    return _CurveEngine(spec)
+        return _ExponentialCurve(spec, tol)
+    return _WoodsSaxonCurve(spec, tol)
 
 
 def F(spec: PotentialSpec, e: float) -> SpectralCurvePoint:
-    """Lowest eigenvalue of h(e) = p^2 + 2eV - V^2 plus slope data.
-
-    The Coulomb and exponential kinds are exact and need no grid.  Raises
-    NoBoundState where the curve does not exist.
+    """Lowest eigenvalue of h(e) = p^2 + 2eV - V^2 plus slope data, exact
+    for every kind.  Raises NoBoundState where the curve does not exist.
     """
     return _on_curve(spec).point(e)
 
@@ -383,40 +595,25 @@ def _solve(engine, m: float) -> KgSolution:
 
 
 def _critical_coupling(spec: PotentialSpec, m: float, e_probe: float) -> float:
-    """The v where the binding test of h(e_probe) changes sign, by brentq.
-
-    The exponential kind probes its series, whose signs are certain at
-    every v (_in_decimal).  FD (Woods-Saxon) probes every v in one box,
-    the default box of the bracket's upper v, which covers the range of V
-    for every smaller v; in a fixed box the test is smooth in v.
-    """
+    """The v where the binding test of h(e_probe) changes sign, by brentq
+    on the series, whose signs are certain at every v (_in_decimal)."""
     if spec.kind is Kind.COULOMB:
         raise ValueError("critical couplings are defined for the short-range kinds only")
     check_mass(m)
-    if spec.kind is Kind.EXPONENTIAL:
-        @functools.cache
-        def series(v: float) -> float:
-            return _ExponentialCurve(potentials.exponential(v), COUPLING_XTOL).binding(e_probe)
 
-        return _coupling_root(lambda hi: series, m)
+    @functools.cache
+    def probe(v: float) -> float:
+        return _on_curve(PotentialSpec(spec.kind, v, spec.a, spec.b), COUPLING_XTOL).binding(e_probe)
 
-    def at(v: float) -> PotentialSpec:
-        return PotentialSpec(spec.kind, v, spec.a, spec.b)
-
-    def fd_probe(hi: float) -> Callable[[float], float]:
-        r_max = potentials.tail_radius(at(hi), potentials.TAIL_EPS)
-        return functools.cache(lambda v: _CurveEngine(at(v), r_max).binding(e_probe))
-
-    return _coupling_root(fd_probe, m)
+    return _coupling_root(probe, m)
 
 
-def _coupling_root(probe_for: Callable[[float], Callable[[float], float]], m: float) -> float:
-    """brentq on probe_for(hi), the binding test as a function of v, over
-    [lo, hi]: hi doubles from max(2m, 4) until it binds, then lo quarters
-    from 1e-2 until it does not."""
+def _coupling_root(probe: Callable[[float], float], m: float) -> float:
+    """brentq on probe, the binding test as a function of v, over [lo, hi]:
+    hi doubles from max(2m, 4) until it binds, then lo quarters from 1e-2
+    until it does not."""
     hi = max(2.0 * m, 4.0)
     for _ in range(40):
-        probe = probe_for(hi)
         if probe(hi) < 0:
             break
         hi *= 2.0

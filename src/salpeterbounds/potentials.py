@@ -88,10 +88,13 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
                 # secant
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
             else:
-                # inverse quadratic extrapolation
+                # inverse quadratic extrapolation; where the denominator
+                # underflows to 0, C's division gives inf or NaN, and so a
+                # bisection
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                denom = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
             limit = 3 * abs(sbis) - delta
             if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
                 spre, scur = scur, stry  # good short step

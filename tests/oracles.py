@@ -1,7 +1,8 @@
 """Independent oracles used to freeze expected values.
 
 Everything here avoids the package's own numerical paths: plain bisection,
-closed forms, scipy.integrate.quad, solve_ivp shooting with brentq, and
+closed forms (among them the square well, the thin-surface limit of
+Woods-Saxon), scipy.integrate.quad, solve_ivp shooting with brentq, and
 the e^{-r} series of the exponential curve summed in float64 and in mpmath.
 """
 
@@ -120,6 +121,24 @@ EXP_WELL_EIGENVALUE = {
     2.5: -0.06620309803074714,
     4.5: -0.42803825771316334,
 }
+
+
+def square_well_curve(v: float, e: float, a: float) -> float | None:
+    """F(e) for the square well V = -v on r < a, or None where h(e) does
+    not bind.
+
+    Inside, W = 2eV - V^2 = -(v^2 + 2ev) = -q, so u = sin(kr) with
+    k^2 = q - kappa^2, and u'/u = -kappa outside: k cot(ka) = -kappa.  The
+    ground state is the smallest such k, in (pi/2a, pi/a), found by brentq
+    on k cos(ka) + kappa sin(ka); F = -kappa^2 = k^2 - q.
+    """
+    q = v * v + 2.0 * e * v
+    if q <= (0.5 * math.pi / a) ** 2:
+        return None
+    hi = min(math.pi / a, math.sqrt(q))
+    k = brentq(lambda k: k * math.cos(k * a) + math.sqrt(q - k * k) * math.sin(k * a), 0.5 * math.pi / a, hi,
+               xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    return k * k - q
 
 
 def coulomb_kg_energy(v: float, m: float) -> float:

@@ -18,9 +18,8 @@ from salpeterbounds.cli_report import (
     run_critical,
     run_fcurves,
 )
-from salpeterbounds import kleingordon, radial_schrodinger, salpeter
-from salpeterbounds.potentials import Kind
-from salpeterbounds.radial_schrodinger import NoBoundState
+from salpeterbounds import kleingordon, potentials, salpeter
+from salpeterbounds.potentials import Kind, NoBoundState
 
 
 def write_config(tmp_path, text, name="cfg.txt"):
@@ -541,7 +540,7 @@ class TestMainEntry:
 
     def test_critical_search_failure_exits_cleanly(self, monkeypatch, capsys):
         # a positive binding test: h(e) binds at no coupling
-        monkeypatch.setattr(radial_schrodinger, "neumann_eigenvalue", lambda *args: 1.0)
+        monkeypatch.setattr(kleingordon._WoodsSaxonCurve, "_binding", lambda self, e: 1.0)
         rc = cli.main(["critical", "--set", "potential=woods-saxon", "--set", "m=1"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: no binding found up to v = ")
@@ -549,7 +548,7 @@ class TestMainEntry:
     def test_exhausted_root_search(self, monkeypatch, tmp_path, capsys):
         # a Klein-Gordon root search that runs out of iterations is an error
         # row in a sweep and a clean exit 1 for a single point
-        monkeypatch.setattr(kleingordon, "brentq", functools.partial(radial_schrodinger.brentq, maxiter=1))
+        monkeypatch.setattr(kleingordon, "brentq", functools.partial(potentials.brentq, maxiter=1))
         point = ["--set", "potential=woods-saxon", "--set", "v=2.0", "--set", "m=1"]
         out = tmp_path / "rows.csv"
         assert cli.main(["bounds", *point, "--set", f"out={out}"]) == 0

@@ -3,18 +3,22 @@
 The series oracle (tests/oracles.py) is checked three ways first: float64
 against a 50-digit mpmath sum, the Bessel form at e = 0, and the two
 critical couplings at m = 1.  It is then the reference for kleingordon's
-series path, and that path the reference for the finite-difference engine,
-built directly on exponential specs, for as long as FD serves any kind.
+series path, and that path the reference for the finite-difference
+Schrodinger solver, which no Klein-Gordon path runs any more.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
 import salpeterbounds as sb
-from salpeterbounds import cli_report, kleingordon, radial_schrodinger
+from salpeterbounds import cli_report, kleingordon, potentials, radial_schrodinger
 from salpeterbounds.potentials import NoBoundState
 
 from oracles import bessel_ground_eigenvalue, bisect, exp_series, exp_series_mp, exp_series_roots
@@ -88,38 +92,20 @@ class TestSeriesPath:
         assert search(sb.exponential(1.0), 1.0) == pytest.approx(want, abs=kleingordon.COUPLING_XTOL)
 
 
-def _fd(v):
-    return kleingordon._CurveEngine(sb.exponential(v))
-
-
 class TestFiniteDifferenceAgainstSeries:
     @pytest.mark.parametrize("v, e", [*BASELINE, (4.5, 1.0)])
     def test_curve_within_the_error_estimate(self, v, e):
-        engine = _fd(v)
-        res = radial_schrodinger.lowest_eigenvalue(engine._w(e), engine.full)
-        assert abs(res.eigenvalue - sb.F(sb.exponential(v), e).F) <= res.error_estimate
+        # the FD solver on the box where |V| falls to TAIL_EPS, at the
+        # spacing the Woods-Saxon curve used while it ran on FD
+        spec = sb.exponential(v)
+        r_max = potentials.tail_radius(spec, potentials.TAIL_EPS)
 
-    @pytest.mark.parametrize("v", [2.5, 3.4, 4.5])
-    def test_edge_and_intersection(self, v):
-        fd = kleingordon._solve(_fd(v), 1.0)
-        series = sb.solve(sb.exponential(v), 1.0)
-        assert fd.status is series.status is sb.KgStatus.BOUND
-        assert abs(fd.e0 - series.e0) <= 10 * kleingordon.ROOT_XTOL
-        assert abs(fd.e - series.e) <= 10 * kleingordon.ROOT_XTOL
+        def w(r):
+            big_v = potentials.evaluate(spec, r)
+            return 2.0 * e * big_v - big_v * big_v
 
-    def test_a_curve_that_ends_at_its_edge(self):
-        # FD's box cuts the potential where it falls below 1e-12, so FD
-        # binds no e that the series does not
-        spec, e_values = sb.exponential(2.5), np.linspace(-0.95, 0.95, 77)
-        engine, fd = _fd(2.5), []
-        for e in e_values[::-1]:
-            try:
-                fd.append(engine.point(float(e)).e)
-            except NoBoundState:
-                break
-        series = [p.e for p in sb.curve(spec, e_values)]
-        assert 0 < len(fd) < len(e_values)
-        assert set(fd) <= set(series)
+        res = radial_schrodinger.lowest_eigenvalue(w, radial_schrodinger.GridConfig(r_max, math.ceil(r_max / 0.025)))
+        assert abs(res.eigenvalue - sb.F(spec, e).F) <= res.error_estimate
 
 
 class TestRoundingGuard:
@@ -165,31 +151,17 @@ class TestRoundingGuard:
         assert capsys.readouterr().out.splitlines() == [f"potential=exponential m={m}", *lines]
 
 
-def _count_engines(monkeypatch) -> list:
-    """Record every FD engine kleingordon builds from here on."""
-    built, engine = [], kleingordon._CurveEngine
-
-    def counted(*args):
-        built.append(args)
-        return engine(*args)
-
-    monkeypatch.setattr(kleingordon, "_CurveEngine", counted)
-    return built
-
-
 class TestSignOnlyGuard:
     @pytest.mark.parametrize("m", [2.0, 5.0, 7.0, 10.0, 50.0])
     @pytest.mark.parametrize("search, side", [(sb.critical_coupling_lower, 1.0), (sb.critical_coupling_upper, -1.0)],
                              ids=["lower", "upper"])
-    def test_thresholds_stay_on_the_series(self, m, search, side, monkeypatch):
+    def test_thresholds_stay_on_the_series(self, m, search, side):
         # the upper search at m = 2 doubles to v = 16, where the bound is
         # 4e-9 but |S| = 3.3: the sign is certain in float64.  Near the
         # upper roots at m = 7, 10 and 50 (v = 20.1, 26.7 and 111.1) it is
         # not, and the decimal sums give it; FD missed these roots by 9.4e-9,
         # 3.1e-8 and 0.13
-        engines = _count_engines(monkeypatch)
         got = search(sb.exponential(1.0), m)
-        assert engines == []
         # findroot checks |S|^2 against its working precision, and S runs to
         # 1e81 at m = 50
         with mpmath.workdps(200):
@@ -197,15 +169,14 @@ class TestSignOnlyGuard:
         assert abs(got - float(want)) <= kleingordon.COUPLING_XTOL
 
     @pytest.mark.parametrize("v, m", [(12.0, 4.0), (11.0, 4.0), (20.0, 7.0), (60.0, 30.0)])
-    def test_a_solve_that_left_fd(self, v, m, monkeypatch):
+    def test_a_solve_that_left_fd(self, v, m):
         # e is where kappa = sqrt(m^2 - e^2) is a root of S, e0 the root of
         # S(0; e), and F' = 2 kappa S_e / S_kappa there.  FD's e at (12, 4)
         # is 8.9e-10 off, its e0 at (60, 30) 0.02; the float64 slopes at
         # (60, 30) are 2e-7 off, so a point whose root float64 cannot sign
         # takes its slopes in decimal too
-        engines = _count_engines(monkeypatch)
         sol = sb.solve(sb.exponential(v), m)
-        assert engines == [] and sol.status is sb.KgStatus.BOUND
+        assert sol.status is sb.KgStatus.BOUND
         with mpmath.workdps(120):
             def s(kappa, e):
                 return exp_series_mp(kappa, e, v, 120)
@@ -220,11 +191,9 @@ class TestSignOnlyGuard:
         assert abs(sol.e0 - float(want_e0)) <= kleingordon.ROOT_XTOL
         assert abs(2.0 * (sol.e - sol.delta_at_e) - want_slope) <= 1e-7 * abs(want_slope)
 
-    def test_a_supercritical_coupling_on_the_series(self, monkeypatch):
+    def test_a_supercritical_coupling_on_the_series(self):
         # at v = 100 every top-of-scan sum needs the decimal pass
-        engines = _count_engines(monkeypatch)
         assert sb.solve(sb.exponential(100.0), 1.0).status is sb.KgStatus.SUPERCRITICAL
-        assert engines == []
 
     @pytest.mark.parametrize("j", [24, 23])
     def test_sum_takes_the_sign_of_the_exact_sum(self, j):
@@ -237,3 +206,64 @@ class TestSignOnlyGuard:
         exact = exp_series_mp(kappa, e, v, 120)
         got = kleingordon._ExponentialCurve(sb.exponential(v))._sum(kappa, e)
         assert exact > 0 and got > 0
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# float64 overflows in these sums (terms near e^v), and decimal takes them
+LARGE = {
+    "kg-800": ["kg", "--set", "potential=exponential", "--set", "v=800", "--set", "m=1"],
+    "kg-1000": ["kg", "--set", "potential=exponential", "--set", "v=1000", "--set", "m=1"],
+    "critical-150": ["critical", "--set", "potential=exponential", "--set", "m=150"],
+}
+
+
+@pytest.fixture(scope="module")
+def large_runs(tmp_path_factory):
+    """Each LARGE command in a child process, all at once, under a timeout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    procs = {name: subprocess.Popen([sys.executable, "-m", "salpeterbounds.cli_report", *argv], env=env,
+                                    cwd=tmp_path_factory.mktemp("large"), stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, text=True)
+             for name, argv in LARGE.items()}
+    runs = {}
+    for name, proc in procs.items():
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            runs[name] = None
+        else:
+            runs[name] = out, err, proc.returncode
+    return runs
+
+
+class TestOverflowingSums:
+    @pytest.mark.parametrize("name", ["kg-800", "kg-1000"])
+    def test_strong_coupling_reads_supercritical(self, large_runs, name):
+        # as v = 700 does, whose sums still fit in float64
+        assert large_runs[name] is not None, "timed out"
+        out, err, rc = large_runs[name]
+        assert (rc, err) == (0, "")
+        assert out.splitlines() == ["status=supercritical", "e=", "e0=", "delta="]
+
+    def test_thresholds_at_a_large_mass(self, large_runs):
+        # 500-digit mpmath roots of exp_series_mp: 0.00481930475405572 and
+        # 315.814399790647
+        assert large_runs["critical-150"] is not None, "timed out"
+        out, err, rc = large_runs["critical-150"]
+        assert (rc, err) == (0, "")
+        assert out.splitlines() == ["potential=exponential m=150", "binding_threshold_v=0.004819 (root tol 1e-09)",
+                                    "supercritical_v=315.814400 (root tol 1e-09)"]
+
+    def test_float_pass_stops_on_overflow(self):
+        # the terms at v = 800 overflow float64; the pass stops past the
+        # peak with a sum that is not finite, which _float_sum doubts
+        total, size, n = kleingordon._kummer_sum(0.0, 1.0, 800.0, 1.0, 1e-18)
+        assert not math.isfinite(size) and n < 2000
+        assert kleingordon._ExponentialCurve(sb.exponential(800.0))._float_sum(0.0, 1.0)[2]
+
+    def test_a_series_that_does_not_settle_raises(self, monkeypatch):
+        monkeypatch.setattr(kleingordon, "_MAX_TERMS", 10)
+        with pytest.raises(sb.NonConvergence, match=r"\(kappa, e, v\) = \(0, 1, 30\) did not settle in 10 terms"):
+            kleingordon._kummer_sum(0.0, 1.0, 30.0, 1.0, 1e-18)

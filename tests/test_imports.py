@@ -62,34 +62,26 @@ COMMANDS = {
     "critical-exponential-m10": ["critical", "--set", "potential=exponential", "--set", "m=10"],
     "kg-exponential-v20": ["kg", "--set", "potential=exponential", "--set", "v=20", "--set", "m=7"],
 }
-# the scipy.linalg extension module that _lapack loads without its package
-FLAPACK = "scipy.linalg._flapack"
-SINE_BASIS = ("scipy.optimize", "scipy.fft", "scipy.sparse", "scipy.special")
-# scipy subpackages each command must not load; bounds loads FLAPACK, which
-# sits under scipy.linalg, so its exact-list test below forbids that package
+# scipy subpackages each command must not load
 FORBIDDEN = {
     "--help": ("scipy",),
     "gaussian": ("scipy",),
-    "kg": ("scipy.optimize", "scipy.sparse", "scipy.fft"),
-    "critical": ("scipy.optimize", "scipy.sparse", "scipy.fft"),
-    "fcurves": ("scipy.optimize", "scipy.sparse", "scipy.fft"),
-    "bounds": SINE_BASIS,
-    "salpeter": (*SINE_BASIS, "scipy.linalg"),
+    "bounds": ("scipy",),
+    "salpeter": ("scipy",),
 }
-# the Woods-Saxon Klein-Gordon commands run the FD solver: they load LAPACK's
-# extension module and no scipy package
-KLEIN_GORDON = ("kg", "critical", "fcurves")
-# the exponential series and the Coulomb closed form run on no LAPACK
-NO_LAPACK = ("kg-exponential", "critical-exponential", "fcurves-exponential", "bounds-coulomb", "kg-coulomb",
-             "bounds-exponential", "critical-exponential-m10", "kg-exponential-v20")
+# the series of both short-range kinds and the Coulomb closed form run on no
+# LAPACK: every Klein-Gordon command loads no scipy and no FD module
+NO_LAPACK = ("kg", "critical", "fcurves", "kg-exponential", "critical-exponential", "fcurves-exponential",
+             "bounds-coulomb", "kg-coulomb", "bounds-exponential", "critical-exponential-m10", "kg-exponential-v20")
 FORBIDDEN.update(dict.fromkeys(NO_LAPACK, ("scipy",)))
 # cli_report and potentials load the standard library alone, so help and the
-# Klein-Gordon commands on the exponential series or the Coulomb closed form
-# start without numpy
-NO_NUMPY = ("--help", "kg-exponential", "critical-exponential", "fcurves-exponential", "kg-coulomb",
-            "critical-exponential-m10", "kg-exponential-v20")
-# at m = 1 every exponential sum has a certain float64 sign
-NO_DECIMAL = ("kg-exponential", "critical-exponential", "fcurves-exponential", "bounds-exponential")
+# Klein-Gordon commands on a series or the Coulomb closed form start without
+# numpy
+NO_NUMPY = ("--help", "kg", "critical", "fcurves", "kg-exponential", "critical-exponential", "fcurves-exponential",
+            "kg-coulomb", "critical-exponential-m10", "kg-exponential-v20")
+# at m = 1 every exponential and Woods-Saxon sum has a certain float64 sign
+NO_DECIMAL = ("kg", "critical", "fcurves", "kg-exponential", "critical-exponential", "fcurves-exponential",
+              "bounds-exponential")
 
 
 def _loaded(modules, package):
@@ -144,18 +136,10 @@ def test_command_loads_only_its_solvers(loaded_modules, command):
         assert _loaded(loaded_modules[command], package) == []
 
 
-@pytest.mark.parametrize("command", KLEIN_GORDON)
-def test_kleingordon_commands_load_only_the_lapack_extension(loaded_modules, command):
-    assert _loaded(loaded_modules[command], "scipy") == [FLAPACK]
-
-
-def test_bounds_loads_only_the_lapack_extension(loaded_modules):
-    # the sine-basis solver and the Gaussian bound run on numpy alone
-    assert _loaded(loaded_modules["bounds"], "scipy") == [FLAPACK]
-
-
-def test_salpeter_command_loads_no_scipy(loaded_modules):
-    assert _loaded(loaded_modules["salpeter"], "scipy") == []
+def test_bounds_loads_no_scipy(loaded_modules):
+    # the sine-basis solver and the Gaussian bound run on numpy alone, and
+    # the Woods-Saxon curve on its series
+    assert _loaded(loaded_modules["bounds"], "scipy") == []
 
 
 @pytest.mark.parametrize("command", NO_LAPACK)
@@ -181,7 +165,7 @@ OLDEST_PYTHON = "python3.10"
 RUN_MAIN = "import sys; from salpeterbounds import cli_report; sys.exit(cli_report.main(sys.argv[1:]))"
 
 
-@pytest.mark.parametrize("command", ["critical-exponential-m10", "kg-exponential-v20"])
+@pytest.mark.parametrize("command", ["critical", "critical-exponential-m10", "kg-exponential-v20"])
 def test_numpy_free_command_runs_on_the_oldest_python(command, tmp_path):
     try:
         probe = subprocess.run([OLDEST_PYTHON, "-c", "pass"], env=CHILD_ENV, capture_output=True, timeout=60)
@@ -195,7 +179,7 @@ def test_numpy_free_command_runs_on_the_oldest_python(command, tmp_path):
     assert (runs[0].stdout, runs[0].stderr) == (runs[1].stdout, runs[1].stderr)
 
 
-@pytest.mark.parametrize("command", ["--help", *KLEIN_GORDON, *NO_LAPACK])
+@pytest.mark.parametrize("command", ["--help", *NO_LAPACK])
 def test_gaussian_bound_loads_only_where_it_runs(loaded_modules, command):
     assert "salpeterbounds.gaussian_bound" not in loaded_modules[command]
 

@@ -6,9 +6,9 @@ import pytest
 from scipy.special import expit
 
 import salpeterbounds as sb
-from salpeterbounds import kleingordon, potentials, radial_schrodinger
+from salpeterbounds import kleingordon
 from salpeterbounds.kleingordon import KgStatus, curve_csv_rows
-from salpeterbounds.radial_schrodinger import NoBoundState
+from salpeterbounds.potentials import NoBoundState
 
 from oracles import (
     coulomb_kg_energy,
@@ -62,16 +62,16 @@ class TestSpectralCurveShortRange:
     def test_curve_walks_down_without_binding_tests(self, monkeypatch):
         # existence is monotone in e: the walk from the top ends at the
         # first e that does not bind, so no separate binding test runs and
-        # exactly one eigenvalue solve fails
-        calls = {"neumann_eigenvalue": 0, "lowest_eigenvalue": 0}
+        # exactly one point fails
+        calls = {"_binding": 0, "point": 0}
         for name in calls:
-            def spy(*args, _name=name, _inner=getattr(radial_schrodinger, name)):
+            def spy(self, e, _name=name, _inner=getattr(kleingordon._WoodsSaxonCurve, name)):
                 calls[_name] += 1
-                return _inner(*args)
-            monkeypatch.setattr(radial_schrodinger, name, spy)
+                return _inner(self, e)
+            monkeypatch.setattr(kleingordon._WoodsSaxonCurve, name, spy)
         points = kleingordon.curve(sb.woods_saxon(1.5), np.linspace(-0.95, 0.95, 21))
         assert 0 < len(points) < 21
-        assert calls == {"neumann_eigenvalue": 0, "lowest_eigenvalue": len(points) + 1}
+        assert calls == {"_binding": 0, "point": len(points) + 1}
 
     def test_curve_of_no_e_values_is_empty(self):
         assert sb.curve(sb.exponential(2.5), []) == []
@@ -106,8 +106,8 @@ class TestSpectralCurveShortRange:
         (sb.woods_saxon(1.0), 0.99),   # at e_kg, m = 1
     ])
     def test_slope_identity_for_weak_binding(self, spec, e):
-        # weakly bound states carry much of their norm past the small box,
-        # in the matched decay, and <V> must be normalized with it
+        # a weakly bound state carries much of its norm far out, where
+        # <V> is small: the slope must still be the curve's
         pt = sb.F(spec, e)
         step = 1e-3
         fd = (sb.F(spec, e + step).F - sb.F(spec, e - step).F) / (2.0 * step)
@@ -218,15 +218,15 @@ class TestSolveClassification:
     @pytest.mark.parametrize("spec", [sb.woods_saxon(1.5), sb.woods_saxon(2.0)])
     def test_root_search_cost(self, spec, monkeypatch):
         # concavity of G leaves one bracketed root search: a handful of
-        # eigenvalue solves, not a scan of the window
+        # curve points, not a scan of the window
         calls = []
-        real = radial_schrodinger.lowest_eigenvalue
+        real = kleingordon._WoodsSaxonCurve.point
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return real(*args, **kwargs)
+        def counted(self, e):
+            calls.append(e)
+            return real(self, e)
 
-        monkeypatch.setattr(radial_schrodinger, "lowest_eigenvalue", counted)
+        monkeypatch.setattr(kleingordon._WoodsSaxonCurve, "point", counted)
         assert sb.solve(spec, 1.0).status is KgStatus.BOUND
         assert len(calls) <= 16
 
@@ -334,18 +334,11 @@ class TestCriticalCouplings:
 
 
 class TestExistenceEdge:
-    @pytest.mark.parametrize("kind, v, r_end", [
-        ("exponential", 3.4, 40.0),
-        # FD's default box for a = 1, b = 0.2 ends at
-        # tail_radius(spec, TAIL_EPS) = 8, where the binding test closes it
-        ("woods-saxon", 1.5, 8.0),
-    ])
-    def test_edge_is_zero_energy_root(self, kind, v, r_end):
-        # e0 is the e where the zero-energy solution of h(e) leaves the box
-        # flat, u'(R) = 0
-        make, shape, _ = ZERO_ENERGY_SHAPES[kind]
-        if kind == "woods-saxon":
-            assert potentials.tail_radius(make(v), potentials.TAIL_EPS) == r_end
+    @pytest.mark.parametrize("kind, v", [("exponential", 3.4), ("woods-saxon", 1.5)])
+    def test_edge_is_zero_energy_root(self, kind, v):
+        # e0 is the e where the zero-energy solution of h(e) is flat at
+        # infinity, u'(r_end) = 0 once V has died out
+        make, shape, r_end = ZERO_ENERGY_SHAPES[kind]
         want = zero_energy_root(lambda e: zero_energy_slope(shape, v, e, r_end), np.linspace(-0.99, 0.99, 12))
         assert sb.solve(make(v), 1.0).e0 == pytest.approx(want, abs=1e-9)
 

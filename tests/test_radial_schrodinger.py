@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 from scipy.special import jn_zeros
 
 import salpeterbounds as sb
-from salpeterbounds import _lapack, kleingordon, potentials, radial_schrodinger
+from salpeterbounds import _lapack, potentials, radial_schrodinger
 from salpeterbounds.radial_schrodinger import GridConfig, NoBoundState
 
 from oracles import EXP_WELL_EIGENVALUE, bessel_ground_eigenvalue
@@ -208,6 +208,19 @@ def sturm_lowest(diag, off, lo, hi):
     return float(0.5 * (lo + hi))
 
 
+def kleingordon_operator(spec, e):
+    """W = 2eV - V^2 of the Klein-Gordon h(e), and the grid the Woods-Saxon
+    curve ran on while it used this solver: spacing 0.025 over the tail
+    radius."""
+    r_max = potentials.tail_radius(spec, potentials.TAIL_EPS)
+
+    def w(r):
+        big_v = potentials.evaluate(spec, r)
+        return 2.0 * e * big_v - big_v * big_v
+
+    return w, GridConfig(r_max, max(64, math.ceil(r_max / 0.025)))
+
+
 class TestCertifiedBracket:
     """A predicted bracket is used only behind the LDL^T certificate, its
     inverse-iteration quotient only behind a second one, and any miss falls
@@ -328,8 +341,14 @@ class TestCertifiedBracket:
         monkeypatch.setattr(radial_schrodinger, "_robin_levels", counted)
         for spec in (sb.woods_saxon(2.6), sb.woods_saxon(1.0)):
             del selects[:], builds[:]
-            sb.solve(spec, 1.0)
-            assert len(selects) == len(builds)
+            for e in np.linspace(-0.9, 0.9, 7):
+                w, grid = kleingordon_operator(spec, e)
+                radial_schrodinger.neumann_eigenvalue(w, grid)
+                try:
+                    radial_schrodinger.lowest_eigenvalue(w, grid)
+                except NoBoundState:
+                    pass
+            assert builds and len(selects) == len(builds)
 
     @pytest.mark.parametrize("spec, e", [(sb.exponential(3.4), 0.2), (sb.woods_saxon(2.6), 0.3),
                                          (sb.woods_saxon(1.0), 0.95)],
@@ -338,8 +357,7 @@ class TestCertifiedBracket:
         # kappa adds 2 kappa / h to the end diagonal only, so each level's
         # eigenvalue is nondecreasing in kappa, whatever order the kappas
         # are memoized in
-        engine = kleingordon._CurveEngine(spec)
-        _, robin = radial_schrodinger._robin_levels(engine._w(e), engine.full)
+        _, robin = radial_schrodinger._robin_levels(*kleingordon_operator(spec, e))
         kappas = [0.0, 0.7, 0.1, 2.0, 0.35, 0.3, 0.35 + 1e-6, 5.0]
         for kappa in kappas:
             robin(kappa)
@@ -511,6 +529,16 @@ class TestBrentq:
         assert errors.count(None) > 150
         assert errors.count(potentials.NonConvergence) > 30
         assert errors.count(ValueError) > 20
+
+    def test_tiny_values_match_scipy(self):
+        # values near 1e-150 underflow the inverse quadratic step's
+        # denominator to 0; C's division gives inf or NaN there, so scipy
+        # bisects, where Python's would raise ZeroDivisionError
+        for f, a, b, xtol, maxiter in _brent_cases(seed=12, count=100):
+            tiny = lambda x, f=f: 1e-150 * f(x)
+            ours = _brent_run(potentials.brentq, tiny, a, b, xtol, maxiter)
+            theirs = _brent_run(brentq, tiny, a, b, xtol, maxiter)
+            assert ours == theirs
 
     def test_root_is_a_python_float(self):
         root = potentials.brentq(lambda x: np.float64(x - 0.3), 0.0, 1.0, xtol=1e-12)

@@ -44,13 +44,14 @@ def test_salpeter_spans(tmp_path):
 
 
 def test_kg_spans(tmp_path):
+    # the Woods-Saxon curve runs on its series: every root search is a
+    # brentq span inside kleingordon.solve, and no FD span opens
     spans = traced_spans(tmp_path, "kg", *WOODS_SAXON)
-    solves = [span for span in spans if span[0] == "radial_schrodinger.eigh_tridiagonal"]
-    assert solves and all(span[5] > 0 for span in solves)
-    # one wrapper per solve: a second one would double tridiagonal_solves
-    # and grid_points
-    assert not any(span[3] is not None and spans[span[3]][0] == span[0] for span in solves)
-    assert "radial_schrodinger.lowest_eigenvalue" in {span[0] for span in spans}
+    names = [span[0] for span in spans]
+    assert names.count("kleingordon.solve") == 1
+    roots = [span for span in spans if span[0] == "potentials.brentq"]
+    assert roots and all(spans[span[3]][0] in ("kleingordon.solve", "potentials.brentq") for span in roots)
+    assert not any(name.startswith("radial_schrodinger.") for name in names)
 
 
 def test_gaussian_spans(tmp_path):
@@ -62,9 +63,9 @@ def test_gaussian_spans(tmp_path):
 
 
 def test_fcurves_curve_runs_no_binding_test(tmp_path):
-    # the curve walks down to its existence edge through lowest_eigenvalue
-    # alone; solve keeps the one edge search, so the binding test runs
-    # under solve and never under curve
+    # the curve walks down to its existence edge through its points alone,
+    # one kappa root search each; solve keeps the one edge search, so root
+    # searches under curve number the points it wrote
     spans = traced_spans(tmp_path, "fcurves", "--set", "potential=woods-saxon", "--set", "v=1.5",
                          "--set", "m=1", "--set", "e_steps=9", "--set", "out=curves")
 
@@ -75,6 +76,9 @@ def test_fcurves_curve_runs_no_binding_test(tmp_path):
 
     names = {span[0] for span in spans}
     assert {"kleingordon.curve", "kleingordon.solve"} <= names
-    binding = [span for span in spans if span[0] == "radial_schrodinger.neumann_eigenvalue"]
-    assert any("kleingordon.solve" in ancestors(span) for span in binding)
-    assert not any("kleingordon.curve" in ancestors(span) for span in binding)
+    assert not any(name.startswith("radial_schrodinger.") for name in names)
+    points = (tmp_path / "curves" / "fcurve_v1.5.csv").read_text().splitlines()[2:]
+    roots = [span for span in spans if span[0] == "potentials.brentq"]
+    under_curve = [span for span in roots if "kleingordon.curve" in ancestors(span)]
+    assert 0 < len(points) < 9 and len(under_curve) == len(points)
+    assert len(roots) > len(under_curve)
