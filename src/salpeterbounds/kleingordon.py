@@ -357,6 +357,8 @@ class _SeriesCurve:
         self.v = spec.v
         self.tol = tol
         self.binding = functools.cache(self._binding)
+        # e -> the largest root of S there, or None
+        self._roots: dict[float, float | None] = {}
 
     def _args(self, kappa: float, e: float) -> tuple:
         return kappa, e, self.v
@@ -374,17 +376,31 @@ class _SeriesCurve:
 
     def _ground_kappa(self, e: float) -> float | None:
         """The largest root of S, by a downward scan from sqrt(v^2 + 2ev)
-        and brentq; None where there is none above _KAPPA_XTOL."""
+        and brentq; None where there is none above _KAPPA_XTOL.
+
+        The root rises with e, as F falls, so S > 0 above a root found at
+        any larger e, and the scan starts below it; where a larger e had
+        none, this e has none.  The scan points it skips are ones where it
+        would have read S > 0, so the root is the one the full scan finds.
+        """
         top_sq = self.v * (self.v + 2.0 * e)
         if top_sq <= 0:
             return None
+        above = [kappa for at, kappa in self._roots.items() if at >= e]
+        if None in above:
+            return None
         step = math.sqrt(top_sq) / _KAPPA_SCAN
+        # brentq's root may sit up to about 2 xtol below the true one
+        first = _KAPPA_SCAN - 1 if not above else min(_KAPPA_SCAN - 1, int((min(above) + 4 * _KAPPA_XTOL) / step))
         s = functools.cache(lambda kappa: self._sum(kappa, e))
-        for j in range(_KAPPA_SCAN - 1, -1, -1):
+        kappa = None
+        for j in range(first, -1, -1):
             if s(j * step) <= 0:
                 kappa = float(brentq(s, j * step, (j + 1) * step, xtol=_KAPPA_XTOL))
-                return kappa if kappa > _KAPPA_XTOL else None
-        return None
+                kappa = kappa if kappa > _KAPPA_XTOL else None
+                break
+        self._roots[e] = kappa
+        return kappa
 
     def _binding(self, e: float) -> float:
         """Negative exactly when h(e) binds: S(0) where it is negative (an
