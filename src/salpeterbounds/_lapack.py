@@ -2,9 +2,10 @@
 extension scipy/linalg/_flapack alone.
 
 Importing the scipy.linalg package costs more start-up than the FD solver
-spends computing, and it needs four Fortran routines of it.  A process that has already loaded scipy.linalg reuses its extension
-module; otherwise the extension is loaded here and registered under its
-own name, so a later import of scipy.linalg shares it.
+spends computing, and it needs four Fortran routines of it.  A process
+that has already loaded scipy.linalg reuses its extension module;
+otherwise the extension is loaded here and registered under its own name,
+so a later import of scipy.linalg shares it.
 """
 
 import importlib.machinery

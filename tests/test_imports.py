@@ -142,6 +142,10 @@ def test_bounds_loads_no_scipy(loaded_modules):
     assert _loaded(loaded_modules["bounds"], "scipy") == []
 
 
+def test_salpeter_command_loads_no_scipy(loaded_modules):
+    assert _loaded(loaded_modules["salpeter"], "scipy") == []
+
+
 @pytest.mark.parametrize("command", NO_LAPACK)
 def test_exact_curve_commands_load_no_finite_difference_layer(loaded_modules, command):
     assert _loaded(loaded_modules[command], "scipy") == []

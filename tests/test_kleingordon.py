@@ -355,11 +355,11 @@ class TestCriticalCouplings:
 
 
 class TestExistenceEdge:
-    @pytest.mark.parametrize("kind, v", [("exponential", 3.4), ("woods-saxon", 1.5)])
-    def test_edge_is_zero_energy_root(self, kind, v):
+    @pytest.mark.parametrize("kind, v, r_end", [("exponential", 3.4, 40.0), ("woods-saxon", 1.5, 8.0)])
+    def test_edge_is_zero_energy_root(self, kind, v, r_end):
         # e0 is the e where the zero-energy solution of h(e) is flat at
         # infinity, u'(r_end) = 0 once V has died out
-        make, shape, r_end = ZERO_ENERGY_SHAPES[kind]
+        make, shape, _ = ZERO_ENERGY_SHAPES[kind]
         want = zero_energy_root(lambda e: zero_energy_slope(shape, v, e, r_end), np.linspace(-0.99, 0.99, 12))
         assert sb.solve(make(v), 1.0).e0 == pytest.approx(want, abs=1e-9)
 
