@@ -212,10 +212,16 @@ def _phase(bsq, ell, one, cutoff):
     return sn, c
 
 
-def _woods_saxon_sum(kappa, e, v, a, b, one, cutoff):
+def _woods_saxon_sum(kappa, e, v, a, b, one, cutoff, nodes=False):
     """S(kappa; e, v) of _WoodsSaxonCurve, the size of its terms (a rounding
     scale, as sum |c_n| is for _kummer_sum) and the number of terms, in
-    one's number type; kappa or e may be complex (_woods_saxon_slopes)."""
+    one's number type; kappa or e may be complex (_woods_saxon_slopes).
+
+    With nodes, the values of u_L on a grid in r take S's place: from
+    r = 0 to the turning point past which -W < kappa^2, each step below
+    pi / sqrt(max(0, v^2 + 2ev) - kappa^2), the least distance between two
+    zeros of u_L (Sturm comparison), so the sign changes count its zeros.
+    """
     # z0 = 1 - y(0) and ell = ln(1 / 2 z0), from e^{-a/b}, which cannot overflow
     q = a / b
     if isinstance(one, float):
@@ -234,10 +240,13 @@ def _woods_saxon_sum(kappa, e, v, a, b, one, cutoff):
     ul_y = s
     l_size = 1 + abs(s)
     t_prev = tail_prev = 0 * one
+    left_terms = [t]
     for n_left in range(1, _MAX_TERMS + 1):
         k = n_left + s
         t_prev, t = t, (((4 * k - 6) * k + left_a) * t - ((k - 3) * k + left_b) * t_prev) / (
             4 * n_left * (n_left + 2 * s))
+        if nodes:
+            left_terms.append(t)
         ul += t
         ul_y += k * t
         # the size of the terms of ul and ul_y
@@ -260,6 +269,7 @@ def _woods_saxon_sum(kappa, e, v, a, b, one, cutoff):
     p_prev = q_prev = 0 * one
     p = x = x0 = w0 = size = size0 = one
     q = y = y0 = xt = yt = pq_prev = 0 * one
+    right_terms = [(p, q)]
     for n in range(1, _MAX_TERMS + 1):
         ar, ai = (2 * n - 3) * n + 1 + a_shift, 4 * n - 3
         br, bi = (n - 3) * n + 2 + b_shift, 2 * n - 3
@@ -269,6 +279,8 @@ def _woods_saxon_sum(kappa, e, v, a, b, one, cutoff):
         den = 4 * n * (n * n + bsq4)
         p_prev, q_prev = p, q
         p, q = (n * rp + bsq2 * rq) / den, (n * rq - 2 * rp) / den
+        if nodes:
+            right_terms.append((p, q))
         w0 *= z2
         x += p
         y += q
@@ -294,7 +306,49 @@ def _woods_saxon_sum(kappa, e, v, a, b, one, cutoff):
     u_rz = sn * (x0 * xd + bsq * y0 * yd) + c * (x0 * yd - y0 * xd)
     # each of x, y, xd and yd is below (1 + |bsq|) size, x0 and y0 below size0
     r_size = (abs(sn) * (1 + abs(bsq)) + abs(c)) * (1 + abs(bsq)) * size * size0
-    return (ul * u_rz + u_r * ul_y) / 2, l_size * r_size / 2, n_left + n
+    if not nodes:
+        return (ul * u_rz + u_r * ul_y) / 2, l_size * r_size / 2, n_left + n
+
+    def at(terms, w):
+        total = 0 * one
+        for term in reversed(terms):
+            total = total * w + term
+        return total
+
+    def log_twice_fermi(x):
+        # ln(2 / (1 + e^x)), which cannot overflow, in one's number type
+        log = math.log(2) - (x + math.log1p(math.exp(-x)) if x > 0 else math.log1p(math.exp(x)))
+        return type(one)(log)
+
+    # u_L = alpha Re P + gamma Im P / beta for r <= a, matched to its value
+    # and y u_L' at y = 1/2, where x yd - y xd = 2 (the Wronskian)
+    alpha, gamma = (ul * yd + y * ul_y) / 2, -(x * ul_y + xd * ul) / 2
+    af, bf, kf, ef = float(a), float(b), float(kappa), float(e)
+    k_max = math.sqrt(max(0.0, float(v * (v + 2 * e)) - kf * kf))
+    values = []
+    ps, qs = [p for p, _ in right_terms], [q for _, q in right_terms]
+    cells = int(af * k_max / math.pi) + 2
+    for i in range(cells):
+        # ln(2z) at r = a i / cells
+        log = log_twice_fermi((af - af * i / cells) / bf)
+        w = log.exp() if hasattr(log, "exp") else math.exp(log)
+        xs, ys = at(ps, w), at(qs, w)
+        sn_w, c_w = _phase(bsq, log, one, cutoff)
+        values.append(alpha * (c_w * xs - bsq * sn_w * ys) + gamma * (sn_w * xs + c_w * ys))
+    values.append(ul)
+    # past y* = (sqrt(e^2 + kappa^2) - e) / v, where -W - kappa^2 < 0, u_L has no zero
+    root = math.sqrt(ef * ef + kf * kf)
+    y_turn = (kf * kf / (root + ef) if ef > 0 else root - ef) / float(v)
+    if y_turn < 0.5:
+        length = bf * math.log(1 / y_turn - 1)
+        cells = int(length * k_max / math.pi) + 2
+        for j in range(1, cells + 1):
+            # u_L / (2y)^s at y(a + length j / cells)
+            log = log_twice_fermi(length * j / cells / bf)
+            values.append(at(left_terms, log.exp() if hasattr(log, "exp") else math.exp(log)))
+    # alpha and gamma are below l_size (1 + |bsq|) size, the sums at each
+    # 2z below size, and |sin(beta l) / beta| <= |l| <= ell
+    return (*values, l_size * (1 + abs(bsq)) * (2 + abs(bsq) * abs(ell)) * size * size, n_left + n)
 
 
 def _woods_saxon_slopes(kappa, e, v, a, b, one, cutoff):
@@ -375,8 +429,9 @@ class _SeriesCurve:
         return _in_decimal(self._series, self._args(kappa, e), size, 0)[0] if doubtful else total
 
     def _ground_kappa(self, e: float) -> float | None:
-        """The largest root of S, by a downward scan from sqrt(v^2 + 2ev)
-        and brentq; None where there is none above _KAPPA_XTOL.
+        """The largest root of S, by a downward scan from sqrt(v^2 + 2ev),
+        brentq and _largest_root; None where there is none above
+        _KAPPA_XTOL.
 
         The root rises with e, as F falls, so S > 0 above a root found at
         any larger e, and the scan starts below it; where a larger e had
@@ -397,9 +452,16 @@ class _SeriesCurve:
         for j in range(first, -1, -1):
             if s(j * step) <= 0:
                 kappa = float(brentq(s, j * step, (j + 1) * step, xtol=_KAPPA_XTOL))
-                kappa = kappa if kappa > _KAPPA_XTOL else None
                 break
+        kappa = self._largest_root(s, kappa, e, min(above, default=math.sqrt(top_sq)))
+        kappa = kappa if kappa is not None and kappa > _KAPPA_XTOL else None
         self._roots[e] = kappa
+        return kappa
+
+    def _largest_root(self, s: Callable[[float], float], kappa: float | None, e: float, cap: float) -> float | None:
+        """The scan's root, the largest, for the exponential kind: its
+        deepest levels lie more than a scan step apart (checked against a
+        Sturm count to v = 200)."""
         return kappa
 
     def _binding(self, e: float) -> float:
@@ -495,6 +557,46 @@ class _WoodsSaxonCurve(_SeriesCurve):
         if kappa * kappa >= self.v * (self.v + 2.0 * e):
             return 1.0
         return super()._sum(kappa, e)
+
+    def _states_below(self, kappa: float, e: float) -> int:
+        """The number of eigenvalues of h(e) below -kappa^2: the zeros of
+        u_L in r > 0 (Sturm oscillation), counted on _woods_saxon_sum's
+        node grid, whose values are taken again in decimal where float64
+        cannot sign them."""
+        if kappa * kappa >= self.v * (self.v + 2.0 * e):
+            return 0
+        # at kappa = 0 and e >= 0 no turning point ends the grid; a state
+        # above -_KAPPA_XTOL^2 is the continuum edge, as in _ground_kappa
+        kappa = max(kappa, _KAPPA_XTOL)
+        nodes = functools.partial(_woods_saxon_sum, nodes=True)
+        *values, size, _ = nodes(*self._args(kappa, e), 1.0, 1e-18)
+        bound = sys.float_info.epsilon * size
+        if not all(abs(x) > bound for x in values):
+            values = _in_decimal(nodes, self._args(kappa, e), size, 0)
+        return sum((x < 0) != (y < 0) for x, y in zip(values, values[1:]))
+
+    def _largest_root(self, s: Callable[[float], float], kappa: float | None, e: float, cap: float) -> float | None:
+        """The largest root of S, given the scan's (or None) and the cap
+        from a larger e.  A flat-bottomed well puts its deepest levels
+        closer than a scan step, where S keeps its sign across two roots
+        (v = 100, a = 1, b = 0.2 holds 32 states), so no state may lie
+        below -kappa^2 just above the root: where one does, bisection on
+        the count of states finds a bracket of the largest root alone."""
+        lo = (kappa or 0.0) * (1 + 1e-12) + 4 * _KAPPA_XTOL
+        below_lo = 0 if lo >= cap else self._states_below(lo, e)
+        if below_lo == 0:
+            return kappa
+        hi = math.sqrt(self.v * (self.v + 2.0 * e))
+        for _ in range(100):
+            if below_lo == 1:
+                return float(brentq(s, lo, hi, xtol=_KAPPA_XTOL))
+            mid = 0.5 * (lo + hi)
+            below_mid = self._states_below(mid, e)
+            if below_mid:
+                lo, below_lo = mid, below_mid
+            else:
+                hi = mid
+        raise NonConvergence(f"no bracket of the ground state of h(e) at e = {e:.12g}, v = {self.v:.12g}")
 
 
 def _on_curve(spec: PotentialSpec, tol: float = ROOT_XTOL):

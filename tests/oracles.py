@@ -210,6 +210,24 @@ def zero_energy_threshold(f, m: float, side: str, r_end: float) -> float:
 
 
 
+def states_below(f, v: float, e: float, kappa: float, r_end: float) -> int:
+    """The number of eigenvalues of h(e) = p^2 + 2eV - V^2, V = -v f(r),
+    below -kappa^2: by Sturm oscillation, the zeros of the solution with
+    u(0) = 0 in (0, r_end), from its Prufer angle theta (u = rho sin theta,
+    u' = rho cos theta), which passes each multiple of pi once, upward.
+    r_end must lie past the last point where -W > kappa^2.
+    """
+    def rhs(r, theta):
+        big_v = -v * f(r)
+        q = kappa * kappa + 2.0 * e * big_v - big_v * big_v
+        return [math.cos(theta[0]) ** 2 - q * math.sin(theta[0]) ** 2]
+
+    sol = solve_ivp(rhs, (0.0, r_end), [0.0], method="DOP853", rtol=1e-10, atol=1e-12)
+    if not sol.success:
+        raise RuntimeError(f"Prufer integration failed: {sol.message}")
+    return math.floor(sol.y[0, -1] / math.pi)
+
+
 def kg_energy(f, v: float, m: float, r_end: float, grid=None) -> float | None:
     """Smallest e in (-m, m) with a nodeless Klein-Gordon s-wave bound state
     in V = -v f(r), by shooting -u'' + (m^2 - (e - V)^2) u = 0.

@@ -19,7 +19,6 @@ import pytest
 
 import salpeterbounds as sb
 from salpeterbounds import cli_report, kleingordon, potentials, radial_schrodinger
-from salpeterbounds.potentials import NoBoundState
 
 from oracles import bessel_ground_eigenvalue, bisect, exp_series, exp_series_mp, exp_series_roots
 

@@ -2,9 +2,9 @@
 series.
 
 The oracles are independent: the zero-energy ODE for the thresholds,
-Klein-Gordon shooting for the energy, the closed-form square well for the
-thin-surface limit, and a 60-digit central difference of the same sum S for
-the slope F'.
+Klein-Gordon shooting for the energy, a Prufer-angle count of the states
+below -kappa^2, the closed-form square well for the thin-surface limit, and
+a 60-digit central difference of the same sum S for the slope F'.
 """
 
 import decimal
@@ -18,7 +18,7 @@ import salpeterbounds as sb
 from salpeterbounds import kleingordon
 from salpeterbounds.kleingordon import KgStatus
 
-from oracles import kg_energy, square_well_curve, zero_energy_threshold
+from oracles import kg_energy, square_well_curve, states_below, zero_energy_threshold
 
 
 def shape(b, a=1.0):
@@ -136,3 +136,44 @@ class TestNormalization:
         ode = solve_ivp(rhs, (0.0, 12.0), [0.0, 1.0], method="DOP853", rtol=1e-12, atol=1e-14)
         s0 = kleingordon._woods_saxon_sum(0.0, e, v, 1.0, 0.2, 1.0, 1e-18)[0]
         assert s0 == pytest.approx(ode.y[1, -1], rel=1e-9)
+
+
+class TestDeepWells:
+    """Wells whose deepest levels lie closer than a kappa scan step: S keeps
+    its sign across two roots there, and the count of states finds the
+    ground state."""
+
+    @pytest.mark.parametrize("v, a, b", [(20.0, 3.0, 0.2), (3.0, 1.0, 0.2), (10.0, 2.0, 0.5)])
+    def test_state_count_matches_the_prufer_oracle(self, v, a, b):
+        curve = kleingordon._WoodsSaxonCurve(sb.woods_saxon(v, a, b))
+        for e in (-0.9, 0.9):
+            top = math.sqrt(v * (v + 2.0 * e))
+            for fraction in (0.0, 0.5, 0.9, 0.99):
+                want = states_below(shape(b, a), v, e, fraction * top, a + 40.0 * b + 10.0)
+                assert curve._states_below(fraction * top, e) == want
+
+    def test_the_ground_state_of_a_wide_well(self):
+        # 19 states; the 24-step scan alone took an excited one (17.99)
+        kappa = math.sqrt(-sb.F(sb.woods_saxon(20.0, 3.0, 0.2), 0.0).F)
+        assert kappa == pytest.approx(19.94532989044057, abs=1e-9)
+        assert states_below(shape(0.2, 3.0), 20.0, 0.0, kappa * (1 - 1e-7), 21.0) == 1
+        assert states_below(shape(0.2, 3.0), 20.0, 0.0, kappa * (1 + 1e-7), 21.0) == 0
+
+    def test_the_ground_state_of_a_deep_well(self):
+        # 32 states at v = 100; the root is a Prufer count's bisection
+        # (the scan alone took 92.17)
+        assert -sb.F(sb.woods_saxon(100.0), 0.0).F == pytest.approx(98.10855039431381 ** 2, rel=1e-10)
+
+    def test_a_curve_whose_deep_levels_pair_up(self):
+        # at e = m the scan alone saw S > 0 down to kappa = 30.8 although
+        # two states lie below -43^2; F must fall with e
+        spec = sb.woods_saxon(71.72, 0.819, 1.376)
+        points = sb.curve(spec, [-2.296997703, 0.0, 2.296997703])
+        assert [p.F for p in points] == sorted((p.F for p in points), reverse=True)
+        assert -points[1].F == pytest.approx(43.45518275055059 ** 2, rel=1e-10)
+
+    def test_a_thin_surface_far_out(self):
+        # a / b = 1278: the grid's e^{(a - r) / b} would overflow float64
+        curve = kleingordon._WoodsSaxonCurve(sb.woods_saxon(7.253, 9.621, 0.007527))
+        assert curve._states_below(3.0, 0.0) == states_below(shape(0.007527, 9.621), 7.253, 0.0, 3.0, 20.0)
+        assert sb.solve(sb.woods_saxon(7.253, 9.621, 0.007527), 0.5681).status is KgStatus.SUPERCRITICAL
