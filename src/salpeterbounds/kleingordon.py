@@ -589,7 +589,10 @@ class _WoodsSaxonCurve(_SeriesCurve):
         hi = math.sqrt(self.v * (self.v + 2.0 * e))
         for _ in range(100):
             if below_lo == 1:
-                return float(brentq(s, lo, hi, xtol=_KAPPA_XTOL))
+                # S's sign settles a state within rounding of the continuum
+                # edge, which the count sees and S may not: there the
+                # scan's root stands
+                return float(brentq(s, lo, hi, xtol=_KAPPA_XTOL)) if s(lo) < 0 < s(hi) else kappa
             mid = 0.5 * (lo + hi)
             below_mid = self._states_below(mid, e)
             if below_mid:

@@ -18,7 +18,8 @@ import salpeterbounds as sb
 from salpeterbounds import kleingordon
 from salpeterbounds.kleingordon import KgStatus
 
-from oracles import kg_energy, square_well_curve, states_below, zero_energy_threshold
+from oracles import (kg_energy, square_well_curve, states_below, zero_energy_root, zero_energy_slope,
+                     zero_energy_threshold)
 
 
 def shape(b, a=1.0):
@@ -41,6 +42,16 @@ class TestThresholds:
         search = sb.critical_coupling_lower if side == "lower" else sb.critical_coupling_upper
         want = zero_energy_threshold(shape(0.2), m, side, 10.0)
         assert search(sb.woods_saxon(1.0), m) == pytest.approx(want, abs=kleingordon.COUPLING_XTOL)
+
+
+    def test_a_threshold_at_the_continuum_edge(self):
+        # a wide surface on a small radius: at the upper threshold the state
+        # lies within rounding of kappa = 0, where the count of states sees
+        # it and S does not, and S's sign decides
+        slope = lambda v: zero_energy_slope(shape(0.9363, 0.1412), v, -4.725, 48.0)
+        want = zero_energy_root(slope, [10.0 * 1.2 ** k for k in range(8)])
+        got = sb.critical_coupling_upper(sb.woods_saxon(1.0, 0.1412, 0.9363), 4.725)
+        assert got == pytest.approx(want, abs=kleingordon.COUPLING_XTOL)
 
 
 class TestEnergy:
