@@ -433,14 +433,17 @@ class _SeriesCurve:
         brentq and _largest_root; None where there is none above
         _KAPPA_XTOL.
 
-        The root rises with e, as F falls, so S > 0 above a root found at
-        any larger e, and the scan starts below it; where a larger e had
-        none, this e has none.  The scan points it skips are ones where it
-        would have read S > 0, so the root is the one the full scan finds.
+        An e already solved returns its root.  The root rises with e, as F
+        falls, so S > 0 above a root found at any larger e, and the scan
+        starts below it; where a larger e had none, this e has none.  The
+        scan points it skips are ones where it would have read S > 0, so
+        the root is the one the full scan finds.
         """
         top_sq = self.v * (self.v + 2.0 * e)
         if top_sq <= 0:
             return None
+        if e in self._roots:
+            return self._roots[e]
         above = [kappa for at, kappa in self._roots.items() if at >= e]
         if None in above:
             return None
