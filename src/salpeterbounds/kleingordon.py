@@ -212,64 +212,57 @@ def _phase(bsq, ell, one, cutoff):
     return sn, c
 
 
-def _woods_saxon_sum(kappa, e, v, a, b, one, cutoff, nodes=False):
-    """S(kappa; e, v) of _WoodsSaxonCurve, the size of its terms (a rounding
-    scale, as sum |c_n| is for _kummer_sum) and the number of terms, in
-    one's number type; kappa or e may be complex (_woods_saxon_slopes).
-
-    With nodes, the values of u_L on a grid in r take S's place: from
-    r = 0 to the turning point past which -W < kappa^2, each step below
-    pi / sqrt(max(0, v^2 + 2ev) - kappa^2), the least distance between two
-    zeros of u_L (Sturm comparison), so the sign changes count its zeros.
-    """
-    # z0 = 1 - y(0) and ell = ln(1 / 2 z0), from e^{-a/b}, which cannot overflow
+def _woods_saxon_z0(a, b, one):
+    """z0 = 1 - y(0) of _WoodsSaxonCurve and ell = ln(1 / 2 z0), from
+    e^{-a/b}, which cannot overflow, in one's number type."""
     q = a / b
     if isinstance(one, float):
         ex = math.exp(-q)
-        z0, ell = ex / (1 + ex), q + math.log1p(ex) - math.log(2)
-    else:
-        ex = (-q).exp()
-        z0, ell = ex / (1 + ex), q + (1 + ex).ln() - (2 * one).ln()
-    h = b * b * v * v
+        return ex / (1 + ex), q + math.log1p(ex) - math.log(2)
+    ex = (-q).exp()
+    return ex / (1 + ex), q + (1 + ex).ln() - (2 * one).ln()
 
-    # u_L = sum t_n (2y)^(n + s) at y = 1/2, and y u_L'(y) there; the
-    # recurrence's polynomials in k are expanded
-    s, g = b * kappa, 2 * b * b * e * v
+
+def _woods_saxon_left(kappa, e, v, b, one, cutoff):
+    """The series of _WoodsSaxonCurve about y = 0, u_L = sum t_n (2y)^(n + s):
+    its terms t_n, u_L and y u_L'(y) at y = 1/2, and the size of their
+    terms."""
+    # the recurrence's polynomials in k are expanded
+    s, g, h = b * kappa, 2 * b * b * e * v, b * b * v * v
     left_a, left_b, peak = 2 - 2 * g, 2 + h, abs(g) + h
     t = ul = one
     ul_y = s
-    l_size = 1 + abs(s)
+    size = 1 + abs(s)
     t_prev = tail_prev = 0 * one
-    left_terms = [t]
-    for n_left in range(1, _MAX_TERMS + 1):
-        k = n_left + s
-        t_prev, t = t, (((4 * k - 6) * k + left_a) * t - ((k - 3) * k + left_b) * t_prev) / (
-            4 * n_left * (n_left + 2 * s))
-        if nodes:
-            left_terms.append(t)
+    terms = [t]
+    for n in range(1, _MAX_TERMS + 1):
+        k = n + s
+        t_prev, t = t, (((4 * k - 6) * k + left_a) * t - ((k - 3) * k + left_b) * t_prev) / (4 * n * (n + 2 * s))
+        terms.append(t)
         ul += t
         ul_y += k * t
-        # the size of the terms of ul and ul_y
         tail = (1 + abs(k)) * abs(t)
-        l_size += tail
+        size += tail
         # past the peak; written so that a sum that overflowed float64 stops too
-        if n_left * n_left > peak and not tail + tail_prev > cutoff * l_size:
-            break
+        if n * n > peak and not tail + tail_prev > cutoff * size:
+            return terms, ul, ul_y, size
         tail_prev = tail
-    else:
-        raise _unsettled(kappa, e, v)
+    raise _unsettled(kappa, e, v)
 
-    # P = sum d_n (2z)^(n + i beta), d_n = p_n + i beta q_n, at z = 1/2 (x, y
-    # and the z P'(z) sums xt, yt) and at z0 (x0, y0, with w0 = (2 z0)^n)
-    bsq = b * b * (v * v + 2 * e * v - kappa * kappa)
+
+def _woods_saxon_right(kappa, e, v, b, bsq, z0, one, cutoff):
+    """The series of _WoodsSaxonCurve about z = 0, P = sum d_n (2z)^(n + i beta)
+    with beta^2 = bsq and d_n = p_n + i beta q_n: the p_n and the q_n; at
+    z = 1/2, P = x + i beta y and z P'(z) = xd + i beta yd; at z0, P = x0 +
+    i beta y0; and the size of the terms at z = 1/2 and at z0."""
     # A_n = (n-1)(2n-1) + a_shift + i beta (4n - 3), B_n = (n-2)(n-1) + b_shift + i beta (2n - 3)
-    a_shift, b_shift = b * b * (2 * e * v + 2 * v * v) - 2 * bsq, h - bsq
+    a_shift, b_shift = b * b * (2 * e * v + 2 * v * v) - 2 * bsq, b * b * v * v - bsq
     peak = abs(a_shift) + abs(b_shift)
     bsq2, bsq4, z2 = 2 * bsq, 4 * bsq, 2 * z0
     p_prev = q_prev = 0 * one
     p = x = x0 = w0 = size = size0 = one
     q = y = y0 = xt = yt = pq_prev = 0 * one
-    right_terms = [(p, q)]
+    ps, qs = [p], [q]
     for n in range(1, _MAX_TERMS + 1):
         ar, ai = (2 * n - 3) * n + 1 + a_shift, 4 * n - 3
         br, bi = (n - 3) * n + 2 + b_shift, 2 * n - 3
@@ -279,8 +272,8 @@ def _woods_saxon_sum(kappa, e, v, a, b, one, cutoff, nodes=False):
         den = 4 * n * (n * n + bsq4)
         p_prev, q_prev = p, q
         p, q = (n * rp + bsq2 * rq) / den, (n * rq - 2 * rp) / den
-        if nodes:
-            right_terms.append((p, q))
+        ps.append(p)
+        qs.append(q)
         w0 *= z2
         x += p
         y += q
@@ -293,21 +286,40 @@ def _woods_saxon_sum(kappa, e, v, a, b, one, cutoff, nodes=False):
         size0 += w0 * pq
         # the last terms' share of x0 x and the like
         if n * n > peak and not (1 + n) * (pq + pq_prev) * (size0 + w0 * size) > cutoff * size * size0:
-            break
+            return ps, qs, x, y, xt - bsq * y, x + yt, x0, y0, size, size0
         pq_prev = pq
-    else:
-        raise _unsettled(kappa, e, v)
+    raise _unsettled(kappa, e, v)
 
+
+def _woods_saxon_sum(kappa, e, v, a, b, one, cutoff):
+    """S(kappa; e, v) of _WoodsSaxonCurve, the size of its terms (a rounding
+    scale, as sum |c_n| is for _kummer_sum) and the number of terms, in
+    one's number type; kappa or e may be complex (_woods_saxon_slopes)."""
+    z0, ell = _woods_saxon_z0(a, b, one)
+    bsq = b * b * (v * v + 2 * e * v - kappa * kappa)
+    left, ul, ul_y, l_size = _woods_saxon_left(kappa, e, v, b, one, cutoff)
+    ps, _, x, y, xd, yd, x0, y0, size, size0 = _woods_saxon_right(kappa, e, v, b, bsq, z0, one, cutoff)
     # u_R = Im[conj(P(z0)) P(z)] / beta and its z du_R/dz at z = 1/2; the
     # phase is (1 / 2 z0)^(i beta) = e^(i beta ell)
     sn, c = _phase(bsq, ell, one, cutoff)
-    xd, yd = xt - bsq * y, x + yt
     u_r = sn * (x0 * x + bsq * y0 * y) + c * (x0 * y - y0 * x)
     u_rz = sn * (x0 * xd + bsq * y0 * yd) + c * (x0 * yd - y0 * xd)
     # each of x, y, xd and yd is below (1 + |bsq|) size, x0 and y0 below size0
     r_size = (abs(sn) * (1 + abs(bsq)) + abs(c)) * (1 + abs(bsq)) * size * size0
-    if not nodes:
-        return (ul * u_rz + u_r * ul_y) / 2, l_size * r_size / 2, n_left + n
+    return (ul * u_rz + u_r * ul_y) / 2, l_size * r_size / 2, len(left) + len(ps) - 2
+
+
+def _woods_saxon_nodes(kappa, e, v, a, b, one, cutoff):
+    """The values of u_L of _WoodsSaxonCurve on a grid in r, then their
+    size and the number of terms, as _woods_saxon_sum.  The grid runs from
+    r = 0 to the turning point past which -W < kappa^2, each step below
+    pi / sqrt(max(0, v^2 + 2ev) - kappa^2), the least distance between two
+    zeros of u_L (Sturm comparison), so the sign changes count its zeros.
+    """
+    z0, ell = _woods_saxon_z0(a, b, one)
+    bsq = b * b * (v * v + 2 * e * v - kappa * kappa)
+    left, ul, ul_y, l_size = _woods_saxon_left(kappa, e, v, b, one, cutoff)
+    ps, qs, x, y, xd, yd, _, _, size, _ = _woods_saxon_right(kappa, e, v, b, bsq, z0, one, cutoff)
 
     def at(terms, w):
         total = 0 * one
@@ -326,7 +338,6 @@ def _woods_saxon_sum(kappa, e, v, a, b, one, cutoff, nodes=False):
     af, bf, kf, ef = float(a), float(b), float(kappa), float(e)
     k_max = math.sqrt(max(0.0, float(v * (v + 2 * e)) - kf * kf))
     values = []
-    ps, qs = [p for p, _ in right_terms], [q for _, q in right_terms]
     cells = int(af * k_max / math.pi) + 2
     for i in range(cells):
         # ln(2z) at r = a i / cells
@@ -345,10 +356,10 @@ def _woods_saxon_sum(kappa, e, v, a, b, one, cutoff, nodes=False):
         for j in range(1, cells + 1):
             # u_L / (2y)^s at y(a + length j / cells)
             log = log_twice_fermi(length * j / cells / bf)
-            values.append(at(left_terms, log.exp() if hasattr(log, "exp") else math.exp(log)))
+            values.append(at(left, log.exp() if hasattr(log, "exp") else math.exp(log)))
     # alpha and gamma are below l_size (1 + |bsq|) size, the sums at each
     # 2z below size, and |sin(beta l) / beta| <= |l| <= ell
-    return (*values, l_size * (1 + abs(bsq)) * (2 + abs(bsq) * abs(ell)) * size * size, n_left + n)
+    return (*values, l_size * (1 + abs(bsq)) * (2 + abs(bsq) * abs(ell)) * size * size, len(left) + len(ps) - 2)
 
 
 def _woods_saxon_slopes(kappa, e, v, a, b, one, cutoff):
@@ -411,8 +422,6 @@ class _SeriesCurve:
         self.v = spec.v
         self.tol = tol
         self.binding = functools.cache(self._binding)
-        # e -> the largest root of S there, or None
-        self._roots: dict[float, float | None] = {}
 
     def _args(self, kappa: float, e: float) -> tuple:
         return kappa, e, self.v
@@ -431,37 +440,21 @@ class _SeriesCurve:
     def _ground_kappa(self, e: float) -> float | None:
         """The largest root of S, by a downward scan from sqrt(v^2 + 2ev),
         brentq and _largest_root; None where there is none above
-        _KAPPA_XTOL.
-
-        An e already solved returns its root.  The root rises with e, as F
-        falls, so S > 0 above a root found at any larger e, and the scan
-        starts below it; where a larger e had none, this e has none.  The
-        scan points it skips are ones where it would have read S > 0, so
-        the root is the one the full scan finds.
-        """
+        _KAPPA_XTOL."""
         top_sq = self.v * (self.v + 2.0 * e)
         if top_sq <= 0:
             return None
-        if e in self._roots:
-            return self._roots[e]
-        above = [kappa for at, kappa in self._roots.items() if at >= e]
-        if None in above:
-            return None
         step = math.sqrt(top_sq) / _KAPPA_SCAN
-        # brentq's root may sit up to about 2 xtol below the true one
-        first = _KAPPA_SCAN - 1 if not above else min(_KAPPA_SCAN - 1, int((min(above) + 4 * _KAPPA_XTOL) / step))
         s = functools.cache(lambda kappa: self._sum(kappa, e))
         kappa = None
-        for j in range(first, -1, -1):
+        for j in range(_KAPPA_SCAN - 1, -1, -1):
             if s(j * step) <= 0:
                 kappa = float(brentq(s, j * step, (j + 1) * step, xtol=_KAPPA_XTOL))
                 break
-        kappa = self._largest_root(s, kappa, e, min(above, default=math.sqrt(top_sq)))
-        kappa = kappa if kappa is not None and kappa > _KAPPA_XTOL else None
-        self._roots[e] = kappa
-        return kappa
+        kappa = self._largest_root(s, kappa, e)
+        return kappa if kappa is not None and kappa > _KAPPA_XTOL else None
 
-    def _largest_root(self, s: Callable[[float], float], kappa: float | None, e: float, cap: float) -> float | None:
+    def _largest_root(self, s: Callable[[float], float], kappa: float | None, e: float) -> float | None:
         """The scan's root, the largest, for the exponential kind: its
         deepest levels lie more than a scan step apart (checked against a
         Sturm count to v = 200)."""
@@ -470,22 +463,12 @@ class _SeriesCurve:
     def _binding(self, e: float) -> float:
         """Negative exactly when h(e) binds: S(0) where it is negative (an
         odd number of bound states) or h(e) does not bind, else -kappa^2 of
-        the ground state (an even number).  Bargmann's bound N < int r
-        max(0, -W) dr (Proc. Natl. Acad. Sci. 38 (1952) 961) skips the kappa
-        scan where it allows at most one state, which S(0) >= 0 rules out."""
+        the ground state (an even number)."""
         s0 = self._sum(0.0, e)
-        if s0 < 0 or self._bargmann(e) <= 2:
+        if s0 < 0:
             return s0
         kappa = self._ground_kappa(e)
         return s0 if kappa is None else -kappa * kappa
-
-    def _bargmann(self, e: float) -> float:
-        """An upper bound on int r max(0, -W) dr, -W = 2ev f + v^2 f^2, from
-        the shape's moments m1 >= int r f dr and m2 >= int r f^2 dr; for
-        e < 0, -W <= (v^2 + 2ev) f^2 as f <= 1."""
-        m1, m2 = self._moments()
-        v = self.v
-        return v * v * m2 + 2.0 * e * v * m1 if e >= 0 else max(0.0, v * (v + 2.0 * e)) * m2
 
     def point(self, e: float) -> SpectralCurvePoint:
         kappa = self._ground_kappa(e)
@@ -513,10 +496,6 @@ class _ExponentialCurve(_SeriesCurve):
 
     _series = staticmethod(_kummer_sum)
     _slopes = staticmethod(_kummer_slopes)
-
-    def _moments(self) -> tuple[float, float]:
-        # int r e^{-r} dr and int r e^{-2r} dr
-        return 1.0, 0.25
 
 
 class _WoodsSaxonCurve(_SeriesCurve):
@@ -548,14 +527,6 @@ class _WoodsSaxonCurve(_SeriesCurve):
     def _args(self, kappa: float, e: float) -> tuple:
         return kappa, e, self.v, self.spec.a, self.spec.b
 
-    def _moments(self) -> tuple[float, float]:
-        # int r y dr = a^2/2 + pi^2 b^2/6 + b^2 Li2(-e^{-a/b}), whose last
-        # term is negative; y^2 = y - y (1 - y) and int r y (1 - y) dr =
-        # b int y dr = b^2 ln(1 + e^{a/b}) >= a b
-        a, b = self.spec.a, self.spec.b
-        m1 = 0.5 * a * a + math.pi ** 2 * b * b / 6.0
-        return m1, m1 - a * b
-
     def _sum(self, kappa: float, e: float) -> float:
         if kappa * kappa >= self.v * (self.v + 2.0 * e):
             return 1.0
@@ -563,30 +534,29 @@ class _WoodsSaxonCurve(_SeriesCurve):
 
     def _states_below(self, kappa: float, e: float) -> int:
         """The number of eigenvalues of h(e) below -kappa^2: the zeros of
-        u_L in r > 0 (Sturm oscillation), counted on _woods_saxon_sum's
-        node grid, whose values are taken again in decimal where float64
+        u_L in r > 0 (Sturm oscillation), counted on _woods_saxon_nodes's
+        grid, whose values are taken again in decimal where float64
         cannot sign them."""
         if kappa * kappa >= self.v * (self.v + 2.0 * e):
             return 0
         # at kappa = 0 and e >= 0 no turning point ends the grid; a state
         # above -_KAPPA_XTOL^2 is the continuum edge, as in _ground_kappa
         kappa = max(kappa, _KAPPA_XTOL)
-        nodes = functools.partial(_woods_saxon_sum, nodes=True)
-        *values, size, _ = nodes(*self._args(kappa, e), 1.0, 1e-18)
+        *values, size, _ = _woods_saxon_nodes(*self._args(kappa, e), 1.0, 1e-18)
         bound = sys.float_info.epsilon * size
         if not all(abs(x) > bound for x in values):
-            values = _in_decimal(nodes, self._args(kappa, e), size, 0)
+            values = _in_decimal(_woods_saxon_nodes, self._args(kappa, e), size, 0)
         return sum((x < 0) != (y < 0) for x, y in zip(values, values[1:]))
 
-    def _largest_root(self, s: Callable[[float], float], kappa: float | None, e: float, cap: float) -> float | None:
-        """The largest root of S, given the scan's (or None) and the cap
-        from a larger e.  A flat-bottomed well puts its deepest levels
-        closer than a scan step, where S keeps its sign across two roots
-        (v = 100, a = 1, b = 0.2 holds 32 states), so no state may lie
-        below -kappa^2 just above the root: where one does, bisection on
-        the count of states finds a bracket of the largest root alone."""
+    def _largest_root(self, s: Callable[[float], float], kappa: float | None, e: float) -> float | None:
+        """The largest root of S, given the scan's (or None).  A
+        flat-bottomed well puts its deepest levels closer than a scan step,
+        where S keeps its sign across two roots (v = 100, a = 1, b = 0.2
+        holds 32 states), so no state may lie below -kappa^2 just above the
+        root: where one does, bisection on the count of states finds a
+        bracket of the largest root alone."""
         lo = (kappa or 0.0) * (1 + 1e-12) + 4 * _KAPPA_XTOL
-        below_lo = 0 if lo >= cap else self._states_below(lo, e)
+        below_lo = self._states_below(lo, e)
         if below_lo == 0:
             return kappa
         hi = math.sqrt(self.v * (self.v + 2.0 * e))

@@ -73,27 +73,6 @@ class TestSpectralCurveShortRange:
         assert 0 < len(points) < 21
         assert calls == {"_binding": 0, "point": len(points) + 1}
 
-    @pytest.mark.parametrize("spec", [sb.exponential(4.5), sb.woods_saxon(3.0)])
-    def test_known_roots_cap_the_kappa_scan(self, spec, monkeypatch):
-        # the root rises with e: one found at a larger e starts the scan
-        # lower, and none found means none below; the roots stay those of
-        # the full scan, in fewer sums
-        grid = [float(e) for e in np.linspace(-0.99, 0.99, 12)]
-        fresh = {e: kleingordon._on_curve(spec)._ground_kappa(e) for e in grid}
-        assert None in fresh.values() and any(fresh.values())
-        sums = []
-        curve = kleingordon._on_curve(spec)
-        real = type(curve)._sum
-        monkeypatch.setattr(type(curve), "_sum", lambda self, kappa, e: sums.append(e) or real(self, kappa, e))
-        assert {e: curve._ground_kappa(e) for e in grid[::-1]} == fresh
-        cold = []
-        for e in grid:
-            monkeypatch.setattr(curve, "_roots", {})
-            before = len(sums)
-            curve._ground_kappa(e)
-            cold.append(len(sums) - before)
-        assert len(sums) - sum(cold) < sum(cold) / 2
-
     def test_curve_of_no_e_values_is_empty(self):
         assert sb.curve(sb.exponential(2.5), []) == []
 
