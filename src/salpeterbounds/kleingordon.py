@@ -463,12 +463,22 @@ class _SeriesCurve:
     def _binding(self, e: float) -> float:
         """Negative exactly when h(e) binds: S(0) where it is negative (an
         odd number of bound states) or h(e) does not bind, else -kappa^2 of
-        the ground state (an even number)."""
+        the ground state (an even number).  Bargmann's bound N < int r
+        max(0, -W) dr (Proc. Natl. Acad. Sci. 38 (1952) 961) skips the kappa
+        scan where it allows at most one state, which S(0) >= 0 rules out."""
         s0 = self._sum(0.0, e)
-        if s0 < 0:
+        if s0 < 0 or self._bargmann(e) <= 2:
             return s0
         kappa = self._ground_kappa(e)
         return s0 if kappa is None else -kappa * kappa
+
+    def _bargmann(self, e: float) -> float:
+        """An upper bound on int r max(0, -W) dr, -W = 2ev f + v^2 f^2, from
+        the shape's moments m1 >= int r f dr and m2 >= int r f^2 dr; for
+        e < 0, -W <= (v^2 + 2ev) f^2 as f <= 1."""
+        m1, m2 = self._moments()
+        v = self.v
+        return v * v * m2 + 2.0 * e * v * m1 if e >= 0 else max(0.0, v * (v + 2.0 * e)) * m2
 
     def point(self, e: float) -> SpectralCurvePoint:
         kappa = self._ground_kappa(e)
@@ -496,6 +506,10 @@ class _ExponentialCurve(_SeriesCurve):
 
     _series = staticmethod(_kummer_sum)
     _slopes = staticmethod(_kummer_slopes)
+
+    def _moments(self) -> tuple[float, float]:
+        # int r e^{-r} dr and int r e^{-2r} dr
+        return 1.0, 0.25
 
 
 class _WoodsSaxonCurve(_SeriesCurve):
@@ -526,6 +540,14 @@ class _WoodsSaxonCurve(_SeriesCurve):
 
     def _args(self, kappa: float, e: float) -> tuple:
         return kappa, e, self.v, self.spec.a, self.spec.b
+
+    def _moments(self) -> tuple[float, float]:
+        # int r y dr = a^2/2 + pi^2 b^2/6 + b^2 Li2(-e^{-a/b}), whose last
+        # term is negative; y^2 = y - y (1 - y) and int r y (1 - y) dr =
+        # b int y dr = b^2 ln(1 + e^{a/b}) >= a b
+        a, b = self.spec.a, self.spec.b
+        m1 = 0.5 * a * a + math.pi ** 2 * b * b / 6.0
+        return m1, m1 - a * b
 
     def _sum(self, kappa: float, e: float) -> float:
         if kappa * kappa >= self.v * (self.v + 2.0 * e):
