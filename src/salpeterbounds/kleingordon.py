@@ -98,47 +98,68 @@ class _CoulombCurve:
 def _unsettled(kappa, e, v) -> NonConvergence:
     """The error of a series that runs to _MAX_TERMS: past its peak the
     terms shrink, so it has not settled where it should have."""
-    return NonConvergence(f"the series at (kappa, e, v) = ({float(kappa):.12g}, {float(e):.12g}, "
+    return NonConvergence(f"the series at (kappa, e, v) = ({float(kappa.real):.12g}, {float(e.real):.12g}, "
                           f"{float(v):.12g}) did not settle in {_MAX_TERMS} terms")
 
 
-def _kummer_sum(kappa, e, v, one, cutoff):
-    """S(kappa; e, v) = sum c_n, sum |c_n| and the number of terms, in one's
-    number type, until the terms past the peak are below cutoff * sum |c_n|."""
+def _kummer_terms(kappa, e, v, one, cutoff):
+    """The terms c_n of _ExponentialCurve, S(kappa; e, v) = sum c_n and
+    sum |c_n|, in one's number type, until the terms past the peak are below
+    cutoff * sum |c_n|; kappa or e may be complex (_SeriesCurve._slopes)."""
     a, b = -2 * e * v, -v * v
+    peak = abs(a) + abs(b)
     c_prev, c = 0 * one, one
     total = total_abs = one
+    terms = [c]
     for n in range(1, _MAX_TERMS + 1):
         d = n * (n + 2 * kappa)
         c_prev, c = c, (a * c + b * c_prev) / d
+        terms.append(c)
         total += c
         total_abs += abs(c)
         # past the peak; written so that a sum that overflowed float64 stops too
-        if d > abs(a) + abs(b) and not abs(c) + abs(c_prev) > cutoff * total_abs:
-            return total, total_abs, n
+        if abs(d) > peak and not abs(c) + abs(c_prev) > cutoff * total_abs:
+            return terms, total, total_abs
     raise _unsettled(kappa, e, v)
 
 
-def _kummer_slopes(kappa, e, v, one, cutoff):
-    """dS/de and dS/dkappa, each carried through the recurrence, with the
-    sum of every |term| and the number of terms, as _kummer_sum."""
-    a, b = -2 * e * v, -v * v
-    c_prev, c = 0 * one, one
-    ce_prev = ce = ck_prev = ck = s_e = s_k = 0 * one
-    total_abs = one
-    for n in range(1, _MAX_TERMS + 1):
-        d = n * (n + 2 * kappa)
-        c_new = (a * c + b * c_prev) / d
-        ce_prev, ce = ce, (-2 * v * c + a * ce + b * ce_prev) / d
-        ck_prev, ck = ck, (-2 * n * c_new + a * ck + b * ck_prev) / d
-        c_prev, c = c, c_new
-        s_e += ce
-        s_k += ck
-        total_abs += abs(c) + abs(ce) + abs(ck)
-        tail = abs(c) + abs(c_prev) + abs(ce) + abs(ce_prev) + abs(ck) + abs(ck_prev)
-        if d > abs(a) + abs(b) and not tail > cutoff * total_abs:
-            return s_e, s_k, total_abs, n
-    raise _unsettled(kappa, e, v)
+def _kummer_sum(kappa, e, v, one, cutoff):
+    """S(kappa; e, v), sum |c_n| and the number of terms of _kummer_terms."""
+    terms, total, total_abs = _kummer_terms(kappa, e, v, one, cutoff)
+    return total, total_abs, len(terms) - 1
+
+
+def _kummer_nodes(kappa, e, v, one, cutoff):
+    """u / t^kappa = sum c_n t^n of _ExponentialCurve on _node_grid's grid
+    from t = 1 (r = 0) to f_turn, then sum |c_n| and the number of terms."""
+    terms, _, total_abs = _kummer_terms(kappa, e, v, one, cutoff)
+    k_max, f_turn = _node_grid(kappa, e, v)
+    cells = int(-math.log(f_turn) * k_max / math.pi) + 2
+    values = [_horner(terms, _exp(type(one)(math.log(f_turn) * j / cells)), one) for j in range(cells + 1)]
+    return (*values, total_abs, len(terms) - 1)
+
+
+def _node_grid(kappa, e, v) -> tuple[float, float]:
+    """k_max = sqrt(max(0, v^2 + 2ev - kappa^2)), with pi / k_max below the
+    gap of two zeros of a solution at -kappa^2 (Sturm comparison), and
+    f_turn = (sqrt(e^2 + kappa^2) - e) / v, the f below which -W = 2ev f +
+    v^2 f^2 < kappa^2, where the decaying solution has no zero."""
+    kf, ef, vf = float(kappa), float(e), float(v)
+    root = math.sqrt(ef * ef + kf * kf)
+    return math.sqrt(max(0.0, float(v * (v + 2 * e)) - kf * kf)), (kf * kf / (root + ef) if ef > 0 else root - ef) / vf
+
+
+def _horner(terms, w, one):
+    """sum terms[n] w^n, by Horner's rule."""
+    total = 0 * one
+    for term in reversed(terms):
+        total = total * w + term
+    return total
+
+
+def _exp(x):
+    """e^x for a float or a decimal."""
+    return x.exp() if hasattr(x, "exp") else math.exp(x)
 
 
 class _Complex:
@@ -180,6 +201,9 @@ class _Complex:
             norm = other.real * other.real + other.imag * other.imag
             return self * _Complex(other.real / norm, -other.imag / norm)
         return _Complex(self.real / other, self.imag / other)
+
+    def __rtruediv__(self, other):
+        return _Complex(other, 0 * other) / self
 
     def __abs__(self):
         return abs(self.real) + abs(self.imag)
@@ -294,7 +318,7 @@ def _woods_saxon_right(kappa, e, v, b, bsq, z0, one, cutoff):
 def _woods_saxon_sum(kappa, e, v, a, b, one, cutoff):
     """S(kappa; e, v) of _WoodsSaxonCurve, the size of its terms (a rounding
     scale, as sum |c_n| is for _kummer_sum) and the number of terms, in
-    one's number type; kappa or e may be complex (_woods_saxon_slopes)."""
+    one's number type; kappa or e may be complex (_SeriesCurve._slopes)."""
     z0, ell = _woods_saxon_z0(a, b, one)
     bsq = b * b * (v * v + 2 * e * v - kappa * kappa)
     left, ul, ul_y, l_size = _woods_saxon_left(kappa, e, v, b, one, cutoff)
@@ -310,22 +334,12 @@ def _woods_saxon_sum(kappa, e, v, a, b, one, cutoff):
 
 
 def _woods_saxon_nodes(kappa, e, v, a, b, one, cutoff):
-    """The values of u_L of _WoodsSaxonCurve on a grid in r, then their
-    size and the number of terms, as _woods_saxon_sum.  The grid runs from
-    r = 0 to the turning point past which -W < kappa^2, each step below
-    pi / sqrt(max(0, v^2 + 2ev) - kappa^2), the least distance between two
-    zeros of u_L (Sturm comparison), so the sign changes count its zeros.
-    """
+    """u_L of _WoodsSaxonCurve on _node_grid's grid from r = 0 to y = f_turn,
+    then the size of the values and the number of terms."""
     z0, ell = _woods_saxon_z0(a, b, one)
     bsq = b * b * (v * v + 2 * e * v - kappa * kappa)
     left, ul, ul_y, l_size = _woods_saxon_left(kappa, e, v, b, one, cutoff)
     ps, qs, x, y, xd, yd, _, _, size, _ = _woods_saxon_right(kappa, e, v, b, bsq, z0, one, cutoff)
-
-    def at(terms, w):
-        total = 0 * one
-        for term in reversed(terms):
-            total = total * w + term
-        return total
 
     def log_twice_fermi(x):
         # ln(2 / (1 + e^x)), which cannot overflow, in one's number type
@@ -335,44 +349,29 @@ def _woods_saxon_nodes(kappa, e, v, a, b, one, cutoff):
     # u_L = alpha Re P + gamma Im P / beta for r <= a, matched to its value
     # and y u_L' at y = 1/2, where x yd - y xd = 2 (the Wronskian)
     alpha, gamma = (ul * yd + y * ul_y) / 2, -(x * ul_y + xd * ul) / 2
-    af, bf, kf, ef = float(a), float(b), float(kappa), float(e)
-    k_max = math.sqrt(max(0.0, float(v * (v + 2 * e)) - kf * kf))
+    af, bf = float(a), float(b)
+    k_max, y_turn = _node_grid(kappa, e, v)
     values = []
     cells = int(af * k_max / math.pi) + 2
     for i in range(cells):
         # ln(2z) at r = a i / cells
         log = log_twice_fermi((af - af * i / cells) / bf)
-        w = log.exp() if hasattr(log, "exp") else math.exp(log)
-        xs, ys = at(ps, w), at(qs, w)
+        w = _exp(log)
+        xs, ys = _horner(ps, w, one), _horner(qs, w, one)
         sn_w, c_w = _phase(bsq, log, one, cutoff)
         values.append(alpha * (c_w * xs - bsq * sn_w * ys) + gamma * (sn_w * xs + c_w * ys))
     values.append(ul)
     # past y* = (sqrt(e^2 + kappa^2) - e) / v, where -W - kappa^2 < 0, u_L has no zero
-    root = math.sqrt(ef * ef + kf * kf)
-    y_turn = (kf * kf / (root + ef) if ef > 0 else root - ef) / float(v)
     if y_turn < 0.5:
         length = bf * math.log(1 / y_turn - 1)
         cells = int(length * k_max / math.pi) + 2
         for j in range(1, cells + 1):
             # u_L / (2y)^s at y(a + length j / cells)
             log = log_twice_fermi(length * j / cells / bf)
-            values.append(at(left, log.exp() if hasattr(log, "exp") else math.exp(log)))
+            values.append(_horner(left, _exp(log), one))
     # alpha and gamma are below l_size (1 + |bsq|) size, the sums at each
     # 2z below size, and |sin(beta l) / beta| <= |l| <= ell
     return (*values, l_size * (1 + abs(bsq)) * (2 + abs(bsq) * abs(ell)) * size * size, len(left) + len(ps) - 2)
-
-
-def _woods_saxon_slopes(kappa, e, v, a, b, one, cutoff):
-    """dS/de and dS/dkappa of _woods_saxon_sum by complex steps, with its
-    size and the number of terms: S at e + ih (or kappa + ih) carries
-    h dS/de in its imaginary part through both series, free of
-    cancellation, and h = cutoff^2 leaves the h^2 error below every digit
-    the sums keep."""
-    h = cutoff * cutoff
-    step = 1j * h if isinstance(one, float) else _Complex(0 * one, h)
-    by_e, size, n_e = _woods_saxon_sum(kappa, e + step, v, a, b, one, cutoff)
-    by_kappa, _, n_kappa = _woods_saxon_sum(kappa + step, e, v, a, b, one, cutoff)
-    return by_e.imag / h, by_kappa.imag / h, size, n_e + n_kappa
 
 
 def _in_decimal(series, args: tuple, size: float, digits: int) -> list[float]:
@@ -400,8 +399,10 @@ class _SeriesCurve:
     """A short-range curve from a sum S(kappa; e, v): the solution of
     -u'' + W u = -kappa^2 u that decays like e^{-kappa r}, normalized at
     infinity, taken at r = 0.  u(0) = 0 reads S = 0, so every root kappa > 0
-    of S is a bound state, and F(e) = -kappa^2 for the largest.  As
-    -W < v^2 + 2ev, the roots lie below sqrt(v^2 + 2ev), where S > 0.
+    of S is a bound state, and F(e) = -kappa^2 for the largest, which a
+    kappa scan finds and a count of states checks (_largest_root); S's
+    slopes come by complex steps.  As -W <= max(0, v^2 + 2ev), S > 0 from
+    kappa = sqrt(v^2 + 2ev) up, where _sum returns 1 unsummed.
 
     S(0) is the zero-energy solution that is flat at infinity, taken at
     r = 0; by Sturm oscillation its sign is (-1)^N for N bound states.
@@ -413,8 +414,10 @@ class _SeriesCurve:
     A float64 sum carries the rounding bound eps * sum |terms|, which grows
     with v.  The root searches read only signs, so S is summed again in
     decimal only where the bound exceeds tol and |S|: the sign is in doubt,
-    as it is where float64 overflows.  Each kind gives _series and _slopes,
-    functions of (*_args(kappa, e), one, cutoff) in one's number type.
+    as it is where float64 overflows.  Each kind gives _moments, and _series
+    and _nodes, functions of (*_args(kappa, e), one, cutoff) in one's number
+    type: S, or the decaying solution on _node_grid's grid, then a rounding
+    scale and the number of terms.
     """
 
     def __init__(self, spec: PotentialSpec, tol: float = ROOT_XTOL):
@@ -434,13 +437,38 @@ class _SeriesCurve:
         return total, size, not bound <= self.tol and not abs(total) > bound
 
     def _sum(self, kappa: float, e: float) -> float:
+        if kappa * kappa >= self.v * (self.v + 2.0 * e):
+            return 1.0
         total, size, doubtful = self._float_sum(kappa, e)
         return _in_decimal(self._series, self._args(kappa, e), size, 0)[0] if doubtful else total
 
+    def _slopes(self, kappa, e, *rest):
+        """dS/de and dS/dkappa by complex steps, S's size and its number of
+        terms; rest is _args' rest, one and cutoff.  S at e + ih holds h dS/de
+        in its imaginary part, without cancellation, to h^2 = cutoff^4."""
+        h = rest[-1] * rest[-1]
+        step = 1j * h if isinstance(rest[-2], float) else _Complex(0 * h, h)
+        by_e, size, n_e = self._series(kappa, e + step, *rest)
+        by_kappa, _, n_kappa = self._series(kappa + step, e, *rest)
+        return by_e.imag / h, by_kappa.imag / h, size, n_e + n_kappa
+
+    def _states_below(self, kappa: float, e: float) -> int:
+        """The number of eigenvalues of h(e) below -kappa^2: the sign changes
+        of _nodes (Sturm oscillation), whose values are taken again in
+        decimal where float64 cannot sign them."""
+        if kappa * kappa >= self.v * (self.v + 2.0 * e):
+            return 0
+        # at kappa = 0 and e >= 0 no turning point ends the grid; a state
+        # above -_KAPPA_XTOL^2 is the continuum edge, as in _ground_kappa
+        kappa = max(kappa, _KAPPA_XTOL)
+        *values, size, _ = self._nodes(*self._args(kappa, e), 1.0, 1e-18)
+        if not all(abs(x) > sys.float_info.epsilon * size for x in values):
+            values = _in_decimal(self._nodes, self._args(kappa, e), size, 0)
+        return sum((x < 0) != (y < 0) for x, y in zip(values, values[1:]))
+
     def _ground_kappa(self, e: float) -> float | None:
         """The largest root of S, by a downward scan from sqrt(v^2 + 2ev),
-        brentq and _largest_root; None where there is none above
-        _KAPPA_XTOL."""
+        brentq and _largest_root; None where none lies above _KAPPA_XTOL."""
         top_sq = self.v * (self.v + 2.0 * e)
         if top_sq <= 0:
             return None
@@ -455,10 +483,29 @@ class _SeriesCurve:
         return kappa if kappa is not None and kappa > _KAPPA_XTOL else None
 
     def _largest_root(self, s: Callable[[float], float], kappa: float | None, e: float) -> float | None:
-        """The scan's root, the largest, for the exponential kind: its
-        deepest levels lie more than a scan step apart (checked against a
-        Sturm count to v = 200)."""
-        return kappa
+        """The largest root of S, given the scan's (or None).  Deep wells put
+        two roots in a scan step, where S keeps its sign (exponential v = 700,
+        e = 0: the scan meets 661.17 below 683.54), so where a state lies
+        below -kappa^2 just above the root, bisection on the count of states
+        finds a bracket of the largest root alone."""
+        lo = (kappa or 0.0) * (1 + 1e-12) + 4 * _KAPPA_XTOL
+        below_lo = self._states_below(lo, e)
+        if below_lo == 0:
+            return kappa
+        hi = math.sqrt(self.v * (self.v + 2.0 * e))
+        for _ in range(100):
+            if below_lo == 1:
+                # S's sign settles a state within rounding of the continuum
+                # edge, which the count sees and S may not: there the
+                # scan's root stands
+                return float(brentq(s, lo, hi, xtol=_KAPPA_XTOL)) if s(lo) < 0 < s(hi) else kappa
+            mid = 0.5 * (lo + hi)
+            below_mid = self._states_below(mid, e)
+            if below_mid:
+                lo, below_lo = mid, below_mid
+            else:
+                hi = mid
+        raise NonConvergence(f"no bracket of the ground state of h(e) at e = {e:.12g}, v = {self.v:.12g}")
 
     def _binding(self, e: float) -> float:
         """Negative exactly when h(e) binds: S(0) where it is negative (an
@@ -505,7 +552,7 @@ class _ExponentialCurve(_SeriesCurve):
     """
 
     _series = staticmethod(_kummer_sum)
-    _slopes = staticmethod(_kummer_slopes)
+    _nodes = staticmethod(_kummer_nodes)
 
     def _moments(self) -> tuple[float, float]:
         # int r e^{-r} dr and int r e^{-2r} dr
@@ -529,14 +576,11 @@ class _WoodsSaxonCurve(_SeriesCurve):
       beta, so d_n = p_n + i beta q_n is carried as the real pair (p_n, q_n).
     Both converge like 2^{-n} at y = z = 1/2.  There u_R has the Wronskian
     z du_R/dz = 1/(1 - z0) at z0, so r = 0 gives S = u_L(0) =
-    (u_L z u_R' + u_R y u_L') / 2 at y = 1/2.
-
-    Where kappa^2 >= v^2 + 2ev, -W <= max(0, v^2 + 2ev) leaves no state at
-    or below -kappa^2 and S > 0: _sum returns 1 there without a sum.
+    (u_L z u_R' + u_R y u_L') / 2 at y = 1/2; _sum sums it where beta is real.
     """
 
     _series = staticmethod(_woods_saxon_sum)
-    _slopes = staticmethod(_woods_saxon_slopes)
+    _nodes = staticmethod(_woods_saxon_nodes)
 
     def _args(self, kappa: float, e: float) -> tuple:
         return kappa, e, self.v, self.spec.a, self.spec.b
@@ -548,53 +592,6 @@ class _WoodsSaxonCurve(_SeriesCurve):
         a, b = self.spec.a, self.spec.b
         m1 = 0.5 * a * a + math.pi ** 2 * b * b / 6.0
         return m1, m1 - a * b
-
-    def _sum(self, kappa: float, e: float) -> float:
-        if kappa * kappa >= self.v * (self.v + 2.0 * e):
-            return 1.0
-        return super()._sum(kappa, e)
-
-    def _states_below(self, kappa: float, e: float) -> int:
-        """The number of eigenvalues of h(e) below -kappa^2: the zeros of
-        u_L in r > 0 (Sturm oscillation), counted on _woods_saxon_nodes's
-        grid, whose values are taken again in decimal where float64
-        cannot sign them."""
-        if kappa * kappa >= self.v * (self.v + 2.0 * e):
-            return 0
-        # at kappa = 0 and e >= 0 no turning point ends the grid; a state
-        # above -_KAPPA_XTOL^2 is the continuum edge, as in _ground_kappa
-        kappa = max(kappa, _KAPPA_XTOL)
-        *values, size, _ = _woods_saxon_nodes(*self._args(kappa, e), 1.0, 1e-18)
-        bound = sys.float_info.epsilon * size
-        if not all(abs(x) > bound for x in values):
-            values = _in_decimal(_woods_saxon_nodes, self._args(kappa, e), size, 0)
-        return sum((x < 0) != (y < 0) for x, y in zip(values, values[1:]))
-
-    def _largest_root(self, s: Callable[[float], float], kappa: float | None, e: float) -> float | None:
-        """The largest root of S, given the scan's (or None).  A
-        flat-bottomed well puts its deepest levels closer than a scan step,
-        where S keeps its sign across two roots (v = 100, a = 1, b = 0.2
-        holds 32 states), so no state may lie below -kappa^2 just above the
-        root: where one does, bisection on the count of states finds a
-        bracket of the largest root alone."""
-        lo = (kappa or 0.0) * (1 + 1e-12) + 4 * _KAPPA_XTOL
-        below_lo = self._states_below(lo, e)
-        if below_lo == 0:
-            return kappa
-        hi = math.sqrt(self.v * (self.v + 2.0 * e))
-        for _ in range(100):
-            if below_lo == 1:
-                # S's sign settles a state within rounding of the continuum
-                # edge, which the count sees and S may not: there the
-                # scan's root stands
-                return float(brentq(s, lo, hi, xtol=_KAPPA_XTOL)) if s(lo) < 0 < s(hi) else kappa
-            mid = 0.5 * (lo + hi)
-            below_mid = self._states_below(mid, e)
-            if below_mid:
-                lo, below_lo = mid, below_mid
-            else:
-                hi = mid
-        raise NonConvergence(f"no bracket of the ground state of h(e) at e = {e:.12g}, v = {self.v:.12g}")
 
 
 def _on_curve(spec: PotentialSpec, tol: float = ROOT_XTOL):

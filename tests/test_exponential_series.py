@@ -20,7 +20,7 @@ import pytest
 import salpeterbounds as sb
 from salpeterbounds import cli_report, kleingordon, potentials, radial_schrodinger
 
-from oracles import bessel_ground_eigenvalue, bisect, exp_series, exp_series_mp, exp_series_roots
+from oracles import bessel_ground_eigenvalue, bisect, exp_series, exp_series_mp, exp_series_roots, states_below
 
 EPS = np.finfo(float).eps
 # (v, e) where FD and the series were first compared
@@ -71,6 +71,23 @@ class TestSeriesPath:
         curve = kleingordon._ExponentialCurve(sb.exponential(4.5))
         assert curve.binding(1.0) == pytest.approx(-roots[0] ** 2, abs=1e-12)
         assert sb.F(sb.exponential(4.5), 1.0).F == pytest.approx(-roots[0] ** 2, abs=1e-12)
+
+    @pytest.mark.parametrize("v, e, want", [(700.0, 0.0, 683.54), (1000.0, 0.0, 981.45), (1000.0, 599.9994, 1466.14)])
+    def test_the_top_root_where_two_share_a_scan_step(self, v, e, want):
+        # near the top the roots of S lie about 1.75 (v/2)^(1/3) apart, less
+        # than the scan step sqrt(v^2 + 2ev) / 24, and the scan alone met
+        # an excited root (661.17 and 920.52 at e = 0, where the Airy
+        # estimates of the ground state are 683.5 and 981.4; at e = 599.9994
+        # F' divided by an S_kappa that underflowed).  The Prufer count is 1
+        # just above the ground state and 0 just below it
+        pt = sb.F(sb.exponential(v), e)
+        kappa = math.sqrt(-pt.F)
+        assert kappa == pytest.approx(want, abs=0.01) and math.isfinite(pt.F_prime)
+        # past the turning point e^{-r} = (sqrt(e^2 + kappa^2) - e) / v, as
+        # states_below needs
+        r_end = 0.5 - math.log((math.sqrt(e * e + kappa * kappa) - e) / v)
+        for scale, want_below in ((1 + 1e-9, 0), (1 - 1e-9, 1)):
+            assert states_below(lambda r: math.exp(-r), v, e, kappa * scale, r_end) == want_below
 
     @pytest.mark.parametrize("v, e", [(4.086, 0.0), (3.336, 0.5), (4.5, 1.0), (2.5, 0.0), (5.5, -0.5)])
     def test_slope_matches_a_central_difference(self, v, e):

@@ -169,16 +169,32 @@ OLDEST_PYTHON = "python3.10"
 RUN_MAIN = "import sys; from salpeterbounds import cli_report; sys.exit(cli_report.main(sys.argv[1:]))"
 
 
+def _oldest_python_env() -> dict | None:
+    """CHILD_ENV, or CHILD_ENV with PYENV_VERSION naming an installed 3.10
+    where OLDEST_PYTHON is a pyenv shim that does not start without it;
+    None where no 3.10 starts."""
+    try:
+        versions = subprocess.run(["pyenv", "versions", "--bare"], capture_output=True, text=True,
+                                  timeout=60).stdout.split()
+    except OSError:
+        versions = []
+    for env in [CHILD_ENV, *({**CHILD_ENV, "PYENV_VERSION": v} for v in versions if v.startswith("3.10."))]:
+        try:
+            if subprocess.run([OLDEST_PYTHON, "-c", "pass"], env=env, capture_output=True, timeout=60).returncode == 0:
+                return env
+        except OSError:
+            pass
+    return None
+
+
 @pytest.mark.parametrize("command", ["critical", "critical-exponential-m10", "kg-exponential-v20"])
 def test_numpy_free_command_runs_on_the_oldest_python(command, tmp_path):
-    try:
-        probe = subprocess.run([OLDEST_PYTHON, "-c", "pass"], env=CHILD_ENV, capture_output=True, timeout=60)
-    except OSError:
-        probe = None
-    if probe is None or probe.returncode != 0:
+    oldest_env = _oldest_python_env()
+    if oldest_env is None:
         pytest.skip(f"{OLDEST_PYTHON} does not start")
-    runs = [subprocess.run([python, "-c", RUN_MAIN, *COMMANDS[command]], env=CHILD_ENV, cwd=tmp_path,
-                           capture_output=True, text=True, timeout=300) for python in (OLDEST_PYTHON, sys.executable)]
+    runs = [subprocess.run([python, "-c", RUN_MAIN, *COMMANDS[command]], env=env, cwd=tmp_path,
+                           capture_output=True, text=True, timeout=300)
+            for python, env in ((OLDEST_PYTHON, oldest_env), (sys.executable, CHILD_ENV))]
     assert runs[0].returncode == 0, runs[0].stderr
     assert (runs[0].stdout, runs[0].stderr) == (runs[1].stdout, runs[1].stderr)
 

@@ -154,14 +154,20 @@ class TestDeepWells:
     its sign across two roots there, and the count of states finds the
     ground state."""
 
-    @pytest.mark.parametrize("v, a, b", [(20.0, 3.0, 0.2), (3.0, 1.0, 0.2), (10.0, 2.0, 0.5)])
+    @pytest.mark.parametrize("v, a, b", [(20.0, 3.0, 0.2), (3.0, 1.0, 0.2), (10.0, 2.0, 0.5),
+                                         *(pytest.param(v, None, None, id=f"exponential-{v}")
+                                           for v in (3.0, 20.0, 200.0))])
     def test_state_count_matches_the_prufer_oracle(self, v, a, b):
-        curve = kleingordon._WoodsSaxonCurve(sb.woods_saxon(v, a, b))
+        # a = b = None is the exponential kind, f = e^{-r}, whose count the
+        # same _SeriesCurve runs on its own grid
+        if b is None:
+            curve, f, r_end = kleingordon._ExponentialCurve(sb.exponential(v)), lambda r: math.exp(-r), 40.0
+        else:
+            curve, f, r_end = kleingordon._WoodsSaxonCurve(sb.woods_saxon(v, a, b)), shape(b, a), a + 40.0 * b + 10.0
         for e in (-0.9, 0.9):
             top = math.sqrt(v * (v + 2.0 * e))
             for fraction in (0.0, 0.5, 0.9, 0.99):
-                want = states_below(shape(b, a), v, e, fraction * top, a + 40.0 * b + 10.0)
-                assert curve._states_below(fraction * top, e) == want
+                assert curve._states_below(fraction * top, e) == states_below(f, v, e, fraction * top, r_end)
 
     def test_the_ground_state_of_a_wide_well(self):
         # 19 states; the 24-step scan alone took an excited one (17.99)
