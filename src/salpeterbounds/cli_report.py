@@ -442,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (NoBoundState, NonConvergence, NonBindingSearchError, CouplingOutOfRange, ValueError) as exc:
+    except (NoBoundState, NonConvergence, NonBindingSearchError, CouplingOutOfRange, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -37,7 +37,6 @@ WINDOW_MARGIN = 1e-6   # relative margin keeping the search inside the open wind
 ROOT_XTOL = 1e-10      # intersections and the existence edge
 COUPLING_XTOL = 1e-9   # critical couplings
 
-_KAPPA_SCAN = 24       # steps of the downward kappa scan for the largest root of S
 _KAPPA_XTOL = 1e-14    # kappa root tolerance; a root below it is the continuum edge
 _MAX_TERMS = 100_000   # terms after which a series past its peak has failed to settle
 
@@ -400,7 +399,7 @@ class _SeriesCurve:
     -u'' + W u = -kappa^2 u that decays like e^{-kappa r}, normalized at
     infinity, taken at r = 0.  u(0) = 0 reads S = 0, so every root kappa > 0
     of S is a bound state, and F(e) = -kappa^2 for the largest, which a
-    kappa scan finds and a count of states checks (_largest_root); S's
+    count of states brackets and brentq on S finds (_ground_kappa); S's
     slopes come by complex steps.  As -W <= max(0, v^2 + 2ev), S > 0 from
     kappa = sqrt(v^2 + 2ev) up, where _sum returns 1 unsummed.
 
@@ -408,7 +407,7 @@ class _SeriesCurve:
     r = 0; by Sturm oscillation its sign is (-1)^N for N bound states.
     That alone is not the binding test (at v = 4.5, e = 1, the exponential
     h(e) holds two bound states and S(0) > 0), so binding falls back to the
-    kappa scan where S(0) >= 0.  Near the edge it is S(0) on both sides, so
+    ground kappa where S(0) >= 0.  Near the edge it is S(0) on both sides, so
     the edge and the critical couplings are roots of the kappa = 0 sum.
 
     A float64 sum carries the rounding bound eps * sum |terms|, which grows
@@ -453,13 +452,14 @@ class _SeriesCurve:
         return by_e.imag / h, by_kappa.imag / h, size, n_e + n_kappa
 
     def _states_below(self, kappa: float, e: float) -> int:
-        """The number of eigenvalues of h(e) below -kappa^2: the sign changes
-        of _nodes (Sturm oscillation), whose values are taken again in
-        decimal where float64 cannot sign them."""
+        """The number of eigenvalues of h(e) below -kappa^2, on which
+        _ground_kappa searches: the sign changes of _nodes (Sturm
+        oscillation), taken again in decimal where float64 cannot sign them."""
         if kappa * kappa >= self.v * (self.v + 2.0 * e):
             return 0
         # at kappa = 0 and e >= 0 no turning point ends the grid; a state
-        # above -_KAPPA_XTOL^2 is the continuum edge, as in _ground_kappa
+        # above -_KAPPA_XTOL^2 is the continuum edge, and _ground_kappa
+        # counts no lower than 4 _KAPPA_XTOL
         kappa = max(kappa, _KAPPA_XTOL)
         *values, size, _ = self._nodes(*self._args(kappa, e), 1.0, 1e-18)
         if not all(abs(x) > sys.float_info.epsilon * size for x in values):
@@ -467,52 +467,49 @@ class _SeriesCurve:
         return sum((x < 0) != (y < 0) for x, y in zip(values, values[1:]))
 
     def _ground_kappa(self, e: float) -> float | None:
-        """The largest root of S, by a downward scan from sqrt(v^2 + 2ev),
-        brentq and _largest_root; None where none lies above _KAPPA_XTOL."""
+        """The largest root of S, None where no state lies above the floor 4
+        _KAPPA_XTOL.  Probes step down from the top sqrt(v^2 + 2ev) until a
+        state lies below -kappa^2, the first step top^(1/3) (the Airy spacing
+        of the deepest levels, at most top / 2) and each later one twice the
+        last; bisection on the count leaves a bracket with one state at its
+        low end and none at its high end, where brentq finds S's root."""
         top_sq = self.v * (self.v + 2.0 * e)
         if top_sq <= 0:
             return None
-        step = math.sqrt(top_sq) / _KAPPA_SCAN
-        s = functools.cache(lambda kappa: self._sum(kappa, e))
-        kappa = None
-        for j in range(_KAPPA_SCAN - 1, -1, -1):
-            if s(j * step) <= 0:
-                kappa = float(brentq(s, j * step, (j + 1) * step, xtol=_KAPPA_XTOL))
-                break
-        kappa = self._largest_root(s, kappa, e)
-        return kappa if kappa is not None and kappa > _KAPPA_XTOL else None
-
-    def _largest_root(self, s: Callable[[float], float], kappa: float | None, e: float) -> float | None:
-        """The largest root of S, given the scan's (or None).  Deep wells put
-        two roots in a scan step, where S keeps its sign (exponential v = 700,
-        e = 0: the scan meets 661.17 below 683.54), so where a state lies
-        below -kappa^2 just above the root, bisection on the count of states
-        finds a bracket of the largest root alone."""
-        lo = (kappa or 0.0) * (1 + 1e-12) + 4 * _KAPPA_XTOL
-        below_lo = self._states_below(lo, e)
-        if below_lo == 0:
-            return kappa
-        hi = math.sqrt(self.v * (self.v + 2.0 * e))
+        floor, hi = 4 * _KAPPA_XTOL, math.sqrt(top_sq)
+        below, lo, step = 0, hi, min(hi ** (1 / 3), hi / 2)
+        while not below:
+            if lo == floor:
+                return None
+            hi, lo, step = lo, max(lo - step, floor), 2 * step
+            below = self._states_below(lo, e)
         for _ in range(100):
-            if below_lo == 1:
-                # S's sign settles a state within rounding of the continuum
-                # edge, which the count sees and S may not: there the
-                # scan's root stands
-                return float(brentq(s, lo, hi, xtol=_KAPPA_XTOL)) if s(lo) < 0 < s(hi) else kappa
+            if below == 1:
+                break
             mid = 0.5 * (lo + hi)
             below_mid = self._states_below(mid, e)
             if below_mid:
-                lo, below_lo = mid, below_mid
+                lo, below = mid, below_mid
             else:
                 hi = mid
-        raise NonConvergence(f"no bracket of the ground state of h(e) at e = {e:.12g}, v = {self.v:.12g}")
+        else:
+            raise NonConvergence(f"no bracket of the ground state of h(e) at e = {e:.12g}, v = {self.v:.12g}")
+        s = functools.cache(lambda kappa: self._sum(kappa, e))
+        if s(lo) < 0 < s(hi):
+            return float(brentq(s, lo, hi, xtol=_KAPPA_XTOL))
+        if lo == floor:
+            # a state within rounding of the continuum edge, which the count
+            # sees and S does not: h(e) does not bind
+            return None
+        raise NonConvergence(f"S keeps its sign across the ground state of h(e) at e = {e:.12g}, v = {self.v:.12g}")
 
     def _binding(self, e: float) -> float:
         """Negative exactly when h(e) binds: S(0) where it is negative (an
         odd number of bound states) or h(e) does not bind, else -kappa^2 of
         the ground state (an even number).  Bargmann's bound N < int r
-        max(0, -W) dr (Proc. Natl. Acad. Sci. 38 (1952) 961) skips the kappa
-        scan where it allows at most one state, which S(0) >= 0 rules out."""
+        max(0, -W) dr (Proc. Natl. Acad. Sci. 38 (1952) 961) skips the
+        ground kappa's count search where it allows at most one state, which
+        S(0) >= 0 rules out."""
         s0 = self._sum(0.0, e)
         if s0 < 0 or self._bargmann(e) <= 2:
             return s0

@@ -1,6 +1,9 @@
 import functools
 import io
+import os
 import re
+import subprocess
+import sys
 import threading
 from fractions import Fraction
 from pathlib import Path
@@ -563,3 +566,31 @@ class TestMainEntry:
         assert rc == 0
         out = capsys.readouterr().out
         assert "E=-0.28599" in out
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# a file that is missing or a directory, and an out path that cannot be written
+FILE_ERRORS = {
+    "config-missing": ["kg", "--config", "{tmp}/missing.cfg"],
+    "config-directory": ["kg", "--config", "{tmp}"],
+    "bounds-out-directory": ["bounds", "--set", "potential=coulomb", "--set", "v=0.6", "--set", "m=1",
+                             "--set", "out={tmp}"],
+    "gaussian-out-directory": ["gaussian", "--set", "potential=woods-saxon", "--set", "v=2.5", "--set", "m=1",
+                               "--set", "out={tmp}"],
+    "bounds-out-under-a-file": ["bounds", "--set", "potential=coulomb", "--set", "v=0.6", "--set", "m=1",
+                                "--set", "out={tmp}/file/rows.csv"],
+    "fcurves-out-a-file": ["fcurves", "--set", "potential=exponential", "--set", "v=3.4", "--set", "m=1",
+                           "--set", "e_steps=5", "--set", "out={tmp}/file"],
+}
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("name", FILE_ERRORS)
+    def test_a_file_error_exits_1_without_a_traceback(self, name, tmp_path):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        argv = [arg.format(tmp=tmp_path) for arg in FILE_ERRORS[name]]
+        proc = subprocess.run([sys.executable, "-m", "salpeterbounds.cli_report", *argv], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

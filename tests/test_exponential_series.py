@@ -75,7 +75,7 @@ class TestSeriesPath:
     @pytest.mark.parametrize("v, e, want", [(700.0, 0.0, 683.54), (1000.0, 0.0, 981.45), (1000.0, 599.9994, 1466.14)])
     def test_the_top_root_where_two_share_a_scan_step(self, v, e, want):
         # near the top the roots of S lie about 1.75 (v/2)^(1/3) apart, less
-        # than the scan step sqrt(v^2 + 2ev) / 24, and the scan alone met
+        # than a scan step sqrt(v^2 + 2ev) / 24, and a 24-step scan of S met
         # an excited root (661.17 and 920.52 at e = 0, where the Airy
         # estimates of the ground state are 683.5 and 981.4; at e = 599.9994
         # F' divided by an S_kappa that underflowed).  The Prufer count is 1
@@ -208,15 +208,15 @@ class TestSignOnlyGuard:
         assert abs(2.0 * (sol.e - sol.delta_at_e) - want_slope) <= 1e-7 * abs(want_slope)
 
     def test_a_supercritical_coupling_on_the_series(self):
-        # at v = 100 every top-of-scan sum needs the decimal pass
+        # at v = 100 every sum near the top of the kappa range needs the
+        # decimal pass
         assert sb.solve(sb.exponential(100.0), 1.0).status is sb.KgStatus.SUPERCRITICAL
 
     @pytest.mark.parametrize("j", [24, 23])
     def test_sum_takes_the_sign_of_the_exact_sum(self, j):
-        # the kappa scan of solve at v = 100, m = 1 starts from the top,
-        # sqrt(v (v + 2e)) at e = -1 + 1e-6, in 24 steps: the exact sums
-        # there are +2.8e-13 and +2.7e-14, and float64 gives the second
-        # the wrong sign
+        # the top two points of a 24-step kappa scan at v = 100, m = 1,
+        # from sqrt(v (v + 2e)) at e = -1 + 1e-6: the exact sums there are
+        # +2.8e-13 and +2.7e-14, and float64 gives the second the wrong sign
         v, e = 100.0, -1.0 + kleingordon.WINDOW_MARGIN
         kappa = j * math.sqrt(v * (v + 2.0 * e)) / 24
         exact = exp_series_mp(kappa, e, v, 120)
@@ -225,11 +225,14 @@ class TestSignOnlyGuard:
 
 
 ROOT = Path(__file__).resolve().parents[1]
-# float64 overflows in these sums (terms near e^v), and decimal takes them
+# float64 overflows in the exponential sums (terms near e^v), and decimal
+# takes them; the Woods-Saxon well at v = 500 holds over a hundred states,
+# which the count of states steps through from the top
 LARGE = {
     "kg-800": ["kg", "--set", "potential=exponential", "--set", "v=800", "--set", "m=1"],
     "kg-1000": ["kg", "--set", "potential=exponential", "--set", "v=1000", "--set", "m=1"],
     "critical-150": ["critical", "--set", "potential=exponential", "--set", "m=150"],
+    "kg-woods-saxon-500": ["kg", "--set", "potential=woods-saxon", "--set", "v=500", "--set", "m=1"],
 }
 
 
@@ -255,9 +258,9 @@ def large_runs(tmp_path_factory):
 
 
 class TestOverflowingSums:
-    @pytest.mark.parametrize("name", ["kg-800", "kg-1000"])
+    @pytest.mark.parametrize("name", ["kg-800", "kg-1000", "kg-woods-saxon-500"])
     def test_strong_coupling_reads_supercritical(self, large_runs, name):
-        # as v = 700 does, whose sums still fit in float64
+        # as exponential v = 700 does, whose sums still fit in float64
         assert large_runs[name] is not None, "timed out"
         out, err, rc = large_runs[name]
         assert (rc, err) == (0, "")

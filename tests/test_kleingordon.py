@@ -230,6 +230,21 @@ class TestSolveClassification:
         assert sb.solve(spec, 1.0).status is KgStatus.BOUND
         assert len(calls) <= 16
 
+    def test_ground_kappa_search_cost(self, monkeypatch):
+        # the ground kappa of each curve point comes from a few state counts
+        # stepping down from the top and one brentq on S, not a scan of S
+        # (a 24-step scan made 310 sums here)
+        calls = []
+        real = kleingordon._SeriesCurve._sum
+
+        def counted(self, kappa, e):
+            calls.append((kappa, e))
+            return real(self, kappa, e)
+
+        monkeypatch.setattr(kleingordon._SeriesCurve, "_sum", counted)
+        assert sb.solve(sb.woods_saxon(3.5), 1.0).status is KgStatus.BOUND
+        assert len(calls) <= 155
+
 
 class TestSupercritical:
     def test_beyond_threshold(self):

@@ -53,6 +53,15 @@ class TestThresholds:
         got = sb.critical_coupling_upper(sb.woods_saxon(1.0, 0.1412, 0.9363), 4.725)
         assert got == pytest.approx(want, abs=kleingordon.COUPLING_XTOL)
 
+    def test_a_count_that_the_sum_contradicts_above_the_floor_raises(self, monkeypatch):
+        # only at the kappa floor may a state that S does not see stand for
+        # the continuum edge; above it the disagreement is an error, not a root
+        curve = kleingordon._WoodsSaxonCurve(sb.woods_saxon(1.0))
+        assert all(curve._sum(kappa, 0.0) > 0 for kappa in (0.0, 0.25, 0.5, 0.75))
+        monkeypatch.setattr(kleingordon._WoodsSaxonCurve, "_states_below", lambda self, kappa, e: int(kappa < 0.75))
+        with pytest.raises(sb.NonConvergence, match="S keeps its sign"):
+            curve._ground_kappa(0.0)
+
 
 class TestEnergy:
     def test_thin_surface_matches_shooting(self):
@@ -64,7 +73,7 @@ class TestEnergy:
 
     def test_two_bound_states_take_the_largest_root(self):
         # at v = 4, e = 1, h(e) holds two bound states and S(0) > 0: the
-        # binding test falls back to the kappa scan
+        # binding test falls back to the ground kappa's count search
         curve = kleingordon._WoodsSaxonCurve(sb.woods_saxon(4.0))
         assert curve._sum(0.0, 1.0) > 0
         kappa = curve._ground_kappa(1.0)
@@ -150,9 +159,9 @@ class TestNormalization:
 
 
 class TestDeepWells:
-    """Wells whose deepest levels lie closer than a kappa scan step: S keeps
-    its sign across two roots there, and the count of states finds the
-    ground state."""
+    """Wells whose deepest levels lie closer than a 24-step kappa scan of S
+    resolves: S keeps its sign across two roots there, and the count of
+    states finds the ground state."""
 
     @pytest.mark.parametrize("v, a, b", [(20.0, 3.0, 0.2), (3.0, 1.0, 0.2), (10.0, 2.0, 0.5),
                                          *(pytest.param(v, None, None, id=f"exponential-{v}")
@@ -170,7 +179,7 @@ class TestDeepWells:
                 assert curve._states_below(fraction * top, e) == states_below(f, v, e, fraction * top, r_end)
 
     def test_the_ground_state_of_a_wide_well(self):
-        # 19 states; the 24-step scan alone took an excited one (17.99)
+        # 19 states; a 24-step scan of S took an excited one (17.99)
         kappa = math.sqrt(-sb.F(sb.woods_saxon(20.0, 3.0, 0.2), 0.0).F)
         assert kappa == pytest.approx(19.94532989044057, abs=1e-9)
         assert states_below(shape(0.2, 3.0), 20.0, 0.0, kappa * (1 - 1e-7), 21.0) == 1
@@ -178,12 +187,12 @@ class TestDeepWells:
 
     def test_the_ground_state_of_a_deep_well(self):
         # 32 states at v = 100; the root is a Prufer count's bisection
-        # (the scan alone took 92.17)
+        # (a 24-step scan of S took 92.17)
         assert -sb.F(sb.woods_saxon(100.0), 0.0).F == pytest.approx(98.10855039431381 ** 2, rel=1e-10)
 
     def test_a_curve_whose_deep_levels_pair_up(self):
-        # at e = m the scan alone saw S > 0 down to kappa = 30.8 although
-        # two states lie below -43^2; F must fall with e
+        # at e = m a 24-step scan of S saw S > 0 down to kappa = 30.8
+        # although two states lie below -43^2; F must fall with e
         spec = sb.woods_saxon(71.72, 0.819, 1.376)
         points = sb.curve(spec, [-2.296997703, 0.0, 2.296997703])
         assert [p.F for p in points] == sorted((p.F for p in points), reverse=True)
