@@ -18,8 +18,6 @@ _HOMES = {
     "potentials": ("CouplingOutOfRange", "Kind", "NoBoundState", "NonBindingSearchError", "NonConvergence",
                    "PotentialSpec", "Theory", "coulomb", "evaluate", "exponential", "tail_radius", "validate",
                    "woods_saxon"),
-    "radial_schrodinger": ("GridConfig", "SchrodingerResult", "expectation", "lowest_eigenvalue",
-                           "neumann_eigenvalue"),
     "salpeter": ("SalpeterSolution", "ground_energy", "ground_energy_at"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -1,11 +1,11 @@
-"""LAPACK's symmetric tridiagonal routines, loaded from scipy's compiled
-extension scipy/linalg/_flapack alone.
+"""LAPACK's symmetric tridiagonal bisection, dstebz, loaded from scipy's
+compiled extension scipy/linalg/_flapack alone, for radial_schrodinger's
+eigh_tridiagonal.
 
-Importing the scipy.linalg package costs more start-up than the FD solver
-spends computing, and it needs four Fortran routines of it.  A process
-that has already loaded scipy.linalg reuses its extension module;
-otherwise the extension is loaded here and registered under its own name,
-so a later import of scipy.linalg shares it.
+Importing the scipy.linalg package costs more start-up than that one
+routine needs.  A process that has already loaded scipy.linalg reuses its
+extension module; otherwise the extension is loaded here and registered
+under its own name, so a later import of scipy.linalg shares it.
 """
 
 import importlib.machinery
@@ -39,7 +39,7 @@ def _load():
 
 
 _flapack = _load()
-dpttrf, dpttrs, dstebz, dstein = _flapack.dpttrf, _flapack.dpttrs, _flapack.dstebz, _flapack.dstein
+dstebz = _flapack.dstebz
 
 
 def eigh_tridiagonal(d, e, *, select, select_range, eigvals_only, tol):

@@ -312,13 +312,18 @@ def run_fcurves(cfg: SweepConfig) -> list[Path]:
         raise ConfigError(f"e_steps must be >= 1, got {cfg.e_steps}")
     masses = cfg.masses()
     couplings = cfg.coupling_grid()
+    names: dict[str, float] = {}
+    for v in couplings:
+        clash = names.setdefault(f"fcurve_v{v:.6g}.csv", v)
+        if clash != v:
+            raise ConfigError(f"couplings v = {clash:.12g} and {v:.12g} share the file name fcurve_v{v:.6g}.csv")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     e_values = _energy_grid(max(masses), cfg.e_steps)
     written: list[Path] = []
 
-    for v in couplings:
-        path = out_dir / f"fcurve_v{v:.6g}.csv"
+    for name, v in names.items():
+        path = out_dir / name
         path.write_text("\n".join(_fcurve_lines(cfg, v, e_values)) + "\n", encoding="utf-8")
         written.append(path)
 

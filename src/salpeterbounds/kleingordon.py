@@ -428,28 +428,29 @@ class _SeriesCurve:
     def _args(self, kappa: float, e: float) -> tuple:
         return kappa, e, self.v
 
-    def _float_sum(self, kappa: float, e: float) -> tuple[float, float, bool]:
-        """S and sum |terms| in float64, and whether the sign of S is in doubt."""
-        total, size, _ = self._series(*self._args(kappa, e), 1.0, 1e-18)
+    def _doubtful(self, total: float, size: float) -> bool:
+        """Whether float64 cannot sign a sum S = total of terms whose
+        absolute values add up to size."""
         bound = sys.float_info.epsilon * size
         # written so that a NaN or infinite bound is in doubt too
-        return total, size, not bound <= self.tol and not abs(total) > bound
+        return not bound <= self.tol and not abs(total) > bound
 
     def _sum(self, kappa: float, e: float) -> float:
         if kappa * kappa >= self.v * (self.v + 2.0 * e):
             return 1.0
-        total, size, doubtful = self._float_sum(kappa, e)
-        return _in_decimal(self._series, self._args(kappa, e), size, 0)[0] if doubtful else total
+        total, size, _ = self._series(*self._args(kappa, e), 1.0, 1e-18)
+        return _in_decimal(self._series, self._args(kappa, e), size, 0)[0] if self._doubtful(total, size) else total
 
     def _slopes(self, kappa, e, *rest):
-        """dS/de and dS/dkappa by complex steps, S's size and its number of
-        terms; rest is _args' rest, one and cutoff.  S at e + ih holds h dS/de
-        in its imaginary part, without cancellation, to h^2 = cutoff^4."""
+        """S, dS/de and dS/dkappa by complex steps, S's size and its number
+        of terms; rest is _args' rest, one and cutoff.  S at e + ih holds S
+        in its real part and h dS/de in its imaginary part, without
+        cancellation, to h^2 = cutoff^4."""
         h = rest[-1] * rest[-1]
         step = 1j * h if isinstance(rest[-2], float) else _Complex(0 * h, h)
         by_e, size, n_e = self._series(kappa, e + step, *rest)
         by_kappa, _, n_kappa = self._series(kappa + step, e, *rest)
-        return by_e.imag / h, by_kappa.imag / h, size, n_e + n_kappa
+        return by_e.real, by_e.imag / h, by_kappa.imag / h, size, n_e + n_kappa
 
     def _states_below(self, kappa: float, e: float) -> int:
         """The number of eigenvalues of h(e) below -kappa^2, on which
@@ -528,11 +529,12 @@ class _SeriesCurve:
         kappa = self._ground_kappa(e)
         if kappa is None:
             raise NoBoundState(f"the {self.spec.kind.value} h(e) has no bound state at e = {e}")
-        s_e, s_k, size, _ = self._slopes(*self._args(kappa, e), 1.0, 1e-18)
-        if self._float_sum(kappa, e)[2] or not size < math.inf:
+        s, s_e, s_k, size, _ = self._slopes(*self._args(kappa, e), 1.0, 1e-18)
+        if self._doubtful(s, size):
             # where float64 cannot sign S at its root, it cannot give S's
-            # slopes there either
-            s_e, s_k = _in_decimal(self._slopes, self._args(kappa, e), size, 17)
+            # slopes there either; S ~ 0 there, so decimal is not asked
+            # for its digits
+            s_e, s_k = _in_decimal(lambda *args: self._slopes(*args)[1:], self._args(kappa, e), size, 17)
         # F = -kappa^2 with dkappa/de = -S_e / S_kappa along S = 0
         f_prime = 2.0 * kappa * s_e / s_k
         return SpectralCurvePoint(e=e, F=-kappa * kappa, F_prime=f_prime, delta=e - 0.5 * f_prime)

@@ -28,10 +28,6 @@ KLEINGORDON_COULOMB_MAX = 0.5
 class NoBoundState(Exception):
     """The operator has no negative eigenvalue on the half-line."""
 
-    def __init__(self, message: str, lowest: float | None = None):
-        super().__init__(message)
-        self.lowest = lowest
-
 
 class NonConvergence(Exception):
     """Grid refinement, basis enlargement or a root search failed to settle."""
@@ -45,17 +41,17 @@ class CouplingOutOfRange(Exception):
     """Requested coupling is outside the parametric span of the Gaussian bound's curve."""
 
 
-def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
-           rtol: float = 4 * sys.float_info.epsilon, maxiter: int = 100) -> float:
+def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float, maxiter: int = 100) -> float:
     """A root of f in [xa, xb] by Brent's method, step for step as scipy's
     brentq.c: the same evaluation points, the same root.
 
     Each step interpolates (secant, or inverse quadratic through three
     points) when that moves less than half the previous step and stays
     well inside the bracket, and bisects otherwise; it stops when the
-    bracket half-width is below delta = (xtol + rtol |x|) / 2 or f is 0.
-    Raises ValueError when f(xa) and f(xb) have the same sign or f returns
-    NaN, and NonConvergence after maxiter steps.
+    bracket half-width is below delta = (xtol + 4 eps |x|) / 2, with
+    scipy's default relative tolerance 4 eps, or f is 0.  Raises
+    ValueError when f(xa) and f(xb) have the same sign or f returns NaN,
+    and NonConvergence after maxiter steps.
     """
     def call(x: float) -> float:
         fx = f(x)
@@ -63,7 +59,7 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return float(fx)
 
-    xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
+    xpre, xcur, xtol = float(xa), float(xb), float(xtol)
     xblk = fblk = spre = scur = 0.0
     fpre, fcur = call(xpre), call(xcur)
     if fpre == 0:
@@ -79,7 +75,7 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + 4 * sys.float_info.epsilon * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur

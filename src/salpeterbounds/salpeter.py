@@ -227,13 +227,13 @@ def default_box_radius(spec: PotentialSpec, m: float) -> float:
 def ground_energy(
     spec: PotentialSpec,
     m: float,
-    basis_size: int = DEFAULT_BASIS_SIZE,
     tol: float = DOUBLING_TOL,
     basis_max: int = 16384,
 ) -> SalpeterSolution:
     """Ground energy, converged under basis and box doubling.
 
-    The doubling starts from basis_size modes in the box default_box_radius.
+    The doubling starts from DEFAULT_BASIS_SIZE modes in the box
+    default_box_radius.
     Convergence requires |E(2N, R) - E(N, R)| < tol and then
     |E(2N, 2R) - E(2N, R)| < tol: the box doubling is probed at the doubled
     basis so it keeps the already-validated momentum cutoff N pi / R while
@@ -248,7 +248,7 @@ def ground_energy(
     downward drift of E with N.
     """
     potentials.validate(spec, Theory.SALPETER)
-    n, r_box = basis_size, default_box_radius(spec, m)
+    n, r_box = DEFAULT_BASIS_SIZE, default_box_radius(spec, m)
     history: list[tuple[int, float, float]] = []
     free_law = 0   # box doublings in a row on the free-particle law
     energy, coeffs = ground_energy_at(spec, m, n, r_box)

@@ -2,8 +2,9 @@
 
 Everything here avoids the package's own numerical paths: plain bisection,
 closed forms (among them the square well, the thin-surface limit of
-Woods-Saxon), scipy.integrate.quad, solve_ivp shooting with brentq, and
-the e^{-r} series of the exponential curve summed in float64 and in mpmath.
+Woods-Saxon), scipy.integrate.quad, solve_ivp shooting with brentq, the
+e^{-r} series of the exponential curve summed in float64 and in mpmath, and
+that curve's closed form, Kummer's function, evaluated by mpmath.hyp1f1.
 """
 
 import math
@@ -43,6 +44,24 @@ def bessel_ground_eigenvalue(v: float) -> tuple[float, float]:
             k = 0.5 * (lo + hi)
             return k, -k * k
     raise ValueError(f"no bound state for v = {v}")
+
+
+def bessel_top_order_zero(x: float, dps: int = 30) -> float | None:
+    """The largest order nu > 0 with J_nu(x) = 0, or None where there is
+    none (x below j_{0,1}).
+
+    J_nu(x) > 0 for nu >= x, so a scan of jv down from nu = x finds the
+    top sign change; mpmath's bisection-safe Anderson step refines it at
+    dps digits.
+    """
+    nus = np.linspace(x, 0.0, 4001)
+    vals = jv(nus, x)
+    for i in range(len(nus) - 1):
+        if (vals[i] < 0) != (vals[i + 1] < 0):
+            with mpmath.workdps(dps):
+                bracket = (mpmath.mpf(float(nus[i + 1])), mpmath.mpf(float(nus[i])))
+                return float(mpmath.findroot(lambda nu: mpmath.besselj(nu, x), bracket, solver="anderson"))
+    return None
 
 
 def exp_series(kappa: float, e: float, v: float) -> tuple[float, float]:
@@ -113,6 +132,35 @@ def bisect(f, lo: float, hi: float, steps: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def exp_kummer(kappa, e, v, dps: int = 30):
+    """S(kappa; e, v) of exp_series in closed form, as an mpf: the decaying
+    solution u = t^kappa e^{-ivt} M(1/2 + kappa + ie, 1 + 2 kappa, 2ivt),
+    t = e^{-r}, at t = 1 (DLMF 13.2 and 13.14, Whittaker's equation at an
+    imaginary argument), by mpmath's hypergeometric function at dps digits.
+    Kummer's transformation M(a, b, z) = e^z M(b - a, b, -z) makes it real.
+    """
+    with mpmath.workdps(dps):
+        kappa, e, v = (mpmath.mpf(x) for x in (kappa, e, v))
+        return mpmath.re(mpmath.exp(-1j * v) * mpmath.hyp1f1(0.5 + kappa + 1j * e, 1 + 2 * kappa, 2j * v))
+
+
+def exp_kummer_top_root(e: float, v: float, steps: int = 200, dps: int = 30) -> float | None:
+    """The largest root kappa of exp_kummer in (0, sqrt(v^2 + 2ev)), where
+    F(e) = -kappa^2, or None where there is none: a uniform scan down from
+    the top, then mpmath's bisection-safe Anderson step at dps digits."""
+    top_sq = v * (v + 2.0 * e)
+    if top_sq <= 0:
+        return None
+    ks = np.linspace(math.sqrt(top_sq), 0.0, steps + 1)
+    vals = [exp_kummer(float(k), e, v, dps) for k in ks]
+    for i in range(steps):
+        if (vals[i] < 0) != (vals[i + 1] < 0):
+            with mpmath.workdps(dps):
+                bracket = (mpmath.mpf(float(ks[i + 1])), mpmath.mpf(float(ks[i])))
+                return float(mpmath.findroot(lambda k: exp_kummer(k, e, v, dps), bracket, solver="anderson"))
+    return None
 
 
 # frozen from bessel_ground_eigenvalue, kept literal so a regression in the
@@ -266,3 +314,46 @@ def kg_energy(f, v: float, m: float, r_end: float, grid=None) -> float | None:
             return brentq(indicator, prev_x, x, xtol=1e-14, rtol=4 * np.finfo(float).eps)
         prev_x, prev_s = x, s
     return None
+
+
+def inward_ground_state(f, v: float, e: float, r_end: float, steps: int = 24) -> tuple[float, float]:
+    """kappa and 2 <V> of the ground state of h(e) = p^2 + 2eV - V^2,
+    V = -v f(r), by shooting inward: F(e) = -kappa^2, and 2 <V> is dF/de by
+    Hellmann-Feynman, as dh/de = 2V.
+
+    With V set to zero beyond r_end, u = e^{-kappa r} there; integrated in
+    from r_end, where it is the growing solution and so stable, the
+    decaying solution vanishes at r = 0 exactly at the eigenvalues, and by
+    Sturm oscillation u(0) > 0 for every kappa above the ground state's.
+    A scan of u(0) / |(u, u')| down from the top sqrt(max -W) finds its
+    first sign change, which brentq refines; the norm and <V> integrals
+    ride along, the norm starting from the tail's 1 / (2 kappa).
+    """
+    def inward(kappa):
+        def rhs(r, y):
+            big_v = -v * f(r)
+            w = 2.0 * e * big_v - big_v * big_v
+            return (y[1], (w + kappa * kappa) * y[0], -y[0] * y[0], -2.0 * big_v * y[0] * y[0])
+
+        sol = solve_ivp(rhs, (r_end, 0.0), [1.0, -kappa, 0.5 / kappa, 0.0], method="DOP853", rtol=1e-12,
+                        atol=1e-14)
+        if not sol.success:
+            raise RuntimeError(f"shooting failed: {sol.message}")
+        return sol.y[:, -1]
+
+    def at_origin(kappa):
+        u, du, _, _ = inward(kappa)
+        return u / math.hypot(u, du)
+
+    big_v = -v * f(np.linspace(0.0, r_end, 2001))
+    top = math.sqrt(max(0.0, float(np.max(-(2.0 * e * big_v - big_v * big_v)))))
+    ks = np.linspace(top, 0.0, steps + 1)[:-1]
+    prev = at_origin(ks[0])
+    for hi, lo in zip(ks, ks[1:]):
+        cur = at_origin(lo)
+        if (prev > 0) != (cur > 0):
+            kappa = brentq(at_origin, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+            _, _, norm, two_v = inward(kappa)
+            return kappa, two_v / norm
+        prev = cur
+    raise ValueError(f"no bound state for v = {v}, e = {e}")

@@ -17,7 +17,6 @@ import pytest
 import salpeterbounds as sb
 from salpeterbounds.cli_report import BOUNDS_HEADER, parse_config, run_bounds
 from salpeterbounds.kleingordon import KgStatus
-from salpeterbounds.radial_schrodinger import GridConfig
 
 from oracles import EXP_WELL_EIGENVALUE, coulomb_kg_energy
 
@@ -70,16 +69,18 @@ def test_criterion_1_coulomb_closed_form():
     report(1, ok, elapsed, f"e = {sol.e!r} vs {expected} (|diff| = {abs(sol.e - expected):.2e})")
 
 
-@pytest.mark.parametrize("v", [2.5, 4.5])
-def test_criterion_2_exponential_schrodinger_oracle(v):
-    exact = EXP_WELL_EIGENVALUE[v]
-    r_max = max(math.log(v / 1e-12), 40.0 / math.sqrt(-exact))
+@pytest.mark.parametrize("g", [2.5, 4.5])
+def test_criterion_2_exponential_schrodinger_oracle(g):
+    # h(0) = p^2 - v^2 e^{-2r} is, in s = 2r, 4 (p_s^2 - (v^2 / 4) e^{-s}):
+    # at v = 2 sqrt(g), F(0) is 4 times the ground eigenvalue of the
+    # exponential well of strength g, a Bessel zero
+    exact = 4.0 * EXP_WELL_EIGENVALUE[g]
     start = time.perf_counter()
-    res = sb.lowest_eigenvalue(lambda r: -v * np.exp(-r), GridConfig(r_max, 4096))
+    f_val = sb.F(sb.exponential(2.0 * math.sqrt(g)), 0.0).F
     elapsed = time.perf_counter() - start
-    rel = abs(res.eigenvalue - exact) / abs(exact)
+    rel = abs(f_val - exact) / abs(exact)
     ok = rel < 1e-6 and elapsed < 5.0
-    report(2, ok, elapsed, f"v={v}: eigenvalue {res.eigenvalue!r} vs {exact!r} (rel {rel:.2e})")
+    report(2, ok, elapsed, f"g={g}: F(0) {f_val!r} vs 4 x {EXP_WELL_EIGENVALUE[g]!r} (rel {rel:.2e})")
 
 
 def test_criterion_3_supercritical_threshold():

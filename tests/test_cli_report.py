@@ -313,6 +313,33 @@ class TestRunFcurves:
         for v, masses in by_v.items():
             assert masses["1"] > masses["0.8"]
 
+    @pytest.mark.parametrize("v_min, v_max, message", [
+        ("0.3", "0.3000004", "couplings v = 0.3 and 0.3000002 share the file name fcurve_v0.3.csv"),
+        # across a decade the first name keeps a digit that the later two lose
+        ("0.0999999", "0.1000001", "couplings v = 0.1 and 0.1000001 share the file name fcurve_v0.1.csv"),
+    ], ids=["within-a-decade", "across-a-decade"])
+    def test_couplings_that_share_a_name_write_nothing(self, v_min, v_max, message, tmp_path):
+        out_dir = tmp_path / "curves"
+        cfg = parse_config(None, overrides=[
+            "potential=coulomb", f"v_min={v_min}", f"v_max={v_max}", "v_steps=3",
+            "m=1", "e_steps=3", f"out={out_dir}",
+        ])
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_fcurves(cfg)
+        assert not out_dir.exists()
+
+    def test_couplings_apart_in_the_sixth_digit_all_write(self, tmp_path):
+        out_dir = tmp_path / "curves"
+        cfg = parse_config(None, overrides=[
+            "potential=coulomb", "v_min=0.099999", "v_max=0.100003", "v_steps=3",
+            "m=1", "e_steps=3", f"out={out_dir}",
+        ])
+        paths = run_fcurves(cfg)
+        names = ["fcurve_v0.099999.csv", "fcurve_v0.100001.csv", "fcurve_v0.100003.csv"]
+        assert [p.name for p in paths] == [*names, "parabolas.csv", "intersections.csv"]
+        for name in names:
+            assert (out_dir / name).read_text().startswith(f"# v={name[8:-4]} status=ok")
+
     def test_empty_curve_gets_status_header(self, tmp_path):
         out_dir = tmp_path / "curves"
         cfg = parse_config(None, overrides=[
@@ -465,6 +492,18 @@ class TestMainEntry:
                        "--set", "e_steps=0", "--set", f"out={tmp_path / 'curves'}"])
         assert rc == 1
         assert capsys.readouterr().err == "config error: e_steps must be >= 1, got 0\n"
+        assert not (tmp_path / "curves").exists()
+
+    def test_fcurves_rejects_couplings_that_share_a_file_name(self, tmp_path, capsys):
+        # the curve files are named fcurve_v{v:.6g}.csv, which rounds
+        # 5.675105 to 5.6751: that curve would overwrite the first
+        rc = cli.main(["fcurves", "--set", "potential=exponential", "--set", "v_min=5.67510", "--set", "v_max=5.67512",
+                       "--set", "v_steps=5", "--set", "m=1", "--set", "e_steps=5",
+                       "--set", f"out={tmp_path / 'curves'}"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: couplings v = 5.6751 and 5.675105 share the file name fcurve_v5.6751.csv\n"
         assert not (tmp_path / "curves").exists()
 
     @pytest.mark.parametrize("masses, bad", [

@@ -3,8 +3,8 @@
 The series oracle (tests/oracles.py) is checked three ways first: float64
 against a 50-digit mpmath sum, the Bessel form at e = 0, and the two
 critical couplings at m = 1.  It is then the reference for kleingordon's
-series path, and that path the reference for the finite-difference
-Schrodinger solver, which no Klein-Gordon path runs any more.
+series path, which is also checked against the series' closed forms
+themselves: Kummer's function at any e, and the Bessel zeros at e = 0.
 """
 
 import math
@@ -18,12 +18,13 @@ import numpy as np
 import pytest
 
 import salpeterbounds as sb
-from salpeterbounds import cli_report, kleingordon, potentials, radial_schrodinger
+from salpeterbounds import cli_report, kleingordon
 
-from oracles import bessel_ground_eigenvalue, bisect, exp_series, exp_series_mp, exp_series_roots, states_below
+from oracles import (bessel_ground_eigenvalue, bessel_top_order_zero, bisect, exp_kummer, exp_kummer_top_root,
+                     exp_series, exp_series_mp, exp_series_roots, states_below)
 
 EPS = np.finfo(float).eps
-# (v, e) where FD and the series were first compared
+# (v, e) where the finite-difference solver and the series were first compared
 BASELINE = [(2.5, 0.8), (3.4, 0.3), (5.0, -0.5), (5.68, -0.99), (5.5, 0.9)]
 # thresholds at m = 1, as the zero-energy ODE oracle gives them
 LOWER_M1, UPPER_M1 = 0.6729993526, 5.6808003643
@@ -54,6 +55,25 @@ class TestOracle:
         assert upper == pytest.approx(UPPER_M1, abs=1e-10)
         with mpmath.workdps(40):
             assert float(mpmath.findroot(lambda v: exp_series_mp(0, -1, v, 40), upper)) == pytest.approx(upper, abs=1e-13)
+
+
+class TestKummerForm:
+    """kleingordon's sum and curve against Kummer's function, S's closed
+    form, evaluated by mpmath rather than summed term by term."""
+
+    @pytest.mark.parametrize("v, e", BASELINE)
+    def test_program_sum_is_kummers_function(self, v, e):
+        for kappa in (0.0, 0.5, exp_series_roots(e, v)[0]):
+            total, size, _ = kleingordon._kummer_sum(kappa, e, v, 1.0, 1e-18)
+            assert abs(total - float(exp_kummer(kappa, e, v))) <= EPS * size
+
+    @pytest.mark.parametrize("v, e", [*BASELINE, (4.5, 1.0)])
+    def test_curve_is_the_top_kummer_zero(self, v, e):
+        # brentq stops within _KAPPA_XTOL of the root of the float64 sum,
+        # whose rounding moves that root by as much again
+        kappa = exp_kummer_top_root(e, v)
+        got = math.sqrt(-sb.F(sb.exponential(v), e).F)
+        assert abs(got - kappa) <= 2 * kleingordon._KAPPA_XTOL
 
 
 class TestSeriesPath:
@@ -89,6 +109,21 @@ class TestSeriesPath:
         for scale, want_below in ((1 + 1e-9, 0), (1 - 1e-9, 1)):
             assert states_below(lambda r: math.exp(-r), v, e, kappa * scale, r_end) == want_below
 
+    @pytest.mark.parametrize("v", [2.5, 5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0])
+    def test_zero_energy_is_the_top_bessel_zero(self, v):
+        # at e = 0, S vanishes where J_kappa(v) does, and the ground state is
+        # the largest such order, far above the smallest once the well holds
+        # several states (v = 20 holds six)
+        kappa = bessel_top_order_zero(v)
+        assert sb.F(sb.exponential(v), 0.0).F == pytest.approx(-kappa * kappa, rel=1e-11)
+
+    @pytest.mark.parametrize("v", [1.0, 2.0, 2.4])
+    def test_no_bound_state_below_the_first_bessel_zero(self, v):
+        # j_{0,1} = 2.4048...: below it J_kappa(v) has no zero kappa > 0
+        assert bessel_top_order_zero(v) is None
+        with pytest.raises(sb.NoBoundState):
+            sb.F(sb.exponential(v), 0.0)
+
     @pytest.mark.parametrize("v, e", [(4.086, 0.0), (3.336, 0.5), (4.5, 1.0), (2.5, 0.0), (5.5, -0.5)])
     def test_slope_matches_a_central_difference(self, v, e):
         spec, step = sb.exponential(v), 1e-5
@@ -106,22 +141,6 @@ class TestSeriesPath:
                                               (sb.critical_coupling_upper, UPPER_M1)], ids=["lower", "upper"])
     def test_critical_couplings_within_their_root_tolerance(self, search, want):
         assert search(sb.exponential(1.0), 1.0) == pytest.approx(want, abs=kleingordon.COUPLING_XTOL)
-
-
-class TestFiniteDifferenceAgainstSeries:
-    @pytest.mark.parametrize("v, e", [*BASELINE, (4.5, 1.0)])
-    def test_curve_within_the_error_estimate(self, v, e):
-        # the FD solver on the box where |V| falls to TAIL_EPS, at the
-        # spacing the Woods-Saxon curve used while it ran on FD
-        spec = sb.exponential(v)
-        r_max = potentials.tail_radius(spec, potentials.TAIL_EPS)
-
-        def w(r):
-            big_v = potentials.evaluate(spec, r)
-            return 2.0 * e * big_v - big_v * big_v
-
-        res = radial_schrodinger.lowest_eigenvalue(w, radial_schrodinger.GridConfig(r_max, math.ceil(r_max / 0.025)))
-        assert abs(res.eigenvalue - sb.F(spec, e).F) <= res.error_estimate
 
 
 class TestRoundingGuard:
@@ -277,10 +296,10 @@ class TestOverflowingSums:
 
     def test_float_pass_stops_on_overflow(self):
         # the terms at v = 800 overflow float64; the pass stops past the
-        # peak with a sum that is not finite, which _float_sum doubts
+        # peak with a sum that is not finite, which _doubtful doubts
         total, size, n = kleingordon._kummer_sum(0.0, 1.0, 800.0, 1.0, 1e-18)
         assert not math.isfinite(size) and n < 2000
-        assert kleingordon._ExponentialCurve(sb.exponential(800.0))._float_sum(0.0, 1.0)[2]
+        assert kleingordon._ExponentialCurve(sb.exponential(800.0))._doubtful(total, size)
 
     def test_a_series_that_does_not_settle_raises(self, monkeypatch):
         monkeypatch.setattr(kleingordon, "_MAX_TERMS", 10)

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import salpeterbounds as sb
-from salpeterbounds import gaussian_bound, kleingordon, potentials, radial_schrodinger
+from salpeterbounds import gaussian_bound, kleingordon, potentials
 
 ROOT = Path(__file__).resolve().parents[1]
 # without OPENBLAS_NUM_THREADS, which an in-process import of cli_report
@@ -213,10 +213,8 @@ def test_salpeter_command_loads_no_finite_difference_layer(loaded_modules):
 # library users may import the package before scipy.linalg or after it;
 # either way both share the one extension module
 IMPORT_ORDERS = {
-    "package first": ["salpeterbounds.radial_schrodinger", "scipy.linalg", "scipy.linalg.lapack",
-                      "scipy.sparse.linalg"],
-    "scipy first": ["scipy.linalg", "scipy.linalg.lapack", "scipy.sparse.linalg",
-                    "salpeterbounds.radial_schrodinger"],
+    "package first": ["salpeterbounds._lapack", "scipy.linalg", "scipy.linalg.lapack", "scipy.sparse.linalg"],
+    "scipy first": ["scipy.linalg", "scipy.linalg.lapack", "scipy.sparse.linalg", "salpeterbounds._lapack"],
 }
 CHECK_SCIPY = """
 import importlib, sys
@@ -225,14 +223,13 @@ for name in sys.argv[1:]:
 import numpy as np
 import scipy.linalg, scipy.linalg.lapack
 from scipy.sparse.linalg import lobpcg
-from salpeterbounds import radial_schrodinger
-assert scipy.linalg.lapack.dpttrf is radial_schrodinger.dpttrf
-assert scipy.linalg.lapack.dstein is radial_schrodinger.dstein
+from salpeterbounds import _lapack
+assert scipy.linalg.lapack.dstebz is _lapack.dstebz
 n = 200
 a = np.diag(np.arange(1.0, n + 1)) + np.diag(np.full(n - 1, 0.1), 1) + np.diag(np.full(n - 1, 0.1), -1)
 w, v = scipy.linalg.eigh(a)
 assert np.allclose(a @ v, v * w)
-assert np.allclose(w, radial_schrodinger.eigh_tridiagonal(
+assert np.allclose(w, _lapack.eigh_tridiagonal(
     np.diag(a), np.diag(a, 1), select="i", select_range=(0, n - 1), eigvals_only=True, tol=0.0))
 x = np.random.default_rng(0).normal(size=(n, 1))
 lam, _ = lobpcg(a, x, largest=False, tol=1e-10, maxiter=500)
@@ -275,8 +272,8 @@ class TestLazyExports:
     def test_exception_identity(self):
         # the solvers re-export the exceptions that now live in potentials
         reexported = {
-            "NoBoundState": (radial_schrodinger, kleingordon),
-            "NonConvergence": (radial_schrodinger,),
+            "NoBoundState": (kleingordon,),
+            "NonConvergence": (kleingordon,),
             "NonBindingSearchError": (kleingordon,),
             "CouplingOutOfRange": (gaussian_bound,),
         }

@@ -1,3 +1,4 @@
+import functools
 import re
 import warnings
 
@@ -12,6 +13,7 @@ from salpeterbounds.potentials import NoBoundState
 
 from oracles import (
     coulomb_kg_energy,
+    inward_ground_state,
     kg_energy,
     zero_energy_root,
     zero_energy_slope,
@@ -24,6 +26,17 @@ ZERO_ENERGY_SHAPES = {
     "exponential": (sb.exponential, lambda r: np.exp(-r), 40.0),
     "woods-saxon": (sb.woods_saxon, lambda r: expit(-(r - 1.0) / 0.2), 10.0),
 }
+
+# (kind, v, e) on both sides of e = 0, among them a barely bound exponential
+# state (F = -0.046) and one with two states (Woods-Saxon at e = 0.9)
+SHOOTING_POINTS = [("exponential", 2.5, 0.8), ("exponential", 5.0, -0.5), ("exponential", 5.68, -0.99),
+                   ("woods-saxon", 2.5, 0.8), ("woods-saxon", 3.0, -0.4), ("woods-saxon", 1.5, 0.9)]
+
+
+@functools.cache
+def shooting_ground_state(kind, v, e):
+    _, f, r_end = ZERO_ENERGY_SHAPES[kind]
+    return inward_ground_state(f, v, e, r_end)
 
 
 class TestSpectralCurveCoulomb:
@@ -112,6 +125,44 @@ class TestSpectralCurveShortRange:
         step = 1e-3
         fd = (sb.F(spec, e + step).F - sb.F(spec, e - step).F) / (2.0 * step)
         assert abs(pt.F_prime - fd) <= 1e-4 * max(1.0, abs(pt.F_prime))
+
+    @pytest.mark.parametrize("kind, v, e", SHOOTING_POINTS)
+    def test_curve_matches_inward_shooting(self, kind, v, e):
+        # the oracle integrates at rtol 1e-12 and lands within 4e-12 of F
+        # and F'; the series are tighter still
+        kappa, _ = shooting_ground_state(kind, v, e)
+        spec = ZERO_ENERGY_SHAPES[kind][0](v)
+        assert sb.F(spec, e).F == pytest.approx(-kappa * kappa, rel=1e-10)
+
+    @pytest.mark.parametrize("kind, v, e", SHOOTING_POINTS)
+    def test_slope_is_the_hellmann_feynman_expectation(self, kind, v, e):
+        # dh/de = 2V, so F'(e) = 2 <V> in the ground state, integrated
+        # along the shot rather than differenced
+        _, two_v = shooting_ground_state(kind, v, e)
+        spec = ZERO_ENERGY_SHAPES[kind][0](v)
+        assert sb.F(spec, e).F_prime == pytest.approx(two_v, rel=1e-10)
+
+
+class TestPointDoubt:
+    @pytest.mark.parametrize("spec, energies", [
+        (sb.exponential(5.0), (-0.5, 0.0, 0.5)),
+        (sb.exponential(30.0), (-0.5, 0.0, 0.5)),
+        (sb.woods_saxon(1.5), (0.5,)),
+        (sb.woods_saxon(10.0), (-0.5, 0.0, 0.5)),
+        (sb.woods_saxon(3.0, 1.0, 0.5), (0.0, 0.5)),
+        (sb.woods_saxon(30.0, 2.0, 0.5), (-0.5, 0.0, 0.5)),   # float64 cannot sign S at these roots
+    ], ids=["exponential-5", "exponential-30", "woods-saxon-1.5", "woods-saxon-10", "woods-saxon-3-wide",
+            "woods-saxon-30-wide"])
+    def test_the_e_step_carries_s_at_the_root(self, spec, energies):
+        # point decides between float64 and decimal slopes from the complex
+        # e-step's real part and size: those are the float64 sum's, bit for
+        # bit, so point doubts S exactly where _sum does
+        curve = kleingordon._on_curve(spec)
+        for e in energies:
+            args = curve._args(curve._ground_kappa(e), e)
+            s, _, _, size, _ = curve._slopes(*args, 1.0, 1e-18)
+            total, total_size, _ = curve._series(*args, 1.0, 1e-18)
+            assert (s, size) == (total, total_size)
 
 
 class TestSolveCoulomb:

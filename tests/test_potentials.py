@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import salpeterbounds as sb
+from salpeterbounds import potentials
 from salpeterbounds.potentials import (
     KLEINGORDON_COULOMB_MAX,
     SALPETER_COULOMB_MAX,
@@ -144,3 +146,103 @@ class TestShapeInvariants:
         assert Kind.EXPONENTIAL.value == "exponential"
         assert Kind.WOODS_SAXON.value == "woods-saxon"
         assert Kind.COULOMB.value == "coulomb"
+
+
+def _brent_cases(seed, count):
+    """Seeded (f, a, b, xtol, maxiter) across four shapes; about one case in
+    six has no sign change and about one in six stops at maxiter."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        root = rng.uniform(-2.0, 2.0)
+        shape = rng.integers(4)
+        if shape == 0:
+            c = rng.uniform(-1.0, 1.0)
+            f = lambda x, r=root, c=c: (x - r) ** 3 + c * (x - r)
+        elif shape == 1:
+            k = 10.0 ** rng.uniform(-1.0, 3.0)
+            f = lambda x, r=root, k=k: math.tanh(k * (x - r))
+        elif shape == 2:
+            f = lambda x, r=root: math.exp(x) - math.exp(r)
+        else:
+            f = lambda x, r=root: math.sin(0.5 * (x - r))
+        a, b = root - rng.uniform(0.0, 3.0), root + rng.uniform(0.0, 3.0)
+        if rng.random() < 0.125:
+            a, b = b, b + rng.uniform(0.1, 1.0)
+        maxiter = int(rng.integers(1, 12)) if rng.random() < 0.3 else 100
+        yield f, float(a), float(b), float(10.0 ** rng.uniform(-14.0, -2.0)), maxiter
+
+
+def _brent_run(solver, f, a, b, xtol, maxiter):
+    """(root or None, evaluation points, error class or None)."""
+    points = []
+
+    def recorded(x):
+        points.append(x)
+        return f(x)
+
+    try:
+        return solver(recorded, a, b, xtol=xtol, maxiter=maxiter), points, None
+    except RuntimeError:  # scipy's exhausted maxiter
+        return None, points, potentials.NonConvergence
+    except (potentials.NonConvergence, ValueError) as exc:
+        return None, points, type(exc)
+
+
+class TestBrentq:
+    """potentials.brentq, the root finder of every 1-D search, against
+    scipy.optimize.brentq, the oracle."""
+
+    def test_matches_scipy_step_for_step(self):
+        errors = []
+        for f, a, b, xtol, maxiter in _brent_cases(seed=11, count=400):
+            ours = _brent_run(potentials.brentq, f, a, b, xtol, maxiter)
+            theirs = _brent_run(brentq, f, a, b, xtol, maxiter)
+            assert ours[1] == theirs[1]
+            assert ours[2] is theirs[2]
+            assert ours[0] == theirs[0]
+            errors.append(ours[2])
+        # every outcome is exercised
+        assert errors.count(None) > 150
+        assert errors.count(potentials.NonConvergence) > 30
+        assert errors.count(ValueError) > 20
+
+    def test_tiny_values_match_scipy(self):
+        # values near 1e-150 underflow the inverse quadratic step's
+        # denominator to 0; C's division gives inf or NaN there, so scipy
+        # bisects, where Python's would raise ZeroDivisionError
+        for f, a, b, xtol, maxiter in _brent_cases(seed=12, count=100):
+            tiny = lambda x, f=f: 1e-150 * f(x)
+            ours = _brent_run(potentials.brentq, tiny, a, b, xtol, maxiter)
+            theirs = _brent_run(brentq, tiny, a, b, xtol, maxiter)
+            assert ours == theirs
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_relative_tolerance_is_scipys_default(self, scale):
+        # with a negligible xtol only the fixed relative tolerance 4 eps
+        # stops the search
+        def f(x):
+            return math.expm1(x / scale - 0.3)
+
+        root = potentials.brentq(f, 0.0, scale, xtol=1e-300)
+        assert root == brentq(f, 0.0, scale, xtol=1e-300)
+        assert abs(root - 0.3 * scale) <= 4 * np.finfo(float).eps * 0.3 * scale
+
+    def test_root_is_a_python_float(self):
+        root = potentials.brentq(lambda x: np.float64(x - 0.3), 0.0, 1.0, xtol=1e-12)
+        assert type(root) is float and root == pytest.approx(0.3, abs=1e-12)
+
+    def test_same_sign_bracket(self):
+        with pytest.raises(ValueError, match="different signs"):
+            potentials.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+
+    @pytest.mark.parametrize("nan_where", [lambda x: x == 0.0, lambda x: x == 1.0, lambda x: 0.0 < x < 1.0],
+                             ids=["left end", "right end", "interior"])
+    def test_nan_value(self, nan_where):
+        def f(x):
+            return math.nan if nan_where(x) else x - 0.7
+        with pytest.raises(ValueError, match="NaN"):
+            potentials.brentq(f, 0.0, 1.0, xtol=1e-12)
+
+    def test_exhausted_iterations(self):
+        with pytest.raises(potentials.NonConvergence, match="2 iterations"):
+            potentials.brentq(math.tanh, -1.0, 3.0, xtol=1e-14, maxiter=2)

@@ -13,7 +13,7 @@ import salpeterbounds as sb
 import salpeterbounds.cli_report as cli
 from oracles import cosine_moment, coulomb_cosine_moment, coulomb_kg_energy
 from salpeterbounds import _lobpcg, salpeter
-from salpeterbounds.radial_schrodinger import GridConfig, NoBoundState, NonConvergence
+from salpeterbounds.potentials import NoBoundState, NonConvergence
 from salpeterbounds.salpeter import default_box_radius
 
 
@@ -250,11 +250,11 @@ class TestGroundEnergy:
 
     def test_nonrelativistic_domination(self, srs_exponential_45):
         # sqrt(p^2 + m^2) <= m + p^2 / (2m) transfers to the eigenvalues
+        # eps_NR is the ground eigenvalue of p^2 - 2mv e^{-r} over 2m; that
+        # operator, in s = r / 2, is h(0) / 4 of the exponential curve with
+        # v' = 2 sqrt(2mv) = 6
         m, v = 1.0, 4.5
-        res = sb.lowest_eigenvalue(
-            lambda r: 2.0 * m * (-v * np.exp(-r)), GridConfig(80.0, 4096)
-        )
-        eps_nr = res.eigenvalue / (2.0 * m)
+        eps_nr = sb.F(sb.exponential(6.0), 0.0).F / (4.0 * 2.0 * m)
         assert srs_exponential_45.E <= m + eps_nr + 1e-6
 
     def test_kg_lower_bound(self, srs_exponential_45, kg_exponential):

@@ -109,6 +109,19 @@ class TestThinSurfaceLimit:
         assert square_well_curve(1.0, 0.5 * ((math.pi / 2) ** 2 - 1.0) + 1e-6, 1.0) < 0
 
 
+class TestScaling:
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("v, a, b, e", [(2.5, 1.0, 0.2, 0.8), (3.0, 2.0, 0.5, -0.4)])
+    def test_a_rescaled_well_rescales_the_curve(self, v, a, b, e, lam):
+        # in r = s / lam, lam^-2 h(e) for V is h(lam e) for lam V(lam s),
+        # the Woods-Saxon well (lam v, a / lam, b / lam): F scales by lam^2
+        # and F' by lam.  Each kappa is within 2e-14 of its root.
+        base = sb.F(sb.woods_saxon(v, a, b), e)
+        scaled = sb.F(sb.woods_saxon(lam * v, a / lam, b / lam), lam * e)
+        assert scaled.F == pytest.approx(lam * lam * base.F, rel=1e-12)
+        assert scaled.F_prime == pytest.approx(lam * base.F_prime, rel=1e-12)
+
+
 def _decimal_slope(v, a, b, kappa, e, prec=60, step="1e-25"):
     """F' = 2 kappa S_e / S_kappa by a central difference of the decimal S."""
     with decimal.localcontext(decimal.Context(prec=prec)):
@@ -139,7 +152,8 @@ class TestSlope:
         e = 0.5
         pt = curve.point(e)
         kappa = math.sqrt(-pt.F)
-        assert curve._float_sum(kappa, e)[2]
+        s, _, _, size, _ = curve._slopes(*curve._args(kappa, e), 1.0, 1e-18)
+        assert curve._doubtful(s, size)
         assert pt.F_prime == pytest.approx(_decimal_slope(60.0, 1.0, 1.0, kappa, e, prec=120, step="1e-50"), rel=1e-12)
 
 
