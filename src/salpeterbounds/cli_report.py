@@ -23,7 +23,7 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .potentials import (CouplingOutOfRange, Kind, NoBoundState, NonBindingSearchError, NonConvergence,  # noqa: E402
-                         PotentialSpec, check_mass)
+                         PotentialSpec, Theory, check_mass, validate_shape)
 
 # this module and potentials load the standard library alone, and the
 # solvers are imported inside the functions that run them: most of a
@@ -283,7 +283,12 @@ def run_bounds(cfg: SweepConfig) -> tuple[Path, int]:
     if cfg.out is None:
         raise ConfigError("bounds needs an output file: set out = <path>")
     m = cfg.single_mass()
-    rows = [_bounds_row(cfg, v, m) for v in cfg.coupling_grid()]
+    couplings = cfg.coupling_grid()
+    # the shape holds for the whole sweep, so one the Klein-Gordon solver
+    # refuses at every coupling ends it, with the reason, rather than fill
+    # it with error rows
+    validate_shape(cfg.potential(couplings[0]), Theory.KLEIN_GORDON)
+    rows = [_bounds_row(cfg, v, m) for v in couplings]
     violations = sum(0 if row.ordering_ok(cfg.tol) else 1 for row in rows)
     out = Path(cfg.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -14,6 +14,7 @@ the one where v(s) decreases (tighter wave functions for stronger coupling).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ _GL_NODES = 16
 # extra panel edges packed around the Fermi radius t = a/s in units of the
 # layer width b/s, so a thin surface is always resolved
 _LAYER_OFFSETS = (-32.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+_BASE_EDGES = tuple(np.linspace(0.0, _T_MAX, _BASE_PANELS + 1))
 
 _GL_X, _GL_W = leggauss(_GL_NODES)
 
@@ -59,18 +61,8 @@ def rho(t):
     return out if out.ndim else float(out)
 
 
-def _fermi(x: np.ndarray) -> np.ndarray:
-    """1/(1 + e^x) in overflow-safe form."""
-    out = np.empty_like(x)
-    pos = x > 0
-    ex = np.exp(-x[pos])
-    out[pos] = ex / (1.0 + ex)
-    out[~pos] = 1.0 / (1.0 + np.exp(x[~pos]))
-    return out
-
-
 def _mesh(a: float, b: float, s: float):
-    edges = set(np.linspace(0.0, _T_MAX, _BASE_PANELS + 1))
+    edges = set(_BASE_EDGES)
     t_fermi = a / s
     width = b / s
     if 0.0 < t_fermi < _T_MAX:
@@ -95,15 +87,18 @@ def j_integrals(m: float, a: float, b: float, s: float) -> tuple[float, float, f
     its derivative kernel f(1-f) are evaluated in overflow-safe form.
     """
     for name, val in (("m", m), ("a", a), ("b", b), ("s", s)):
-        if not (np.isfinite(val) and val > 0):
+        if not (math.isfinite(val) and val > 0):
             raise ValueError(f"{name} must be positive and finite, got {val}")
     t, wt = _mesh(a, b, s)
     dens = rho(t)
     root = np.sqrt(m * m * s * s + t * t)
     x = (t * s - a) / b
-    f = _fermi(x)
-    f_small = _fermi(np.abs(x))
-    kernel = f_small * (1.0 - f_small)  # e^x/(1+e^x)^2, stable for |x| large
+    # 1/(1 + e^x) and f(1-f) = e^x/(1+e^x)^2 from e^{-|x|}, which cannot
+    # overflow
+    ex = np.exp(-np.abs(x))
+    f_small = ex / (1.0 + ex)
+    f = np.where(x > 0, f_small, 1.0 / (1.0 + ex))
+    kernel = f_small * (1.0 - f_small)
     j1 = float(np.dot(wt, dens * root)) / s
     j2 = float(np.dot(wt, dens * f))
     j3 = float(np.dot(wt, dens * t * t / root)) / (s * s)
@@ -125,7 +120,11 @@ def default_s_grid() -> np.ndarray:
 
 
 def optimal_curve(m: float, a: float, b: float, s_grid=None) -> list[GaussianBoundPoint]:
-    """Parametric best-Gaussian curve: at each s, v = J3/J4 and E_g = J1 - vJ2."""
+    """Parametric best-Gaussian curve: at each s, v = J3/J4 and E_g = J1 - vJ2.
+
+    Raises ValueError where J4 = 0 at a scale: the quadrature does not see
+    the surface layer there, so no coupling is stationary at that s.
+    """
     if s_grid is None:
         s_grid = default_s_grid()
     s_arr = np.asarray(s_grid, dtype=float)
@@ -134,13 +133,24 @@ def optimal_curve(m: float, a: float, b: float, s_grid=None) -> list[GaussianBou
     points = []
     for s in s_arr:
         j1, j2, j3, j4 = j_integrals(m, a, b, float(s))
+        if not j4 > 0:
+            raise ValueError(f"J4 = 0 at s = {s:.6g}: the Woods-Saxon surface (a = {a:g}, b = {b:g}) is out "
+                             "of the Gaussian quadrature's reach")
         v = j3 / j4
         points.append(GaussianBoundPoint(s=float(s), v=v, E_g=j1 - v * j2, J1=j1, J2=j2, J3=j3, J4=j4))
     return points
 
 
+@functools.lru_cache(maxsize=16)
+def _default_curve(m: float, a: float, b: float) -> tuple[GaussianBoundPoint, ...]:
+    """optimal_curve on the default grid, built once per (m, a, b) in a
+    process, so that a sweep's rows share it; the last 16 are kept."""
+    return tuple(optimal_curve(m, a, b))
+
+
 def eg_optimized(m: float, a: float, b: float, v: float, s_grid=None) -> float:
-    """min_s E_g(s) at fixed coupling, seeded from the parametric curve.
+    """min_s E_g(s) at fixed coupling, seeded from the parametric curve,
+    which on the default grid is built once per (m, a, b) in a process.
 
     dE_g/ds = J4 (v - J3/J4), so minima sit where v(s) = J3/J4 crosses the
     target coupling on its decreasing branch.  In each such grid crossing
@@ -150,7 +160,7 @@ def eg_optimized(m: float, a: float, b: float, v: float, s_grid=None) -> float:
     Woods-Saxon family v(s) has a positive minimum below which a Gaussian
     captures no binding: E_g(s) then just drifts down to m as s -> infinity).
     """
-    points = optimal_curve(m, a, b, s_grid)
+    points = _default_curve(m, a, b) if s_grid is None else optimal_curve(m, a, b, s_grid)
     s_vals = [p.s for p in points]
     v_vals = [p.v for p in points]
 

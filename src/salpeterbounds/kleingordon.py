@@ -3,9 +3,10 @@ the parabola g(e) = e^2 - m^2.
 
 F(e) is the lowest eigenvalue of the Schrodinger operator h(e); wherever it
 exists it is negative, decreasing and concave, and its slope satisfies
-F'(e) = 2 <V>.  A mass-m ground energy is the smallest e in (-m, m) with
-F(e) = e^2 - m^2.  Because dW/de = 2V <= 0, the set of e where h(e) binds
-is an interval stretching up from an existence edge e0 (where F -> 0).
+F'(e) = 2 <V>.  A mass-m ground energy is the particle root: the e in
+(-m, m) where F(e) = e^2 - m^2 and F falls through the parabola as e
+rises.  Because dW/de = 2V <= 0, the set of e where h(e) binds is an
+interval stretching up from an existence edge e0 (where F -> 0).
 
 Each shape has one backend, and none needs a grid or numpy.  The Coulomb
 curve is a closed form.  The exponential curve comes from its e^{-r}
@@ -15,9 +16,12 @@ binding test, negative exactly when h(e) binds, whose roots, found by
 potentials.brentq, are the edge and both critical couplings.
 
 h(e) is affine in e, so F (taken as the continuum edge 0 below e0) is a
-minimum of affine functions and G(e) = F(e) - e^2 + m^2 is concave.  solve
-brackets the roots of G without a scan: from e0 when the edge is in the
-window, where G(e0) > 0, and otherwise on both sides of G's maximum.
+minimum of affine functions and G(e) = F(e) - e^2 + m^2 is concave.  For
+the series kinds a root of G is a root of T(e) = S(sqrt(m^2 - e^2); e, v),
+whose sign is (-1)^N for the N levels of h(e) below e^2 - m^2 (Sturm
+oscillation): solve brackets the particle root where N goes from 0 to 1
+as e rises, from e0 when the edge is in the window and otherwise from the
+maximum of G, and finds it by brentq on T.
 """
 
 from __future__ import annotations
@@ -61,9 +65,12 @@ class SpectralCurvePoint:
 class KgSolution:
     """Ground energy with classification.
 
-    status BOUND carries the smallest intersection e in (-m, m); a second
-    intersection, when present, is kept in secondary_e.  e0 is the zero of
-    F (the existence edge) when it falls inside the window.
+    status BOUND carries the particle root e in (-m, m), where F falls
+    through the parabola as e rises, so delta_at_e > 0.  Past
+    critical_coupling_upper G can have a second root, below e, where F
+    rises through it: the antiparticle root (delta < 0), kept in
+    secondary_e.  e0 is the zero of F (the existence edge) when it falls
+    inside the window.
     """
 
     e: float | None
@@ -529,6 +536,10 @@ class _SeriesCurve:
         kappa = self._ground_kappa(e)
         if kappa is None:
             raise NoBoundState(f"the {self.spec.kind.value} h(e) has no bound state at e = {e}")
+        return self._point_at(kappa, e)
+
+    def _point_at(self, kappa: float, e: float) -> SpectralCurvePoint:
+        """The curve point at e whose level -kappa^2, a root of S, is known."""
         s, s_e, s_k, size, _ = self._slopes(*self._args(kappa, e), 1.0, 1e-18)
         if self._doubtful(s, size):
             # where float64 cannot sign S at its root, it cannot give S's
@@ -630,20 +641,26 @@ def curve(spec: PotentialSpec, e_values) -> list[SpectralCurvePoint]:
     return points[::-1]
 
 
-def _continuum_point(e: float) -> SpectralCurvePoint:
-    return SpectralCurvePoint(e=e, F=0.0, F_prime=0.0, delta=e)
-
-
 def solve(spec: PotentialSpec, m: float) -> KgSolution:
-    """Smallest root of F(e) = e^2 - m^2 in (-m, m), with classification.
+    """The particle root of F(e) = e^2 - m^2 in (-m, m), with
+    classification.
 
-    G(e) = F(e) - e^2 + m^2 is concave, so root searches find every root.
-    With the existence edge e0 (the root of the binding test) inside the
-    window, G(e0) = m^2 - e0^2 > 0: one root in (e0, m) when G < 0 at the
-    right end, else no binding.  Otherwise e0 < -m (past
-    critical_coupling_upper), G < 0 at both ends, and the maximum of G,
-    where G' = F' - 2e vanishes, has a root on each side if it is positive;
-    if not, G < 0 across the whole window: supercritical.
+    G(e) = F(e) - e^2 + m^2 is concave, so it has at most two roots.  With
+    the existence edge e0 (the root of the binding test) inside the window,
+    G(e0) = m^2 - e0^2 > 0: one root in (e0, m) when G < 0 at the right
+    end, else no binding.  Otherwise e0 < -m (past
+    critical_coupling_upper); where G < 0 at both ends, the maximum of G,
+    where G' = F' - 2e vanishes, has a root on each side if it is positive,
+    the particle root above it and the antiparticle root (secondary_e)
+    below; if not, G < 0 across the whole window: supercritical.
+
+    A series kind finds each root on T(e) = S(sqrt(m^2 - e^2); e, v), which
+    is negative exactly where an odd number N of levels of h(e) lie below
+    e^2 - m^2: from an end with N = 0, probes stepping away from it and
+    then bisection on N reach a bracket with N = 1 at its other end, and
+    brentq on T finds the root there (_level_crossing).  At the root the
+    level's kappa is sqrt(m^2 - e^2), so delta needs S's slopes there,
+    after one Newton step onto the level, and no kappa search.
     """
     check_mass(m)
     return _solve(_on_curve(spec), m)
@@ -662,48 +679,82 @@ def _solve(engine, m: float) -> KgSolution:
         return KgSolution(e=None, m=m, status=KgStatus.NO_BINDING, e0=None, delta_at_e=None)
 
     e0 = None if engine.binding(lo) < 0 else float(brentq(engine.binding, lo, hi, xtol=ROOT_XTOL))
-    # where h(e) does not bind, F is the continuum edge 0, as at e0 itself
-    points = {} if e0 is None else {e0: _continuum_point(e0)}
 
-    def at(e: float) -> SpectralCurvePoint:
-        if e not in points:
-            try:
-                points[e] = engine.point(e)
-            except NoBoundState:
-                # brentq may step within roundoff of the existence edge
-                points[e] = _continuum_point(e)
-        return points[e]
+    def kappa(e: float) -> float:
+        # factored: m^2 - e^2 cancels to roundoff where e nears +-m
+        return math.sqrt((m - e) * (m + e))
+
+    def count(e: float) -> int:
+        return engine._states_below(kappa(e), e)
+
+    t = functools.cache(lambda e: engine._sum(kappa(e), e))
+    at = functools.cache(engine.point)
 
     def g(e: float) -> float:
         return at(e).F - e * e + m * m
 
-    def g_prime(e: float) -> float:
-        return at(e).F_prime - 2.0 * e
+    left, secondary = e0, None
+    if e0 is None:
+        # past critical_coupling_upper h(e) binds across the window
+        def g_prime(e: float) -> float:
+            return at(e).F_prime - 2.0 * e
 
-    left = lo if e0 is None else e0
-    if max(g(left), g(hi)) < 0:
-        # G' falls through 0 at the maximum of G; without a sign change the
-        # maximum is at an end, where G < 0
-        peak = float(brentq(g_prime, lo, hi, xtol=ROOT_XTOL)) if g_prime(lo) > 0 > g_prime(hi) else lo
-        if g(peak) <= 0:
-            return KgSolution(e=None, m=m, status=KgStatus.SUPERCRITICAL, e0=None, delta_at_e=None)
-        roots = [float(brentq(g, lo, peak, xtol=ROOT_XTOL)), float(brentq(g, peak, hi, xtol=ROOT_XTOL))]
-    elif g(left) * g(hi) < 0:
-        roots = [float(brentq(g, left, hi, xtol=ROOT_XTOL))]
-    else:
-        # G >= 0 at both ends, so throughout
+        left = lo
+        if max(g(lo), g(hi)) < 0:
+            # N = 0 only around the maximum of G, where G' falls through 0;
+            # without a sign change the maximum is at an end, where G < 0
+            left = float(brentq(g_prime, lo, hi, xtol=ROOT_XTOL)) if g_prime(lo) > 0 > g_prime(hi) else lo
+            if g(left) <= 0:
+                return KgSolution(e=None, m=m, status=KgStatus.SUPERCRITICAL, e0=None, delta_at_e=None)
+            secondary = _level_crossing(t, count, left, lo)
+    # T < 0 at the right end leaves an odd N there; where T > 0, G tells
+    # N = 0 from two levels or more
+    if t(hi) > 0 and g(hi) >= 0:
+        # no level has crossed the parabola
         return KgSolution(e=None, m=m, status=KgStatus.NO_BINDING, e0=e0, delta_at_e=None)
+    e = _level_crossing(t, count, left, hi)
+    # kappa(e) is within the root tolerance of the level, where S's slopes
+    # already differ in the ninth digit at v = 20: one Newton step on S puts
+    # it on the level
+    k = kappa(e)
+    s, _, s_k, size, _ = engine._slopes(*engine._args(k, e), 1.0, 1e-18)
+    if not engine._doubtful(s, size):
+        k -= s / s_k
+    return KgSolution(e=e, m=m, status=KgStatus.BOUND, e0=e0, delta_at_e=engine._point_at(k, e).delta,
+                      secondary_e=secondary)
 
-    e_star = roots[0]
-    pt = at(e_star)
-    return KgSolution(
-        e=e_star,
-        m=m,
-        status=KgStatus.BOUND,
-        e0=e0,
-        delta_at_e=pt.delta,
-        secondary_e=roots[1] if len(roots) > 1 else None,
-    )
+
+def _level_crossing(t: Callable[[float], float], count: Callable[[float], int], free: float,
+                    bound: float) -> float:
+    """The root of T between free, where no level of h(e) lies below the
+    parabola, and bound, where one or more do.  Probes step from free
+    toward bound, the first a sixteenth of the way and each later step
+    twice the last, until one finds a level below the parabola; bisection
+    on the count then leaves a bracket with one level at its bound end,
+    where T < 0 < T(free), and brentq on T finds the crossing.  A count
+    costs about its number of levels times the series' terms, so it is
+    never taken where many levels lie below the parabola: not at bound,
+    where kappa may also be least and the count's grid, out to the turning
+    point, longest, and not at the window's middle for a root near free (at
+    exponential v = 700, m = 400, with the root at -280, a count there
+    found 72 levels and took 2.5 s).  From a free left end the root is the
+    particle root, from a free right end the antiparticle one."""
+    step = (bound - free) / 16
+    for _ in range(100):
+        # the step while it is short of half the bracket, then its midpoint
+        probe = free + step if abs(step) < 0.5 * abs(bound - free) else 0.5 * (free + bound)
+        below = count(probe)
+        if not below:
+            free, step = probe, 2 * step
+            continue
+        bound = probe
+        if below == 1:
+            break
+    else:
+        raise NonConvergence(f"no bracket of a single level crossing in [{free:.12g}, {bound:.12g}]")
+    if not t(bound) < 0 < t(free):
+        raise NonConvergence(f"T keeps its sign across the level crossing in [{free:.12g}, {bound:.12g}]")
+    return float(brentq(t, free, bound, xtol=ROOT_XTOL))
 
 
 def _critical_coupling(spec: PotentialSpec, m: float, e_probe: float) -> float:
@@ -752,10 +803,11 @@ def critical_coupling_upper(spec: PotentialSpec, m: float) -> float:
     """Supercritical threshold: the v where h(-m) first binds, F(-m; v) = 0.
 
     Past it the existence edge e0 lies below -m, but G can still have roots
-    in the window, so solve may still return bound (Woods-Saxon a = 1,
+    in the window, so solve may still return bound: the particle root,
+    with the antiparticle root below it in secondary_e (Woods-Saxon a = 1,
     b = 0.2, m = 1: this v is 3.761477, and at v = 3.765 solve returns
-    e = -0.999904 with delta < 0); it reports supercritical only where G
-    stays negative across the whole window.
+    e = -0.942138 with delta > 0 and secondary_e = -0.999904); it reports
+    supercritical only where G stays negative across the whole window.
     """
     return _critical_coupling(spec, m, -m)
 

@@ -190,15 +190,26 @@ def validate(spec: PotentialSpec, theory: Theory) -> None:
 
     The Coulomb shape only has a discrete ground state below a critical
     coupling (2/pi for the semirelativistic kinetic term, 1/2 for the
-    Klein-Gordon reduction, at m = 1).  The short-range shapes are always
-    structurally valid; whether a given coupling actually binds is decided
-    by the solvers.
+    Klein-Gordon reduction, at m = 1).  Past validate_shape, the short-range
+    shapes are structurally valid; whether a given coupling actually binds
+    is decided by the solvers.
     """
+    validate_shape(spec, theory)
     if spec.kind is Kind.COULOMB:
         if theory is Theory.KLEIN_GORDON and spec.v >= KLEINGORDON_COULOMB_MAX:
             raise ValueError(f"Coulomb coupling {spec.v} >= 1/2 has no Klein-Gordon ground state")
         if theory is Theory.SALPETER and spec.v >= SALPETER_COULOMB_MAX:
             raise ValueError(f"Coulomb coupling {spec.v} >= 2/pi is beyond the semirelativistic critical coupling")
+
+
+def validate_shape(spec: PotentialSpec, theory: Theory) -> None:
+    """Raise ValueError, with the reason, where the shape's parameters other
+    than v put it out of the theory's reach at every coupling: the
+    Klein-Gordon Woods-Saxon series scale every coefficient by b^2, so a b
+    whose square underflows float64 would read as no well at all."""
+    if spec.kind is Kind.WOODS_SAXON and theory is Theory.KLEIN_GORDON and spec.b * spec.b < sys.float_info.min:
+        raise ValueError(f"Woods-Saxon thickness b = {spec.b:g} is too thin for the Klein-Gordon series: "
+                         "b^2 underflows")
 
 
 def check_mass(m: float) -> None:

@@ -121,6 +121,45 @@ def exp_series_roots(e: float, v: float, steps: int = 400) -> list[float]:
     return [k for k in roots if k > 1e-12]
 
 
+def exp_nodes(kappa: float, e: float, v: float) -> int:
+    """The zeros in r > 0 of u = sum c_n t^(n + kappa) of exp_series, the
+    solution that decays like e^{-kappa r}: by Sturm oscillation, the number
+    of levels of h(e) below -kappa^2.  u / t^kappa is sampled by numpy's
+    polyval at 4000 points r in [0, 60), far finer than the least spacing
+    pi / sqrt(v^2 + 2ev) of two zeros, for v <= 30."""
+    a, b = -2.0 * e * v, -v * v
+    coeffs = [0.0, 1.0]
+    for n in range(1, 200):
+        coeffs.append((a * coeffs[-1] + b * coeffs[-2]) / (n * (n + 2.0 * kappa)))
+    values = np.polyval(coeffs[:0:-1], np.exp(-np.linspace(0.0, 60.0, 4000, endpoint=False)))
+    return int(np.count_nonzero(np.diff(np.sign(values))))
+
+
+def exp_kg_energy(v: float, m: float, steps: int = 200) -> float | None:
+    """The exponential particle root from exp_series alone: the e where the
+    number N of levels of h(e) below e^2 - m^2 goes from 0 to 1 as e rises.
+    By Sturm oscillation T(e) = S(sqrt(m^2 - e^2); e, v) has the sign
+    (-1)^N, so the root is a sign change of T from positive to negative
+    whose positive side has N = 0 (exp_nodes; N = 2 there is an excited
+    level crossing).  The scan runs over steps uniform points across the
+    window (1e-9 m inside each end) and a geometric cluster near -m, where
+    past the supercritical coupling the antiparticle root sits close below
+    it; plain bisection refines the change.  None where there is none."""
+    def kappa(e):
+        return math.sqrt((m - e) * (m + e))
+
+    def t(e):
+        return exp_series(kappa(e), e, v)[0]
+
+    edge = m * (1.0 - 1e-9)
+    grid = np.union1d(np.linspace(-edge, edge, steps), -m + m * np.geomspace(1e-9, 0.2, 24))
+    signs = [t(float(e)) > 0 for e in grid]
+    for i in range(len(grid) - 1):
+        if signs[i] and not signs[i + 1] and exp_nodes(kappa(grid[i]), float(grid[i]), v) == 0:
+            return bisect(t, float(grid[i]), float(grid[i + 1]))
+    return None
+
+
 def bisect(f, lo: float, hi: float, steps: int = 200) -> float:
     """Plain bisection of a sign change of f on [lo, hi]."""
     flo = f(lo)
@@ -277,15 +316,19 @@ def states_below(f, v: float, e: float, kappa: float, r_end: float) -> int:
 
 
 def kg_energy(f, v: float, m: float, r_end: float, grid=None) -> float | None:
-    """Smallest e in (-m, m) with a nodeless Klein-Gordon s-wave bound state
-    in V = -v f(r), by shooting -u'' + (m^2 - (e - V)^2) u = 0.
+    """The particle root: the e in (-m, m) of the nodeless Klein-Gordon
+    s-wave bound state in V = -v f(r) whose level, as e rises, crosses the
+    parabola from above, by shooting -u'' + (m^2 - (e - V)^2) u = 0.
 
     u(0) = 0, u'(0) = 1.  With V set to zero beyond r_end the bound state
     decays as e^{-kappa r}, kappa = sqrt(m^2 - e^2).  By Sturm oscillation
     h(e) = p^2 + 2eV - V^2 has no eigenvalue below -kappa^2 = e^2 - m^2
     exactly when u has no node in (0, r_end) and the mismatch
     (u' + kappa u) / |(u, u')| at r_end is positive; the energies are where
-    that indicator changes sign.  The first sign change along grid (by
+    that indicator changes sign.  The particle root is where it turns from
+    positive to negative; where it turns from negative to positive (past
+    the supercritical coupling, near -m) is the antiparticle root, which
+    is skipped.  The first positive-to-negative change along grid (by
     default 25 points across the window) is refined by brentq.  Returns None
     when there is none (no binding or supercritical).
     """
@@ -310,7 +353,7 @@ def kg_energy(f, v: float, m: float, r_end: float, grid=None) -> float | None:
     prev_x, prev_s = grid[0], indicator(grid[0])
     for x in grid[1:]:
         s = indicator(x)
-        if (prev_s > 0.0) != (s > 0.0):
+        if prev_s > 0.0 >= s:
             return brentq(indicator, prev_x, x, xtol=1e-14, rtol=4 * np.finfo(float).eps)
         prev_x, prev_s = x, s
     return None

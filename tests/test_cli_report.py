@@ -623,6 +623,34 @@ FILE_ERRORS = {
 }
 
 
+# Woods-Saxon walls a solver cannot take: each run exits 1 with its reason
+THIN_WALL = ["--set", "potential=woods-saxon", "--set", "a=1", "--set", "b=1e-300", "--set", "m=1", "--set", "v=2"]
+FAR_WALL = ["--set", "potential=woods-saxon", "--set", "a=1e300", "--set", "b=1", "--set", "m=1", "--set", "v=2"]
+KG_THIN = "error: Woods-Saxon thickness b = 1e-300 is too thin for the Klein-Gordon series: b^2 underflows\n"
+REFUSED_WALLS = {
+    # J4 = 0 on the Gaussian curve, which ended in a ZeroDivisionError
+    "gaussian-thin-wall": (["gaussian", *THIN_WALL], "error: J4 = 0 at s = 0.05: the Woods-Saxon surface "
+                                                     "(a = 1, b = 1e-300) is out of the Gaussian quadrature's reach\n"),
+    "gaussian-far-wall": (["gaussian", *FAR_WALL], "error: J4 = 0 at s = 0.05: the Woods-Saxon surface "
+                                                   "(a = 1e+300, b = 1) is out of the Gaussian quadrature's reach\n"),
+    # b^2 underflows: the series read no well, and both printed no-binding
+    "kg-thin-wall": (["kg", *THIN_WALL], KG_THIN),
+    "bounds-thin-wall": (["bounds", *THIN_WALL, "--set", "out={tmp}/rows.csv"], KG_THIN),
+}
+
+
+class TestRefusedWalls:
+    @pytest.mark.parametrize("name", REFUSED_WALLS)
+    def test_a_refused_wall_exits_1_with_its_reason(self, name, tmp_path):
+        argv, reason = REFUSED_WALLS[name]
+        proc = subprocess.run([sys.executable, "-m", "salpeterbounds.cli_report",
+                               *(arg.format(tmp=tmp_path) for arg in argv)], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", reason)
+        assert not (tmp_path / "rows.csv").exists()
+
+
 class TestFileErrors:
     @pytest.mark.parametrize("name", FILE_ERRORS)
     def test_a_file_error_exits_1_without_a_traceback(self, name, tmp_path):

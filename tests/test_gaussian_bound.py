@@ -7,6 +7,7 @@ from scipy.optimize import minimize_scalar
 
 import salpeterbounds as sb
 from salpeterbounds import gaussian_bound
+from salpeterbounds.cli_report import parse_config, run_bounds
 from salpeterbounds.gaussian_bound import CouplingOutOfRange, curve_csv_rows, default_s_grid
 
 M, A, B = 1.0, 1.0, 0.2
@@ -139,6 +140,15 @@ class TestOptimalCurve:
         with pytest.raises(ValueError):
             sb.optimal_curve(M, A, B, [0.5, 0.4])
 
+    @pytest.mark.parametrize("a, b", [(1.0, 1e-300), (1e300, 1.0)])
+    def test_surface_out_of_reach_is_refused(self, a, b):
+        # the quadrature sees no surface, J4 = 0, and no v = J3/J4 exists:
+        # an error with the reason, not a curve of infinities
+        with pytest.raises(ValueError, match="^J4 = 0 at s = 0.05: the Woods-Saxon surface"):
+            sb.optimal_curve(M, a, b)
+        with pytest.raises(ValueError, match="^J4 = 0 "):
+            sb.eg_optimized(M, a, b, 2.0)
+
 
 class TestEgOptimized:
     def test_consistency_with_parametric_curve(self, ws_curve):
@@ -196,6 +206,26 @@ class TestEgOptimizedStationarity:
         gaussian_bound.eg_optimized(M, A, B, v)
         assert crossings >= 1
         assert len(calls) <= len(default_s_grid()) + 15 * crossings
+
+    def test_a_sweep_builds_the_curve_once(self, monkeypatch, tmp_path):
+        # two rows share one 200-scale curve; each runs its own
+        # stationarity root (the per-row curve made 207 quadratures a row)
+        gaussian_bound._default_curve.cache_clear()
+        calls = []
+        real = gaussian_bound.j_integrals
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(gaussian_bound, "j_integrals", counted)
+        out = tmp_path / "rows.csv"
+        cfg = parse_config(None, ["potential=woods-saxon", f"a={A}", f"b={B}", f"m={M}", "v_min=2.6", "v_max=3.1",
+                                  "v_steps=2", f"out={out}"])
+        run_bounds(cfg)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:3]]
+        assert all(row[4] for row in rows)
+        assert len(default_s_grid()) < len(calls) <= len(default_s_grid()) + 30
 
 
 class TestCsvExport:

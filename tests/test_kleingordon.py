@@ -1,4 +1,5 @@
 import functools
+import math
 import re
 import warnings
 
@@ -13,6 +14,7 @@ from salpeterbounds.potentials import NoBoundState
 
 from oracles import (
     coulomb_kg_energy,
+    exp_kg_energy,
     inward_ground_state,
     kg_energy,
     zero_energy_root,
@@ -260,16 +262,17 @@ class TestSolveClassification:
             assert sol.e is None and want is None
 
     def test_second_intersection_lies_on_the_parabola(self):
+        # the antiparticle root, below the particle root that solve returns
         spec = sb.woods_saxon(3.77)
         sol = sb.solve(spec, 1.0)
-        assert sol.secondary_e is not None and sol.secondary_e > sol.e
+        assert sol.secondary_e is not None and sol.secondary_e < sol.e
         pt = sb.F(spec, sol.secondary_e)
         assert abs(pt.F - (sol.secondary_e**2 - 1.0)) <= 1e-8
 
     @pytest.mark.parametrize("spec", [sb.woods_saxon(1.5), sb.woods_saxon(2.0)])
     def test_root_search_cost(self, spec, monkeypatch):
-        # concavity of G leaves one bracketed root search: a handful of
-        # curve points, not a scan of the window
+        # the root search reads T, not curve points: solve asks for points
+        # only past critical_coupling_upper, for G's maximum
         calls = []
         real = kleingordon._WoodsSaxonCurve.point
 
@@ -279,12 +282,13 @@ class TestSolveClassification:
 
         monkeypatch.setattr(kleingordon._WoodsSaxonCurve, "point", counted)
         assert sb.solve(spec, 1.0).status is KgStatus.BOUND
-        assert len(calls) <= 16
+        assert not calls
 
     def test_ground_kappa_search_cost(self, monkeypatch):
         # the ground kappa of each curve point comes from a few state counts
         # stepping down from the top and one brentq on S, not a scan of S
-        # (a 24-step scan made 310 sums here)
+        # (a 24-step scan made 310 sums over one solve's points; F makes
+        # 9-11 sums a point here)
         calls = []
         real = kleingordon._SeriesCurve._sum
 
@@ -293,8 +297,117 @@ class TestSolveClassification:
             return real(self, kappa, e)
 
         monkeypatch.setattr(kleingordon._SeriesCurve, "_sum", counted)
+        for e in (-0.8, -0.3, 0.0, 0.5, 0.9):
+            calls.clear()
+            assert sb.F(sb.woods_saxon(3.5), e).F < 0
+            assert len(calls) <= 15
+
+    def test_level_crossing_cost(self, monkeypatch):
+        # the root is one brentq on T, bracketed by a few state counts, with
+        # no ground kappa search per step (a brentq on G over curve points
+        # made 127 sums and 25 counts here)
+        calls = {"_sum": 0, "_states_below": 0}
+        for name in calls:
+            real = getattr(kleingordon._SeriesCurve, name)
+
+            def counted(self, kappa, e, real=real, name=name):
+                calls[name] += 1
+                return real(self, kappa, e)
+
+            monkeypatch.setattr(kleingordon._SeriesCurve, name, counted)
         assert sb.solve(sb.woods_saxon(3.5), 1.0).status is KgStatus.BOUND
-        assert len(calls) <= 155
+        assert calls["_sum"] <= 30 and calls["_states_below"] <= 8
+
+    @pytest.mark.parametrize("v, m", [(60.0, 30.0), (200.0, 100.0)])
+    def test_level_counts_stay_near_the_root(self, v, m, monkeypatch):
+        # a count costs about its number of levels times the series' terms;
+        # probes stepping from e0 find at most two levels below the
+        # parabola, where a first probe at the window's middle found 7 and
+        # 23 (and 72 at v = 700, m = 400, 2.5 s in decimal)
+        counts = []
+        real = kleingordon._SeriesCurve._states_below
+
+        def counted(self, kappa, e):
+            counts.append(real(self, kappa, e))
+            return counts[-1]
+
+        monkeypatch.setattr(kleingordon._SeriesCurve, "_states_below", counted)
+        sol = sb.solve(sb.exponential(v), m)
+        assert sol.status is KgStatus.BOUND and sol.delta_at_e > 0
+        assert max(counts) <= 2
+
+
+# the README exponential family (exp_curves.txt): v = 1.0 (0.5) 5.5 against
+# m = 0.1 (0.1) 2.1, and the criterion-4 Woods-Saxon couplings at m = 1
+README_EXPONENTIAL = [(float(v), 0.1 + i * 0.1) for v in np.linspace(1.0, 5.5, 10) for i in range(21)]
+CRITERION_4 = [float(v) for v in np.linspace(1.0, 3.5, 11)]
+
+
+class TestParticleRoot:
+    def test_readme_exponential_family(self):
+        # 171 of the 210 pairs bind; each e within the root tolerance of the
+        # series oracle (measured at most 2.5e-11), each with delta > 0
+        misses = []
+        for v, m in README_EXPONENTIAL:
+            sol, want = sb.solve(sb.exponential(v), m), exp_kg_energy(v, m)
+            if want is None:
+                ok = sol.e is None
+            else:
+                ok = sol.e is not None and abs(sol.e - want) <= kleingordon.ROOT_XTOL and sol.delta_at_e > 0
+            if not ok:
+                misses.append((v, m, sol.e, want))
+        assert not misses
+
+    @pytest.mark.parametrize("v", CRITERION_4)
+    def test_criterion_4_rows(self, v):
+        # measured at most 2.2e-11 from Klein-Gordon shooting
+        make, shape, r_end = ZERO_ENERGY_SHAPES["woods-saxon"]
+        assert abs(sb.solve(make(v), 1.0).e - kg_energy(shape, v, 1.0, r_end)) <= kleingordon.ROOT_XTOL
+
+    def test_right_end_with_two_levels(self):
+        # two levels of h(e) lie below the parabola at the window's right
+        # end, so T > 0 there as it is at e0: the ground level tells that
+        # G < 0 there, and counts stepping from e0 bracket the root
+        hi = 1.0 - kleingordon.WINDOW_MARGIN
+        kappa = math.sqrt((1.0 - hi) * (1.0 + hi))
+        engine = kleingordon._on_curve(sb.exponential(4.5))
+        assert engine._states_below(kappa, hi) == 2 and engine._sum(kappa, hi) > 0
+        sol = sb.solve(sb.exponential(4.5), 1.0)
+        assert abs(sol.e - exp_kg_energy(4.5, 1.0)) <= kleingordon.ROOT_XTOL and sol.delta_at_e > 0
+
+    def test_particle_root_past_the_upper_coupling(self):
+        # v = 3.765 lies past critical_coupling_upper (3.761477): G has two
+        # roots in the window, and solve returns the one with delta > 0
+        sol = sb.solve(sb.woods_saxon(3.765), 1.0)
+        assert sol.e0 is None
+        assert sol.e == pytest.approx(-0.942138, abs=1e-6) and sol.delta_at_e > 0
+        assert sol.secondary_e == pytest.approx(-0.999904, abs=1e-6)
+        assert sb.F(sb.woods_saxon(3.765), sol.secondary_e).delta < 0
+
+    def test_energy_is_continuous_across_the_upper_coupling(self):
+        # the particle level runs on through v_upper (de/dv is about -1.5
+        # there); the antiparticle root, which solve returned once it
+        # entered the window, sat up to 0.06 lower
+        upper = sb.critical_coupling_upper(sb.woods_saxon(1.0), 1.0)
+        sols = [sb.solve(sb.woods_saxon(upper + dv), 1.0) for dv in np.arange(-0.004, 0.0201, 0.002)]
+        assert sols[0].e0 is not None and sols[-1].e0 is None
+        assert all(sol.delta_at_e > 0 for sol in sols)
+        assert max(abs(b.e - a.e) for a, b in zip(sols, sols[1:])) < 0.01
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+    def test_direct_energy_lies_above_the_particle_root(self, m):
+        # the sandwich's lower side across the window: three couplings up to
+        # v_upper, where e reaches -m, and three past it, where G has two
+        # roots at m = 0.5 and 1 and none at m = 2 (supercritical)
+        shape = sb.woods_saxon(1.0)
+        lower, upper = sb.critical_coupling_lower(shape, m), sb.critical_coupling_upper(shape, m)
+        for v in [*np.linspace(lower, upper, 4)[1:], *(upper + m * np.array([0.001, 0.005, 0.02]))]:
+            sol = sb.solve(sb.woods_saxon(v), m)
+            if m == 2.0 and v > upper:
+                assert sol.status is KgStatus.SUPERCRITICAL
+                continue
+            assert sol.status is KgStatus.BOUND and sol.delta_at_e > 0
+            assert sol.e < sb.ground_energy(sb.woods_saxon(v), m).E
 
 
 class TestSupercritical:

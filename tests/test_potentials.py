@@ -12,6 +12,7 @@ from salpeterbounds.potentials import (
     Kind,
     PotentialSpec,
     Theory,
+    validate_shape,
 )
 
 
@@ -85,6 +86,25 @@ class TestValidate:
     def test_short_range_structurally_valid_at_any_coupling(self):
         sb.validate(sb.exponential(10.0), Theory.KLEIN_GORDON)
         sb.validate(sb.woods_saxon(50.0), Theory.SALPETER)
+
+    def test_woods_saxon_wall_too_thin_for_the_kleingordon_series(self):
+        # b^2 leaves float64's normal range below b = 1.49e-154; at 1e-300
+        # it is 0, and the series read no well at all (status no-binding)
+        reason = "^Woods-Saxon thickness b = 1e-300 is too thin for the Klein-Gordon series: b\\^2 underflows$"
+        with pytest.raises(ValueError, match=reason):
+            sb.validate(sb.woods_saxon(2.0, 1.0, 1e-300), Theory.KLEIN_GORDON)
+        with pytest.raises(ValueError, match="too thin"):
+            sb.validate(sb.woods_saxon(2.0, 1.0, 1e-155), Theory.KLEIN_GORDON)
+        sb.validate(sb.woods_saxon(2.0, 1.0, 1e-150), Theory.KLEIN_GORDON)
+        sb.validate(sb.woods_saxon(2.0, 1.0, 1e-300), Theory.SALPETER)
+
+    def test_shape_rules_hold_at_every_coupling(self):
+        # validate_shape checks what a sweep's couplings share: the thin
+        # wall, but not the Coulomb coupling limits
+        with pytest.raises(ValueError, match="too thin"):
+            validate_shape(sb.woods_saxon(2.0, 1.0, 1e-300), Theory.KLEIN_GORDON)
+        validate_shape(sb.coulomb(0.6), Theory.KLEIN_GORDON)
+        validate_shape(sb.woods_saxon(2.0, 1.0, 1e-300), Theory.SALPETER)
 
 
 class TestTailRadius:
