@@ -119,19 +119,15 @@ def default_s_grid() -> np.ndarray:
     return np.geomspace(0.05, 10.0, 200)
 
 
-def optimal_curve(m: float, a: float, b: float, s_grid=None) -> list[GaussianBoundPoint]:
-    """Parametric best-Gaussian curve: at each s, v = J3/J4 and E_g = J1 - vJ2.
+def optimal_curve(m: float, a: float, b: float) -> list[GaussianBoundPoint]:
+    """Parametric best-Gaussian curve: at each s of default_s_grid, v = J3/J4
+    and E_g = J1 - vJ2.
 
     Raises ValueError where J4 = 0 at a scale: the quadrature does not see
     the surface layer there, so no coupling is stationary at that s.
     """
-    if s_grid is None:
-        s_grid = default_s_grid()
-    s_arr = np.asarray(s_grid, dtype=float)
-    if np.any(s_arr <= 0) or np.any(np.diff(s_arr) <= 0):
-        raise ValueError("s_grid must be strictly increasing and positive")
     points = []
-    for s in s_arr:
+    for s in default_s_grid():
         j1, j2, j3, j4 = j_integrals(m, a, b, float(s))
         if not j4 > 0:
             raise ValueError(f"J4 = 0 at s = {s:.6g}: the Woods-Saxon surface (a = {a:g}, b = {b:g}) is out "
@@ -143,14 +139,14 @@ def optimal_curve(m: float, a: float, b: float, s_grid=None) -> list[GaussianBou
 
 @functools.lru_cache(maxsize=16)
 def _default_curve(m: float, a: float, b: float) -> tuple[GaussianBoundPoint, ...]:
-    """optimal_curve on the default grid, built once per (m, a, b) in a
-    process, so that a sweep's rows share it; the last 16 are kept."""
+    """optimal_curve, built once per (m, a, b) in a process, so that a
+    sweep's rows share it; the last 16 are kept."""
     return tuple(optimal_curve(m, a, b))
 
 
-def eg_optimized(m: float, a: float, b: float, v: float, s_grid=None) -> float:
+def eg_optimized(m: float, a: float, b: float, v: float) -> float:
     """min_s E_g(s) at fixed coupling, seeded from the parametric curve,
-    which on the default grid is built once per (m, a, b) in a process.
+    which is built once per (m, a, b) in a process.
 
     dE_g/ds = J4 (v - J3/J4), so minima sit where v(s) = J3/J4 crosses the
     target coupling on its decreasing branch.  In each such grid crossing
@@ -160,7 +156,7 @@ def eg_optimized(m: float, a: float, b: float, v: float, s_grid=None) -> float:
     Woods-Saxon family v(s) has a positive minimum below which a Gaussian
     captures no binding: E_g(s) then just drifts down to m as s -> infinity).
     """
-    points = _default_curve(m, a, b) if s_grid is None else optimal_curve(m, a, b, s_grid)
+    points = _default_curve(m, a, b)
     s_vals = [p.s for p in points]
     v_vals = [p.v for p in points]
 

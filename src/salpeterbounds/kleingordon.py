@@ -11,17 +11,16 @@ interval stretching up from an existence edge e0 (where F -> 0).
 Each shape has one backend, and none needs a grid or numpy.  The Coulomb
 curve is a closed form.  The exponential curve comes from its e^{-r}
 series (_ExponentialCurve), the Woods-Saxon curve from two hypergeometric
-series matched at r = a (_WoodsSaxonCurve); both share _SeriesCurve's
-binding test, negative exactly when h(e) binds, whose roots, found by
-potentials.brentq, are the edge and both critical couplings.
+series matched at r = a (_WoodsSaxonCurve), both through _SeriesCurve.
 
 h(e) is affine in e, so F (taken as the continuum edge 0 below e0) is a
 minimum of affine functions and G(e) = F(e) - e^2 + m^2 is concave.  For
 the series kinds a root of G is a root of T(e) = S(sqrt(m^2 - e^2); e, v),
 whose sign is (-1)^N for the N levels of h(e) below e^2 - m^2 (Sturm
-oscillation): solve brackets the particle root where N goes from 0 to 1
-as e rises, from e0 when the edge is in the window and otherwise from the
-maximum of G, and finds it by brentq on T.
+oscillation).  Every root in e or v is one search (_level_crossing), where
+state counts bracket N going from 0 to 1 and brentq finds it: the particle
+root on T, from e0 or from the maximum of G, and the edge e0 and both
+critical couplings on the kappa = 0 sum, where h(e) gains its first state.
 """
 
 from __future__ import annotations
@@ -140,7 +139,7 @@ def _kummer_nodes(kappa, e, v, one, cutoff):
     from t = 1 (r = 0) to f_turn, then sum |c_n| and the number of terms."""
     terms, _, total_abs = _kummer_terms(kappa, e, v, one, cutoff)
     k_max, f_turn = _node_grid(kappa, e, v)
-    cells = int(-math.log(f_turn) * k_max / math.pi) + 2
+    cells = _cells(-math.log(f_turn), k_max)
     values = [_horner(terms, _exp(type(one)(math.log(f_turn) * j / cells)), one) for j in range(cells + 1)]
     return (*values, total_abs, len(terms) - 1)
 
@@ -153,6 +152,16 @@ def _node_grid(kappa, e, v) -> tuple[float, float]:
     kf, ef, vf = float(kappa), float(e), float(v)
     root = math.sqrt(ef * ef + kf * kf)
     return math.sqrt(max(0.0, float(v * (v + 2 * e)) - kf * kf)), (kf * kf / (root + ef) if ef > 0 else root - ef) / vf
+
+
+def _cells(length: float, k_max: float) -> int:
+    """The cells, each shorter than pi / k_max, of a node grid over length;
+    NonConvergence past _MAX_TERMS of them (a well too wide to count)."""
+    cells = length * k_max / math.pi + 2
+    if not cells <= _MAX_TERMS:
+        raise NonConvergence(f"a state count needs {cells:.3g} grid cells over a length {length:.6g}, more than "
+                             f"{_MAX_TERMS}")
+    return int(cells)
 
 
 def _horner(terms, w, one):
@@ -223,8 +232,11 @@ def _phase(bsq, ell, one, cutoff):
     beta (cosh and sinh where bsq < 0): Taylor series at ell / 2^j, where
     |beta ell| / 2^j <= 1/2, then j angle doublings.  decimal has neither
     sin nor cos, and this needs neither."""
+    size = 4 * abs(bsq) * ell * ell
+    if not size < math.inf:
+        raise NonConvergence(f"the phase of beta^2 = {float(bsq):.6g} over ell = {float(ell):.6g} overflows")
     j = 0
-    while 4 * abs(bsq) * ell * ell > 4 ** j:
+    while size > 4 ** j:
         j += 1
     ell = ell / 2 ** j
     x = -bsq * ell * ell
@@ -358,7 +370,7 @@ def _woods_saxon_nodes(kappa, e, v, a, b, one, cutoff):
     af, bf = float(a), float(b)
     k_max, y_turn = _node_grid(kappa, e, v)
     values = []
-    cells = int(af * k_max / math.pi) + 2
+    cells = _cells(af, k_max)
     for i in range(cells):
         # ln(2z) at r = a i / cells
         log = log_twice_fermi((af - af * i / cells) / bf)
@@ -370,7 +382,7 @@ def _woods_saxon_nodes(kappa, e, v, a, b, one, cutoff):
     # past y* = (sqrt(e^2 + kappa^2) - e) / v, where -W - kappa^2 < 0, u_L has no zero
     if y_turn < 0.5:
         length = bf * math.log(1 / y_turn - 1)
-        cells = int(length * k_max / math.pi) + 2
+        cells = _cells(length, k_max)
         for j in range(1, cells + 1):
             # u_L / (2y)^s at y(a + length j / cells)
             log = log_twice_fermi(length * j / cells / bf)
@@ -412,16 +424,16 @@ class _SeriesCurve:
 
     S(0) is the zero-energy solution that is flat at infinity, taken at
     r = 0; by Sturm oscillation its sign is (-1)^N for N bound states.
-    That alone is not the binding test (at v = 4.5, e = 1, the exponential
-    h(e) holds two bound states and S(0) > 0), so binding falls back to the
-    ground kappa where S(0) >= 0.  Near the edge it is S(0) on both sides, so
-    the edge and the critical couplings are roots of the kappa = 0 sum.
+    That alone does not tell whether h(e) binds (at v = 4.5, e = 1, the
+    exponential h(e) holds two bound states and S(0) > 0), so binds falls
+    back to the ground kappa where S(0) >= 0; but where h(e) gains its
+    first state S(0) changes sign, at the edge and the critical couplings.
 
     A float64 sum carries the rounding bound eps * sum |terms|, which grows
     with v.  The root searches read only signs, so S is summed again in
     decimal only where the bound exceeds tol and |S|: the sign is in doubt,
-    as it is where float64 overflows.  Each kind gives _moments, and _series
-    and _nodes, functions of (*_args(kappa, e), one, cutoff) in one's number
+    as it is where float64 overflows.  Each kind gives _series and _nodes,
+    functions of (*_args(kappa, e), one, cutoff) in one's number
     type: S, or the decaying solution on _node_grid's grid, then a rounding
     scale and the number of terms.
     """
@@ -430,7 +442,6 @@ class _SeriesCurve:
         self.spec = spec
         self.v = spec.v
         self.tol = tol
-        self.binding = functools.cache(self._binding)
 
     def _args(self, kappa: float, e: float) -> tuple:
         return kappa, e, self.v
@@ -511,26 +522,9 @@ class _SeriesCurve:
             return None
         raise NonConvergence(f"S keeps its sign across the ground state of h(e) at e = {e:.12g}, v = {self.v:.12g}")
 
-    def _binding(self, e: float) -> float:
-        """Negative exactly when h(e) binds: S(0) where it is negative (an
-        odd number of bound states) or h(e) does not bind, else -kappa^2 of
-        the ground state (an even number).  Bargmann's bound N < int r
-        max(0, -W) dr (Proc. Natl. Acad. Sci. 38 (1952) 961) skips the
-        ground kappa's count search where it allows at most one state, which
-        S(0) >= 0 rules out."""
-        s0 = self._sum(0.0, e)
-        if s0 < 0 or self._bargmann(e) <= 2:
-            return s0
-        kappa = self._ground_kappa(e)
-        return s0 if kappa is None else -kappa * kappa
-
-    def _bargmann(self, e: float) -> float:
-        """An upper bound on int r max(0, -W) dr, -W = 2ev f + v^2 f^2, from
-        the shape's moments m1 >= int r f dr and m2 >= int r f^2 dr; for
-        e < 0, -W <= (v^2 + 2ev) f^2 as f <= 1."""
-        m1, m2 = self._moments()
-        v = self.v
-        return v * v * m2 + 2.0 * e * v * m1 if e >= 0 else max(0.0, v * (v + 2.0 * e)) * m2
+    def binds(self, e: float) -> bool:
+        """Whether h(e) binds: S(0) < 0 (N is odd), else the ground kappa exists."""
+        return self._sum(0.0, e) < 0 or self._ground_kappa(e) is not None
 
     def point(self, e: float) -> SpectralCurvePoint:
         kappa = self._ground_kappa(e)
@@ -564,10 +558,6 @@ class _ExponentialCurve(_SeriesCurve):
     _series = staticmethod(_kummer_sum)
     _nodes = staticmethod(_kummer_nodes)
 
-    def _moments(self) -> tuple[float, float]:
-        # int r e^{-r} dr and int r e^{-2r} dr
-        return 1.0, 0.25
-
 
 class _WoodsSaxonCurve(_SeriesCurve):
     """The Woods-Saxon curve from two series matched at r = a.
@@ -594,14 +584,6 @@ class _WoodsSaxonCurve(_SeriesCurve):
 
     def _args(self, kappa: float, e: float) -> tuple:
         return kappa, e, self.v, self.spec.a, self.spec.b
-
-    def _moments(self) -> tuple[float, float]:
-        # int r y dr = a^2/2 + pi^2 b^2/6 + b^2 Li2(-e^{-a/b}), whose last
-        # term is negative; y^2 = y - y (1 - y) and int r y (1 - y) dr =
-        # b int y dr = b^2 ln(1 + e^{a/b}) >= a b
-        a, b = self.spec.a, self.spec.b
-        m1 = 0.5 * a * a + math.pi ** 2 * b * b / 6.0
-        return m1, m1 - a * b
 
 
 def _on_curve(spec: PotentialSpec, tol: float = ROOT_XTOL):
@@ -646,7 +628,7 @@ def solve(spec: PotentialSpec, m: float) -> KgSolution:
     classification.
 
     G(e) = F(e) - e^2 + m^2 is concave, so it has at most two roots.  With
-    the existence edge e0 (the root of the binding test) inside the window,
+    the existence edge e0 (where h(e) gains its first state) inside the window,
     G(e0) = m^2 - e0^2 > 0: one root in (e0, m) when G < 0 at the right
     end, else no binding.  Otherwise e0 < -m (past
     critical_coupling_upper); where G < 0 at both ends, the maximum of G,
@@ -658,9 +640,11 @@ def solve(spec: PotentialSpec, m: float) -> KgSolution:
     is negative exactly where an odd number N of levels of h(e) lie below
     e^2 - m^2: from an end with N = 0, probes stepping away from it and
     then bisection on N reach a bracket with N = 1 at its other end, and
-    brentq on T finds the root there (_level_crossing).  At the root the
-    level's kappa is sqrt(m^2 - e^2), so delta needs S's slopes there,
-    after one Newton step onto the level, and no kappa search.
+    brentq on T finds the root there (_level_crossing); e0 is the same
+    search on S(0; e), whose sign is (-1)^N for all N states of h(e).  At
+    the root the level's kappa is sqrt(m^2 - e^2), so delta needs S's
+    slopes there, after one Newton step onto the level, and no kappa
+    search.
     """
     check_mass(m)
     return _solve(_on_curve(spec), m)
@@ -675,10 +659,11 @@ def _solve(engine, m: float) -> KgSolution:
     eps = WINDOW_MARGIN * m
     hi = m - eps
     lo = -m + eps
-    if engine.binding(hi) >= 0:
+    if not engine.binds(hi):
         return KgSolution(e=None, m=m, status=KgStatus.NO_BINDING, e0=None, delta_at_e=None)
-
-    e0 = None if engine.binding(lo) < 0 else float(brentq(engine.binding, lo, hi, xtol=ROOT_XTOL))
+    # the count of all states grows fast past the edge: short first steps
+    e0 = None if engine.binds(lo) else _level_crossing(lambda e: engine._sum(0.0, e),
+                                                       lambda e: engine._states_below(0.0, e), lo, hi, first=1 / 64)
 
     def kappa(e: float) -> float:
         # factored: m^2 - e^2 cancels to roundoff where e nears +-m
@@ -724,22 +709,22 @@ def _solve(engine, m: float) -> KgSolution:
                       secondary_e=secondary)
 
 
-def _level_crossing(t: Callable[[float], float], count: Callable[[float], int], free: float,
-                    bound: float) -> float:
-    """The root of T between free, where no level of h(e) lies below the
-    parabola, and bound, where one or more do.  Probes step from free
-    toward bound, the first a sixteenth of the way and each later step
-    twice the last, until one finds a level below the parabola; bisection
-    on the count then leaves a bracket with one level at its bound end,
-    where T < 0 < T(free), and brentq on T finds the crossing.  A count
-    costs about its number of levels times the series' terms, so it is
-    never taken where many levels lie below the parabola: not at bound,
-    where kappa may also be least and the count's grid, out to the turning
-    point, longest, and not at the window's middle for a root near free (at
-    exponential v = 700, m = 400, with the root at -280, a count there
-    found 72 levels and took 2.5 s).  From a free left end the root is the
-    particle root, from a free right end the antiparticle one."""
-    step = (bound - free) / 16
+def _level_crossing(t: Callable[[float], float], count: Callable[[float], int], free: float, bound: float,
+                    xtol: float = ROOT_XTOL, first: float = 1 / 16) -> float:
+    """The root of t between free, where no level lies below the threshold
+    that t signs, and bound, where one or more do: the parabola for solve's
+    particle root (from a free right end, the antiparticle root), and 0 for
+    the edge e0 and, in v, for the critical couplings.  Probes step from
+    free toward bound, the first a fraction first of the way and each later
+    step twice the last, until one finds a level below; bisection on the
+    count then leaves a bracket with one level at its bound end, where t <
+    0 < t(free), and brentq on t finds the crossing.  A count costs about
+    its number of levels times the series' terms, so none is taken where
+    many levels lie below: not at bound, and not at the bracket's middle
+    for a root near free (at exponential v = 700, m = 400, with the particle
+    root at -280, a count there found 72 levels and took 2.5 s)."""
+    t = functools.cache(t)
+    step = (bound - free) * first
     for _ in range(100):
         # the step while it is short of half the bracket, then its midpoint
         probe = free + step if abs(step) < 0.5 * abs(bound - free) else 0.5 * (free + bound)
@@ -753,41 +738,33 @@ def _level_crossing(t: Callable[[float], float], count: Callable[[float], int], 
     else:
         raise NonConvergence(f"no bracket of a single level crossing in [{free:.12g}, {bound:.12g}]")
     if not t(bound) < 0 < t(free):
-        raise NonConvergence(f"T keeps its sign across the level crossing in [{free:.12g}, {bound:.12g}]")
-    return float(brentq(t, free, bound, xtol=ROOT_XTOL))
+        raise NonConvergence(f"the sum keeps its sign across the level crossing in [{free:.12g}, {bound:.12g}]")
+    return float(brentq(t, free, bound, xtol=xtol))
 
 
 def _critical_coupling(spec: PotentialSpec, m: float, e_probe: float) -> float:
-    """The v where the binding test of h(e_probe) changes sign, by brentq
-    on the series, whose signs are certain at every v (_in_decimal)."""
+    """The v where h(e_probe) gains its first bound state: from v = 1e-2, v
+    doubles until h(e_probe) binds or quarters until it does not, and the
+    kappa = 0 sum's level crossing in that bracket is the root."""
     if spec.kind is Kind.COULOMB:
         raise ValueError("critical couplings are defined for the short-range kinds only")
     check_mass(m)
 
-    @functools.cache
-    def probe(v: float) -> float:
-        return _on_curve(PotentialSpec(spec.kind, v, spec.a, spec.b), COUPLING_XTOL).binding(e_probe)
+    def at(v: float) -> _SeriesCurve:
+        return _on_curve(PotentialSpec(spec.kind, v, spec.a, spec.b), COUPLING_XTOL)
 
-    return _coupling_root(probe, m)
-
-
-def _coupling_root(probe: Callable[[float], float], m: float) -> float:
-    """brentq on probe, the binding test as a function of v, over [lo, hi]:
-    hi doubles from max(2m, 4) until it binds, then lo quarters from 1e-2
-    until it does not."""
-    hi = max(2.0 * m, 4.0)
-    for _ in range(40):
-        if probe(hi) < 0:
-            break
-        hi *= 2.0
-    else:
-        raise NonBindingSearchError(f"no binding found up to v = {hi}")
-    lo = min(1e-2, hi / 2.0)
-    while probe(lo) < 0:
-        lo /= 4.0
+    binds = functools.cache(lambda v: at(v).binds(e_probe))
+    lo = hi = 1e-2
+    while binds(lo):
+        hi, lo = lo, lo / 4.0
         if lo < 1e-9:
             raise NonBindingSearchError("binding persists at arbitrarily small coupling")
-    return float(brentq(probe, lo, hi, xtol=COUPLING_XTOL))
+    while not binds(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e18:
+            raise NonBindingSearchError(f"no binding found up to v = {lo}")
+    return _level_crossing(lambda v: at(v)._sum(0.0, e_probe), lambda v: at(v)._states_below(0.0, e_probe),
+                           lo, hi, xtol=COUPLING_XTOL)
 
 
 def critical_coupling_lower(spec: PotentialSpec, m: float) -> float:

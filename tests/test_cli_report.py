@@ -581,8 +581,8 @@ class TestMainEntry:
         assert out.read_text().splitlines()[1:] == ["0.6,1,,,,,,error", "# ordering_violations=0"]
 
     def test_critical_search_failure_exits_cleanly(self, monkeypatch, capsys):
-        # a positive binding test: h(e) binds at no coupling
-        monkeypatch.setattr(kleingordon._WoodsSaxonCurve, "_binding", lambda self, e: 1.0)
+        # h(e) binds at no coupling
+        monkeypatch.setattr(kleingordon._WoodsSaxonCurve, "binds", lambda self, e: False)
         rc = cli.main(["critical", "--set", "potential=woods-saxon", "--set", "m=1"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: no binding found up to v = ")
@@ -649,6 +649,28 @@ class TestRefusedWalls:
                               text=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", reason)
         assert not (tmp_path / "rows.csv").exists()
+
+
+class TestWideWells:
+    @pytest.mark.parametrize("command", ["kg", "critical"])
+    @pytest.mark.parametrize("a", ["1e6", "1e100", "1e300"])
+    def test_a_wide_woods_saxon_well_exits_1_with_its_reason(self, command, a, tmp_path):
+        # a state count's node grid has about a k_max / pi cells, and at
+        # a = 1e300 the phase of the inner series overflows: both raise,
+        # where the commands ran on past a minute
+        argv = [command, "--set", "potential=woods-saxon", "--set", f"a={a}", "--set", "b=1", "--set", "m=1",
+                "--set", "v=2"]
+        proc = subprocess.run([sys.executable, "-m", "salpeterbounds.cli_report", *argv], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True,
+                              text=True, timeout=20)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    def test_a_wide_well_within_the_grid_still_solves(self, capsys):
+        rc = cli.main(["kg", "--set", "potential=woods-saxon", "--set", "a=1e4", "--set", "b=1", "--set", "m=1",
+                       "--set", "v=2"])
+        assert rc == 0
+        assert capsys.readouterr().out == "status=supercritical\ne=\ne0=\ndelta=\n"
 
 
 class TestFileErrors:

@@ -136,10 +136,6 @@ class TestOptimalCurve:
         v_min = min(p.v for p in ws_curve)
         assert v_min == pytest.approx(1.0837415927796605, abs=1e-6)
 
-    def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            sb.optimal_curve(M, A, B, [0.5, 0.4])
-
     @pytest.mark.parametrize("a, b", [(1.0, 1e-300), (1e300, 1.0)])
     def test_surface_out_of_reach_is_refused(self, a, b):
         # the quadrature sees no surface, J4 = 0, and no v = J3/J4 exists:

@@ -76,9 +76,9 @@ class TestSpectralCurveShortRange:
 
     def test_curve_walks_down_without_binding_tests(self, monkeypatch):
         # existence is monotone in e: the walk from the top ends at the
-        # first e that does not bind, so no separate binding test runs and
-        # exactly one point fails
-        calls = {"_binding": 0, "point": 0}
+        # first e that does not bind, so binds never runs and exactly one
+        # point fails
+        calls = {"binds": 0, "point": 0}
         for name in calls:
             def spy(self, e, _name=name, _inner=getattr(kleingordon._WoodsSaxonCurve, name)):
                 calls[_name] += 1
@@ -86,7 +86,7 @@ class TestSpectralCurveShortRange:
             monkeypatch.setattr(kleingordon._WoodsSaxonCurve, name, spy)
         points = kleingordon.curve(sb.woods_saxon(1.5), np.linspace(-0.95, 0.95, 21))
         assert 0 < len(points) < 21
-        assert calls == {"_binding": 0, "point": len(points) + 1}
+        assert calls == {"binds": 0, "point": len(points) + 1}
 
     def test_curve_of_no_e_values_is_empty(self):
         assert sb.curve(sb.exponential(2.5), []) == []
@@ -318,6 +318,22 @@ class TestSolveClassification:
         assert sb.solve(sb.woods_saxon(3.5), 1.0).status is KgStatus.BOUND
         assert calls["_sum"] <= 30 and calls["_states_below"] <= 8
 
+    def test_edge_search_cost(self, monkeypatch):
+        # the edge e0 is a level crossing of the kappa = 0 sum, bracketed by
+        # a few state counts (a brentq on a binding test that ran a ground
+        # kappa search wherever h(e) did not bind made 68 counts here)
+        calls = []
+        real = kleingordon._SeriesCurve._states_below
+
+        def counted(self, kappa, e):
+            calls.append((kappa, e))
+            return real(self, kappa, e)
+
+        monkeypatch.setattr(kleingordon._SeriesCurve, "_states_below", counted)
+        sol = sb.solve(sb.exponential(200.0), 100.0)
+        assert sol.status is KgStatus.BOUND and sol.e0 is not None
+        assert len(calls) <= 20
+
     @pytest.mark.parametrize("v, m", [(60.0, 30.0), (200.0, 100.0)])
     def test_level_counts_stay_near_the_root(self, v, m, monkeypatch):
         # a count costs about its number of levels times the series' terms;
@@ -502,6 +518,26 @@ class TestCriticalCouplings:
     def test_rejects_a_mass_that_is_not_positive(self, search, m):
         with pytest.raises(ValueError, match="mass must be positive"):
             search(sb.exponential(1.0), m)
+
+    @pytest.mark.parametrize("spec, m", [(sb.exponential(1.0), 50.0), (sb.woods_saxon(1.0, 1.0, 1.0), 10.0)],
+                             ids=["exponential", "woods-saxon"])
+    @pytest.mark.parametrize("search", [sb.critical_coupling_lower, sb.critical_coupling_upper],
+                             ids=["lower", "upper"])
+    def test_search_stays_near_the_threshold(self, spec, m, search, monkeypatch):
+        # the bracket grows from v = 1e-2 by doublings: no curve is built at
+        # a coupling far above the threshold, where the sums and counts are
+        # long (a bracket from v = max(2m, 4) began at 100 for a lower
+        # threshold of 0.0145 at exponential m = 50)
+        built = []
+        real = kleingordon._on_curve
+
+        def recording(spec, *args):
+            built.append(spec.v)
+            return real(spec, *args)
+
+        monkeypatch.setattr(kleingordon, "_on_curve", recording)
+        v = search(spec, m)
+        assert built and max(built) <= 4.0 * v
 
     @pytest.mark.parametrize("kind", sorted(ZERO_ENERGY_SHAPES))
     @pytest.mark.parametrize("side", ["lower", "upper"])

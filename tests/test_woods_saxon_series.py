@@ -72,13 +72,13 @@ class TestEnergy:
         assert sol.e == pytest.approx(kg_energy(shape(0.01), 2.5, 1.0, 12.0), abs=1e-10)
 
     def test_two_bound_states_take_the_largest_root(self):
-        # at v = 4, e = 1, h(e) holds two bound states and S(0) > 0: the
-        # binding test falls back to the ground kappa's count search
+        # at v = 4, e = 1, h(e) holds two bound states and S(0) > 0: binds
+        # falls back to the ground kappa's count search
         curve = kleingordon._WoodsSaxonCurve(sb.woods_saxon(4.0))
         assert curve._sum(0.0, 1.0) > 0
         kappa = curve._ground_kappa(1.0)
         assert curve._sum(0.5 * kappa, 1.0) < 0
-        assert curve.binding(1.0) == -kappa * kappa
+        assert curve.binds(1.0)
         assert sb.F(sb.woods_saxon(4.0), 1.0).F == -kappa * kappa
 
     def test_no_state_below_the_well_floor(self):
