@@ -10,7 +10,7 @@ a scale-optimized Gaussian trial state supplies the upper bound.
 import importlib
 
 # home module of each public name; a name is imported on first access, so
-# `import salpeterbounds` loads no solver and no scipy
+# `import salpeterbounds` loads no solver
 _HOMES = {
     "gaussian_bound": ("GaussianBoundPoint", "eg_at", "eg_optimized", "j_integrals", "optimal_curve", "rho"),
     "kleingordon": ("F", "KgSolution", "KgStatus", "SpectralCurvePoint", "critical_coupling_lower",

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 # each CLI process runs BLAS on one thread unless OPENBLAS_NUM_THREADS is
-# set: numpy and scipy's LAPACK extension each load an OpenBLAS whose
-# worker threads spin from load on, and the solvers do small-vector work
-# only.  OpenBLAS reads the variable when it loads, so this precedes any
-# import of numpy
+# set: numpy loads an OpenBLAS whose worker threads spin from load on, and
+# the solvers do small-vector work only.  OpenBLAS reads the variable when
+# it loads, so this precedes any import of numpy
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .potentials import (CouplingOutOfRange, Kind, NoBoundState, NonBindingSearchError, NonConvergence,  # noqa: E402

@@ -223,9 +223,6 @@ class _Complex:
     def __abs__(self):
         return abs(self.real) + abs(self.imag)
 
-    def __float__(self):
-        return float(self.real)
-
 
 def _phase(bsq, ell, one, cutoff):
     """sin(beta ell) / beta and cos(beta ell) for beta^2 = bsq, both even in

@@ -30,7 +30,10 @@ class NoBoundState(Exception):
 
 
 class NonConvergence(Exception):
-    """Grid refinement, basis enlargement or a root search failed to settle."""
+    """A search failed to settle: a Klein-Gordon series or node grid ran past
+    kleingordon._MAX_TERMS (or its phase overflowed), basis doubling ran past
+    basis_max, LOBPCG left a residual above its gate, or a root search found
+    no bracket, no sign change or no convergence."""
 
 
 class NonBindingSearchError(Exception):

@@ -43,9 +43,10 @@ real.
 A single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517; in
 _lobpcg, Rayleigh-Ritz on the iterate, its preconditioned residual and its
 last move) finds the lowest pair, preconditioned by diag(K_j - sigma)^{-1}
-with sigma = min(rho - |r|, K_1 + V_11) for the Rayleigh quotient rho and
-residual r of the start vector.
-V <= 0 gives V_11 < 0, and K_j >= K_1, so every entry is positive.  Each
+with sigma = min(rho - |r|, K_1 + V_11, K_1^-) for the Rayleigh quotient rho
+and residual r of the start vector, where K_1^- is the float below K_1.
+V <= 0 gives V_11 < 0, but at weak coupling K_1 + V_11 can round to K_1;
+with K_1^- and K_j >= K_1, every entry is positive.  Each
 doubling level starts from the last: zero-padded for 2N (rho is the last E,
 |r| is small), mode k moved to mode 2k for 2R (the state plus its mirror
 image at the new wall, an even mix whose rho - |r| is close to E).  A cold
@@ -192,8 +193,9 @@ def ground_energy_at(
     x = (start / np.linalg.norm(start))[:, None]
     hx = product(x)
     rho = float(x[:, 0] @ hx[:, 0])
-    # K_1 + V_11 with V_11 = D(0) - D(2)
-    sigma = min(rho - float(np.linalg.norm(hx - rho * x)), kinetic[0] - d[2])
+    # K_1 + V_11 with V_11 = D(0) - D(2), and the float below K_1 where
+    # V_11 is under half an ulp of K_1
+    sigma = min(rho - float(np.linalg.norm(hx - rho * x)), kinetic[0] - d[2], np.nextafter(kinetic[0], 0.0))
     inverse = (1.0 / (kinetic - sigma))[:, None]
     energy, vec = eigh(product, x, preconditioner=lambda r: inverse * r, tol=RESIDUAL_TOL,
                        maxiter=_MAX_ITERATIONS)

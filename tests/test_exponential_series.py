@@ -20,8 +20,8 @@ import pytest
 import salpeterbounds as sb
 from salpeterbounds import cli_report, kleingordon
 
-from oracles import (bessel_ground_eigenvalue, bessel_top_order_zero, bisect, exp_kummer, exp_kummer_top_root,
-                     exp_series, exp_series_mp, exp_series_roots, states_below)
+from oracles import (EXP_WELL_EIGENVALUE, bessel_ground_eigenvalue, bessel_top_order_zero, bisect, exp_kummer,
+                     exp_kummer_top_root, exp_series, exp_series_mp, exp_series_roots, states_below)
 
 EPS = np.finfo(float).eps
 # (v, e) where the finite-difference solver and the series were first compared
@@ -55,6 +55,14 @@ class TestOracle:
         assert upper == pytest.approx(UPPER_M1, abs=1e-10)
         with mpmath.workdps(40):
             assert float(mpmath.findroot(lambda v: exp_series_mp(0, -1, v, 40), upper)) == pytest.approx(upper, abs=1e-13)
+
+
+class TestExponentialOracle:
+    # the frozen Bessel table that acceptance criterion 2 reads
+    def test_frozen_oracle_matches_bessel_bisection(self):
+        for v, frozen in EXP_WELL_EIGENVALUE.items():
+            _, lam = bessel_ground_eigenvalue(v)
+            assert lam == pytest.approx(frozen, abs=1e-13)
 
 
 class TestKummerForm:

@@ -8,9 +8,11 @@ loaded, and that it leaves no OpenBLAS worker thread: a structural guard,
 not a timing one.
 """
 
+import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,25 +23,30 @@ import salpeterbounds as sb
 from salpeterbounds import gaussian_bound, kleingordon, potentials
 
 ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "salpeterbounds").glob("*.py"))
 # without OPENBLAS_NUM_THREADS, which an in-process import of cli_report
 # sets in this session: the children must show the CLI's own pin
 CHILD_ENV = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
 CHILD_ENV["PYTHONPATH"] = str(ROOT / "src")
 
-# runs cli_report.main on argv, then prints the loaded scipy and package
-# modules, whether numpy and decimal are loaded, and the process's thread
-# count (None where /proc/self/task is missing)
+# runs cli_report.main on argv, then prints, as its last line, its exit
+# code, the loaded scipy and package modules, whether numpy and decimal are
+# loaded, and the process's thread count (None where /proc/self/task is
+# missing)
 RUN_COMMAND = """
 import json, os, sys
 from salpeterbounds import cli_report
 try:
-    cli_report.main(sys.argv[1:])
-except SystemExit:
-    pass
+    code = cli_report.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
 threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-print(json.dumps({"modules": sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "salpeterbounds")),
-                  "numpy": "numpy" in sys.modules, "decimal": "decimal" in sys.modules, "threads": threads}))
+print(json.dumps({"code": code, "threads": threads,
+                  "modules": sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "salpeterbounds")),
+                  "numpy": "numpy" in sys.modules, "decimal": "decimal" in sys.modules}))
 """
+# makes every later `import scipy` fail, as in an install without scipy
+BLOCK_SCIPY = 'import sys; sys.modules["scipy"] = None\n'
 
 WOODS_SAXON = ["--set", "potential=woods-saxon", "--set", "v=2.0", "--set", "m=1"]
 EXPONENTIAL = ["--set", "potential=exponential", "--set", "v=3.4", "--set", "m=1"]
@@ -88,22 +95,29 @@ def _loaded(modules, package):
     return [m for m in modules if m == package or m.startswith(package + ".")]
 
 
-@pytest.fixture(scope="module")
-def command_runs(tmp_path_factory):
-    """Modules and threads each command leaves, all children run at once."""
+def _run_commands(tmp_path_factory, prelude=""):
+    """What each command leaves, all children run at once: RUN_COMMAND's
+    report, plus its output, stderr and the files it wrote."""
     procs = {}
     for name, argv in COMMANDS.items():
         cwd = tmp_path_factory.mktemp("cmd")
-        procs[name] = subprocess.Popen(
-            [sys.executable, "-c", RUN_COMMAND, *argv],
+        procs[name] = cwd, subprocess.Popen(
+            [sys.executable, "-c", prelude + RUN_COMMAND, *argv],
             env=CHILD_ENV, cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
     out = {}
-    for name, proc in procs.items():
+    for name, (cwd, proc) in procs.items():
         stdout, stderr = proc.communicate(timeout=300)
         assert proc.returncode == 0, stderr
-        out[name] = json.loads(stdout.splitlines()[-1])
+        *lines, report = stdout.splitlines()
+        out[name] = dict(json.loads(report), stdout=lines, stderr=stderr,
+                         files={str(f.relative_to(cwd)): f.read_bytes() for f in cwd.rglob("*") if f.is_file()})
     return out
+
+
+@pytest.fixture(scope="module")
+def command_runs(tmp_path_factory):
+    return _run_commands(tmp_path_factory)
 
 
 @pytest.fixture(scope="module")
@@ -149,8 +163,7 @@ def test_salpeter_command_loads_no_scipy(loaded_modules):
 @pytest.mark.parametrize("command", NO_LAPACK)
 def test_exact_curve_commands_load_no_finite_difference_layer(loaded_modules, command):
     assert _loaded(loaded_modules[command], "scipy") == []
-    for module in ("radial_schrodinger", "_lapack"):
-        assert f"salpeterbounds.{module}" not in loaded_modules[command]
+    assert "salpeterbounds.radial_schrodinger" not in loaded_modules[command]
 
 
 @pytest.mark.parametrize("command", NO_NUMPY)
@@ -188,15 +201,15 @@ def _oldest_python_env() -> dict | None:
 
 
 @pytest.mark.parametrize("command", ["critical", "critical-exponential-m10", "kg-exponential-v20"])
-def test_numpy_free_command_runs_on_the_oldest_python(command, tmp_path):
+def test_numpy_free_command_runs_on_the_oldest_python(command_runs, command, tmp_path):
     oldest_env = _oldest_python_env()
     if oldest_env is None:
         pytest.skip(f"{OLDEST_PYTHON} does not start")
-    runs = [subprocess.run([python, "-c", RUN_MAIN, *COMMANDS[command]], env=env, cwd=tmp_path,
-                           capture_output=True, text=True, timeout=300)
-            for python, env in ((OLDEST_PYTHON, oldest_env), (sys.executable, CHILD_ENV))]
-    assert runs[0].returncode == 0, runs[0].stderr
-    assert (runs[0].stdout, runs[0].stderr) == (runs[1].stdout, runs[1].stderr)
+    run = subprocess.run([OLDEST_PYTHON, "-c", RUN_MAIN, *COMMANDS[command]], env=oldest_env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    current = command_runs[command]
+    assert (run.stdout.splitlines(), run.stderr) == (current["stdout"], current["stderr"])
 
 
 @pytest.mark.parametrize("command", ["--help", *NO_LAPACK])
@@ -206,44 +219,47 @@ def test_gaussian_bound_loads_only_where_it_runs(loaded_modules, command):
 
 def test_salpeter_command_loads_no_finite_difference_layer(loaded_modules):
     # the sine-basis solver sits on potentials alone
-    for module in ("kleingordon", "radial_schrodinger", "_lapack"):
+    for module in ("kleingordon", "radial_schrodinger"):
         assert f"salpeterbounds.{module}" not in loaded_modules["salpeter"]
 
 
-# library users may import the package before scipy.linalg or after it;
-# either way both share the one extension module
-IMPORT_ORDERS = {
-    "package first": ["salpeterbounds._lapack", "scipy.linalg", "scipy.linalg.lapack", "scipy.sparse.linalg"],
-    "scipy first": ["scipy.linalg", "scipy.linalg.lapack", "scipy.sparse.linalg", "salpeterbounds._lapack"],
-}
-CHECK_SCIPY = """
-import importlib, sys
-for name in sys.argv[1:]:
-    importlib.import_module(name)
-import numpy as np
-import scipy.linalg, scipy.linalg.lapack
-from scipy.sparse.linalg import lobpcg
-from salpeterbounds import _lapack
-assert scipy.linalg.lapack.dstebz is _lapack.dstebz
-n = 200
-a = np.diag(np.arange(1.0, n + 1)) + np.diag(np.full(n - 1, 0.1), 1) + np.diag(np.full(n - 1, 0.1), -1)
-w, v = scipy.linalg.eigh(a)
-assert np.allclose(a @ v, v * w)
-assert np.allclose(w, _lapack.eigh_tridiagonal(
-    np.diag(a), np.diag(a, 1), select="i", select_range=(0, n - 1), eigvals_only=True, tol=0.0))
-x = np.random.default_rng(0).normal(size=(n, 1))
-lam, _ = lobpcg(a, x, largest=False, tol=1e-10, maxiter=500)
-assert abs(lam[0] - w[0]) < 1e-8
-print("ok")
+# the package runs on numpy alone: scipy is a test dependency, for oracles
+IMPORT_EVERY_MODULE = """
+import importlib, pkgutil, salpeterbounds
+for info in pkgutil.iter_modules(salpeterbounds.__path__):
+    importlib.import_module(f"salpeterbounds.{info.name}")
+    print(info.name)
 """
 
 
-@pytest.mark.parametrize("order", list(IMPORT_ORDERS))
-def test_scipy_linalg_works_in_either_import_order(order):
-    proc = subprocess.run([sys.executable, "-c", CHECK_SCIPY, *IMPORT_ORDERS[order]], env=CHILD_ENV,
+def test_package_runs_without_scipy(command_runs, tmp_path_factory):
+    proc = subprocess.run([sys.executable, "-c", BLOCK_SCIPY + IMPORT_EVERY_MODULE], env=CHILD_ENV,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ok"]
+    assert sorted(proc.stdout.split()) == sorted(path.stem for path in SOURCES if path.stem != "__init__")
+    blocked = _run_commands(tmp_path_factory, BLOCK_SCIPY)
+    for name, run in command_runs.items():
+        fields = ("code", "stdout", "stderr", "files")
+        assert [blocked[name][f] for f in fields] == [run[f] for f in fields], name
+
+
+def _third_party_imports(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in project["dependencies"]}
+    imported = set().union(*map(_third_party_imports, SOURCES)) - {"salpeterbounds"}
+    assert imported == declared
 
 
 def test_package_import_loads_no_scipy():

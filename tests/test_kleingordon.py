@@ -548,6 +548,26 @@ class TestCriticalCouplings:
         assert search(make(1.0), 1.0) == pytest.approx(want, abs=1e-6)
 
 
+class TestSearchFailures:
+    """The root searches' failure branches, on synthetic sums and counts."""
+
+    def test_level_crossing_without_a_single_level_bracket(self):
+        # two levels cross the threshold together at 0.3: bisection on the
+        # count never leaves exactly one below
+        with pytest.raises(kleingordon.NonConvergence, match="no bracket of a single level crossing"):
+            kleingordon._level_crossing(lambda x: x, lambda x: 0 if x < 0.3 else 2, 0.0, 1.0)
+
+    def test_level_crossing_where_the_sum_keeps_its_sign(self):
+        # one level below from 0.5 on, but t never changes sign
+        with pytest.raises(kleingordon.NonConvergence, match="keeps its sign"):
+            kleingordon._level_crossing(lambda x: 1.0, lambda x: 0 if x < 0.5 else 1, 0.0, 1.0)
+
+    def test_critical_coupling_where_every_coupling_binds(self, monkeypatch):
+        monkeypatch.setattr(kleingordon._SeriesCurve, "binds", lambda self, e: True)
+        with pytest.raises(kleingordon.NonBindingSearchError, match="arbitrarily small coupling"):
+            sb.critical_coupling_lower(sb.exponential(1.0), 1.0)
+
+
 class TestExistenceEdge:
     @pytest.mark.parametrize("kind, v, r_end", [("exponential", 3.4, 40.0), ("woods-saxon", 1.5, 8.0)])
     def test_edge_is_zero_energy_root(self, kind, v, r_end):
