@@ -580,6 +580,22 @@ class TestMainEntry:
         assert rc == 0
         assert out.read_text().splitlines()[1:] == ["0.6,1,,,,,,error", "# ordering_violations=0"]
 
+    def test_weak_coulomb_bounds_row_is_error_without_a_warning(self, tmp_path, capsys):
+        # the sine basis finds no level below m, and its preconditioner
+        # divides by nothing: no RuntimeWarning reaches stderr
+        out = tmp_path / "rows.csv"
+        rc = cli.main(["bounds", "--set", "potential=coulomb", "--set", "v=1e-14", "--set", "m=1",
+                       "--set", f"out={out}"])
+        assert rc == 0
+        assert out.read_text().splitlines()[1:] == ["1e-14,1,1,,,0,1,error", "# ordering_violations=0"]
+        assert capsys.readouterr().err == ""
+
+    def test_weak_woods_saxon_salpeter_exits_with_its_message_alone(self, capsys):
+        rc = cli.main(["salpeter", "--set", "potential=woods-saxon", "--set", "v=1e-8", "--set", "m=1"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: E = 1.00001973901 converged at or above m = 1 in the box "
+                                           "R = 500: no bound state below the continuum\n")
+
     def test_critical_search_failure_exits_cleanly(self, monkeypatch, capsys):
         # h(e) binds at no coupling
         monkeypatch.setattr(kleingordon._WoodsSaxonCurve, "binds", lambda self, e: False)

@@ -232,15 +232,22 @@ for info in pkgutil.iter_modules(salpeterbounds.__path__):
 """
 
 
-def test_package_runs_without_scipy(command_runs, tmp_path_factory):
+def test_every_module_imports_without_scipy():
     proc = subprocess.run([sys.executable, "-c", BLOCK_SCIPY + IMPORT_EVERY_MODULE], env=CHILD_ENV,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert sorted(proc.stdout.split()) == sorted(path.stem for path in SOURCES if path.stem != "__init__")
-    blocked = _run_commands(tmp_path_factory, BLOCK_SCIPY)
-    for name, run in command_runs.items():
-        fields = ("code", "stdout", "stderr", "files")
-        assert [blocked[name][f] for f in fields] == [run[f] for f in fields], name
+
+
+@pytest.fixture(scope="module")
+def blocked_runs(tmp_path_factory):
+    return _run_commands(tmp_path_factory, BLOCK_SCIPY)
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_runs_without_scipy(command_runs, blocked_runs, command):
+    fields = ("code", "stdout", "stderr", "files")
+    assert [blocked_runs[command][f] for f in fields] == [command_runs[command][f] for f in fields]
 
 
 def _third_party_imports(path: Path) -> set[str]:

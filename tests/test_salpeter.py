@@ -325,14 +325,16 @@ class TestGroundEnergy:
             sb.ground_energy(sb.woods_saxon(1.0, 1.0, 0.2), 0.8)
         assert max(sizes) < 16384
 
-    @pytest.mark.parametrize("spec", [sb.woods_saxon(1e-8), sb.exponential(1e-10), sb.coulomb(1e-14)],
-                             ids=["woods-saxon", "exponential", "coulomb"])
-    def test_weak_coupling_preconditioner_stays_finite(self, spec):
+    @pytest.mark.parametrize("make, v", [(sb.woods_saxon, 1e-8), (sb.woods_saxon, 1e-10), (sb.woods_saxon, 1e-12),
+                                         (sb.exponential, 1e-10), (sb.exponential, 1e-12), (sb.exponential, 1e-14),
+                                         (sb.coulomb, 1e-14), (sb.coulomb, 1e-15), (sb.coulomb, 1e-16)],
+                             ids=lambda x: x.__name__ if callable(x) else f"{x:g}")
+    def test_weak_coupling_preconditioner_stays_finite(self, make, v):
         # V_11 lies under half an ulp of K_1 here, so K_1 + V_11 rounds to
         # K_1; the preconditioner's shift must still sit below K_1, or
         # 1 / (K_1 - sigma) divides by zero
         with pytest.raises(NoBoundState, match=r"at or above m = 1 in the box R = 500"):
-            sb.ground_energy(spec, 1.0)
+            sb.ground_energy(make(v), 1.0)
 
     def test_weak_coulomb_is_not_the_free_particle_law(self):
         # bound by 5e-5: E < m at every level, so the free-particle law of

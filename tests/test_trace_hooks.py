@@ -6,16 +6,26 @@ silently empty its per-layer metrics.  The tracer runs in a child process so
 that its wrappers never enter this test session.
 """
 
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from salpeterbounds import radial_schrodinger
 from salpeterbounds.salpeter import DEFAULT_BASIS_SIZE
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+# the tracer's tables only: its wrappers go in where main calls install
+_spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+tracer = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracer)
 WOODS_SAXON = ["--set", "potential=woods-saxon", "--set", "v=2.0", "--set", "m=1"]
 
 
@@ -28,6 +38,28 @@ def traced_spans(tmp_path, *cli_args):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(spans_path.read_text())
+
+
+def _function(dotted):
+    module, attr = dotted.split(".")
+    return getattr(importlib.import_module(f"{tracer.PACKAGE}.{module}"), attr)
+
+
+@pytest.mark.parametrize("name, argument", list(tracer.SIZED.items()))
+def test_sized_argument_is_a_parameter(name, argument):
+    # the wrapper binds each call's arguments and reads this one by name
+    assert argument in inspect.signature(_function(name)).parameters
+
+
+@pytest.mark.parametrize("module, attr", tracer.SOLVERS, ids=".".join)
+def test_solver_is_a_module_function(module, attr):
+    assert callable(_function(f"{module}.{attr}"))
+
+
+def test_finite_difference_stub_runs_nothing():
+    # the name the tracer wraps stays; no solver stands behind it
+    with pytest.raises(NotImplementedError, match="ROADMAP item 4"):
+        radial_schrodinger.eigh_tridiagonal([0.0, 0.0], [0.0])
 
 
 def test_salpeter_spans(tmp_path):
