@@ -1,6 +1,7 @@
 """Command-line front end: parameter sweeps, bound verification, CSV export.
 
 Config files are flat "key = value" text; see parse_config for the key set.
+Every table row the commands write is formatted here, by _fmt.
 Rows of a sweep are computed one after another on the calling thread and
 written in grid order.  Exit codes: 0 success, 1 config/usage error,
 2 ordering violation detected.
@@ -37,15 +38,45 @@ ORDER_TOL = 1e-6
 
 _KIND_NAMES = {k.value: k for k in Kind}
 
-_KEYS = {
-    "potential", "a", "b", "m", "m_min", "m_max", "m_step",
-    "v", "v_min", "v_max", "v_steps", "tol",
-    "out", "threads", "e_steps",
-}
-
 
 class ConfigError(Exception):
     """Malformed or inconsistent configuration."""
+
+
+def _potential(text: str) -> Kind:
+    if text not in _KIND_NAMES:
+        raise ValueError(f"unknown potential {text!r}; use one of {sorted(_KIND_NAMES)}")
+    return _KIND_NAMES[text]
+
+
+def _tol(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {text}")
+    return tol
+
+
+def _finite(key: str):
+    def parse(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {text}")
+        return value
+    return parse
+
+
+# every config key and the parser of its value; threads still parses, so
+# old configs run, and sets nothing
+_KEYS = {
+    "potential": _potential, "a": float, "b": float,
+    "m": float, "m_min": _finite("m_min"), "m_max": _finite("m_max"), "m_step": _finite("m_step"),
+    "v": float, "v_min": float, "v_max": float, "v_steps": int,
+    "tol": _tol, "out": str, "threads": int, "e_steps": int,
+}
+# m and its grid are one setting, and so are v and its grid: assigning
+# either form drops the other, so the form assigned last holds.  v_steps
+# alone does not displace v
+_AXES = {"m": ("m_min", "m_max", "m_step"), "v": ("v_min", "v_max")}
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -79,9 +110,8 @@ class SweepConfig:
     kind: Kind = Kind.EXPONENTIAL
     a: float = 1.0
     b: float = 0.2
-    m: float | None = None
-    mass_grid: list[float] = field(default_factory=list)
-    v: float | None = None
+    mass_grid: list[float] = field(default_factory=list)  # [m], or the m_min/m_max/m_step grid
+    v: float | None = None  # set only where v_min and v_max are not
     v_min: float | None = None
     v_max: float | None = None
     v_steps: int = 1
@@ -93,9 +123,9 @@ class SweepConfig:
         return PotentialSpec(self.kind, v, self.a, self.b)
 
     def coupling_grid(self) -> list[float]:
+        if self.v is not None:
+            return [self.v]
         if self.v_min is None or self.v_max is None:
-            if self.v is not None:
-                return [self.v]
             raise ConfigError("coupling grid needs v_min and v_max (or a single v)")
         if self.v_steps < 1:
             raise ConfigError(f"v_steps must be >= 1, got {self.v_steps}")
@@ -110,112 +140,103 @@ class SweepConfig:
 
     def masses(self) -> list[float]:
         """The mass grid, or [m]; every mass must be positive and finite."""
-        if self.mass_grid:
-            masses = self.mass_grid
-        elif self.m is not None:
-            masses = [self.m]
-        else:
+        if not self.mass_grid:
             raise ConfigError("no mass given: set m or m_min/m_max/m_step")
-        for m in masses:
+        for m in self.mass_grid:
             check_mass(m)
-        return masses
+        return self.mass_grid
 
     def single_mass(self) -> float:
         """m, or the one mass of the grid; it must be positive and finite."""
-        if self.m is not None:
-            m = self.m
-        elif len(self.mass_grid) == 1:
-            m = self.mass_grid[0]
-        else:
+        if len(self.mass_grid) != 1:
             raise ConfigError("this command needs a single mass m")
-        check_mass(m)
-        return m
+        return self.masses()[0]
 
     def single_coupling(self) -> float:
-        if self.v is not None:
-            return self.v
         grid = self.coupling_grid()
-        if len(grid) == 1:
-            return grid[0]
-        raise ConfigError("this command needs a single coupling v")
+        if len(grid) != 1:
+            raise ConfigError("this command needs a single coupling v")
+        return grid[0]
 
 
-def _parse_assignments(pairs: list[tuple[str, str, str]]) -> SweepConfig:
-    cfg = SweepConfig()
-    seen_mass_grid = {}
-    for key, value, where in pairs:
-        try:
-            if key == "potential":
-                if value not in _KIND_NAMES:
-                    raise ValueError(f"unknown potential {value!r}; use one of {sorted(_KIND_NAMES)}")
-                cfg.kind = _KIND_NAMES[value]
-            elif key in ("a", "b"):
-                setattr(cfg, key, float(value))
-            elif key == "tol":
-                cfg.tol = float(value)
-                if not (math.isfinite(cfg.tol) and cfg.tol >= 0):
-                    raise ValueError(f"tol must be finite and >= 0, got {value}")
-            elif key in ("m", "v", "v_min", "v_max"):
-                setattr(cfg, key, float(value))
-            elif key in ("m_min", "m_max", "m_step"):
-                seen_mass_grid[key] = float(value)
-                if not math.isfinite(seen_mass_grid[key]):
-                    raise ValueError(f"{key} must be finite, got {value}")
-            elif key in ("v_steps", "e_steps"):
-                setattr(cfg, key, int(value))
-            elif key == "threads":
-                int(value)  # still read, so old configs parse; sweeps run serially
-            elif key == "out":
-                cfg.out = value
-            else:
-                raise ValueError(f"unknown key {key!r}")
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    if seen_mass_grid:
-        missing = {"m_min", "m_max", "m_step"} - set(seen_mass_grid)
-        if missing:
-            raise ConfigError(f"incomplete mass grid: missing {sorted(missing)}")
-        lo, hi, step = seen_mass_grid["m_min"], seen_mass_grid["m_max"], seen_mass_grid["m_step"]
-        if step <= 0 or hi < lo or not math.isfinite((hi - lo) / step):
-            raise ConfigError(f"bad mass grid: m_min={lo}, m_max={hi}, m_step={step}")
-        count = math.floor((hi - lo) / step + 1e-9) + 1
-        cfg.mass_grid = [lo + i * step for i in range(count)]
-    return cfg
-
-
-def parse_config(path: str | Path, overrides: list[str] | None = None) -> SweepConfig:
-    """Read a flat key = value config file, then apply --set overrides.
-
-    Keys: potential, a, b, m (or m_min/m_max/m_step), v, v_min, v_max,
-    v_steps, tol, out, threads, e_steps.
-    threads must be an integer but has no effect.  Blank lines and '#'
-    comments are ignored.  Errors carry file:line positions.
-    """
-    pairs: list[tuple[str, str, str]] = []
+def _entries(path: str | Path | None, overrides: list[str]):
+    """(key, value, where, where the key is named) of each config-file
+    line, then of each --set entry, in order."""
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            pairs.append((key, value, f"{path}:{lineno}"))
-    for item in overrides or []:
+            yield *line.split("=", 1), f"{path}:{lineno}", f"{path}:{lineno}"
+    for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set {item!r}: expected key=value")
-        key, value = (part.strip() for part in item.split("=", 1))
+        yield *item.split("=", 1), f"--set {item}", "--set"
+
+
+def parse_config(path: str | Path | None, overrides: list[str] | None = None) -> SweepConfig:
+    """Read a flat key = value config file, then apply --set overrides.
+
+    _KEYS holds every key with the parser of its value, and _AXES the keys
+    that make one sweep axis.  Entries apply in order, so a later one
+    overrides an earlier one.  The file is read as UTF-8, a byte-order mark
+    skipped; blank lines and '#' comments are ignored.  Errors carry
+    file:line positions.
+    """
+    settings = {}
+    for key, text, where, key_where in _entries(path, overrides or []):
+        key = key.strip()
         if key not in _KEYS:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        pairs.append((key, value, f"--set {item}"))
-    return _parse_assignments(pairs)
+            raise ConfigError(f"{key_where}: unknown key {key!r}")
+        try:
+            settings[key] = _KEYS[key](text.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        for single, grid in _AXES.items():
+            if key == single:
+                for other in grid:
+                    settings.pop(other, None)
+            elif key in grid:
+                settings.pop(single, None)
+    cfg = SweepConfig()
+    for key, value in settings.items():
+        if key in vars(cfg):  # a key named as its field
+            setattr(cfg, key, value)
+    cfg.kind = settings.get("potential", cfg.kind)
+    if any(key in settings for key in _AXES["m"]):
+        missing = sorted(set(_AXES["m"]) - set(settings))
+        if missing:
+            raise ConfigError(f"incomplete mass grid: missing {missing}")
+        lo, hi, step = (settings[key] for key in _AXES["m"])
+        if step <= 0 or hi < lo or not math.isfinite((hi - lo) / step):
+            raise ConfigError(f"bad mass grid: m_min={lo}, m_max={hi}, m_step={step}")
+        count = math.floor((hi - lo) / step + 1e-9) + 1
+        cfg.mass_grid = [lo + i * step for i in range(count)]
+    elif "m" in settings:
+        cfg.mass_grid = [settings["m"]]
+    return cfg
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else f"{x:.12g}"
+def _fmt(*values: float | str | None) -> str:
+    """values as one CSV row: a number to 12 significant digits, None as an
+    empty field, a string as it is."""
+    return ",".join(x if isinstance(x, str) else "" if x is None else f"{x:.12g}" for x in values)
+
+
+def _rows(records) -> list[str]:
+    """One CSV row per dataclass record: its fields, in order, whose names
+    are the table's header."""
+    return [_fmt(*vars(record).values()) for record in records]
+
+
+def _write(path: Path, lines: list[str]) -> Path:
+    """Write lines to path, each ending in a newline, making its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 @dataclass
@@ -228,12 +249,6 @@ class BoundsRow:
     e0: float | None
     delta: float | None
     status: str
-
-    def csv(self) -> str:
-        return ",".join([
-            _fmt(self.v), _fmt(self.m), _fmt(self.e_kg), _fmt(self.E_srs),
-            _fmt(self.E_gauss), _fmt(self.e0), _fmt(self.delta), self.status,
-        ])
 
     def ordering_ok(self, tol: float) -> bool:
         if self.status != "bound":
@@ -289,12 +304,7 @@ def run_bounds(cfg: SweepConfig) -> tuple[Path, int]:
     validate_shape(cfg.potential(couplings[0]), Theory.KLEIN_GORDON)
     rows = [_bounds_row(cfg, v, m) for v in couplings]
     violations = sum(0 if row.ordering_ok(cfg.tol) else 1 for row in rows)
-    out = Path(cfg.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    lines = [BOUNDS_HEADER] + [row.csv() for row in rows]
-    lines.append(f"# ordering_violations={violations}")
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return out, violations
+    return _write(Path(cfg.out), [BOUNDS_HEADER, *_rows(rows), f"# ordering_violations={violations}"]), violations
 
 
 def _fcurve_lines(cfg: SweepConfig, v: float, e_values: list[float]) -> list[str]:
@@ -302,7 +312,7 @@ def _fcurve_lines(cfg: SweepConfig, v: float, e_values: list[float]) -> list[str
 
     points = kleingordon.curve(cfg.potential(v), e_values)
     status = "ok" if points else "empty"
-    return [f"# v={v:.12g} status={status}", "e,F,F_prime,delta"] + kleingordon.curve_csv_rows(points)
+    return [f"# v={v:.12g} status={status}", "e,F,F_prime,delta"] + _rows(points)
 
 
 def run_fcurves(cfg: SweepConfig) -> list[Path]:
@@ -324,30 +334,13 @@ def run_fcurves(cfg: SweepConfig) -> list[Path]:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     e_values = _energy_grid(max(masses), cfg.e_steps)
-    written: list[Path] = []
-
-    for name, v in names.items():
-        path = out_dir / name
-        path.write_text("\n".join(_fcurve_lines(cfg, v, e_values)) + "\n", encoding="utf-8")
-        written.append(path)
-
-    lines = ["m,e,g"]
-    for m in masses:
-        for e in e_values:
-            # factored: e*e - m*m cancels to roundoff where e nears m
-            lines.append(f"{m:.12g},{e:.12g},{(e - m) * (e + m):.12g}")
-    parabolas = out_dir / "parabolas.csv"
-    parabolas.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(parabolas)
-
-    inter_lines = ["v,m,e,status"]
-    for v in couplings:
-        for m in masses:
-            sol = kleingordon.solve(cfg.potential(v), m)
-            inter_lines.append(f"{v:.12g},{m:.12g},{_fmt(sol.e)},{sol.status.value}")
-    intersections = out_dir / "intersections.csv"
-    intersections.write_text("\n".join(inter_lines) + "\n", encoding="utf-8")
-    written.append(intersections)
+    written = [_write(out_dir / name, _fcurve_lines(cfg, v, e_values)) for name, v in names.items()]
+    # factored: e*e - m*m cancels to roundoff where e nears m
+    parabolas = [_fmt(m, e, (e - m) * (e + m)) for m in masses for e in e_values]
+    written.append(_write(out_dir / "parabolas.csv", ["m,e,g", *parabolas]))
+    solutions = [(v, m, kleingordon.solve(cfg.potential(v), m)) for v in couplings for m in masses]
+    intersections = [_fmt(v, m, sol.e, sol.status.value) for v, m, sol in solutions]
+    written.append(_write(out_dir / "intersections.csv", ["v,m,e,status", *intersections]))
     return written
 
 
@@ -402,11 +395,7 @@ def _cmd_gaussian(cfg: SweepConfig) -> int:
     print(f"E_g={e_g:.12g}")
     if cfg.out is not None:
         points = gaussian_bound.optimal_curve(m, cfg.a, cfg.b)
-        path = Path(cfg.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lines = ["s,v,E_g,J1,J2,J3,J4"] + gaussian_bound.curve_csv_rows(points)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"wrote {path}")
+        print(f"wrote {_write(Path(cfg.out), ['s,v,E_g,J1,J2,J3,J4', *_rows(points)])}")
     return 0
 
 

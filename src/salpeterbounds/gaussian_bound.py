@@ -119,9 +119,11 @@ def default_s_grid() -> np.ndarray:
     return np.geomspace(0.05, 10.0, 200)
 
 
-def optimal_curve(m: float, a: float, b: float) -> list[GaussianBoundPoint]:
+@functools.lru_cache(maxsize=16)
+def optimal_curve(m: float, a: float, b: float) -> tuple[GaussianBoundPoint, ...]:
     """Parametric best-Gaussian curve: at each s of default_s_grid, v = J3/J4
-    and E_g = J1 - vJ2.
+    and E_g = J1 - vJ2.  It is built once per (m, a, b) in a process, so
+    that a sweep's rows and a curve export share it; the last 16 are kept.
 
     Raises ValueError where J4 = 0 at a scale: the quadrature does not see
     the surface layer there, so no coupling is stationary at that s.
@@ -134,14 +136,7 @@ def optimal_curve(m: float, a: float, b: float) -> list[GaussianBoundPoint]:
                              "of the Gaussian quadrature's reach")
         v = j3 / j4
         points.append(GaussianBoundPoint(s=float(s), v=v, E_g=j1 - v * j2, J1=j1, J2=j2, J3=j3, J4=j4))
-    return points
-
-
-@functools.lru_cache(maxsize=16)
-def _default_curve(m: float, a: float, b: float) -> tuple[GaussianBoundPoint, ...]:
-    """optimal_curve, built once per (m, a, b) in a process, so that a
-    sweep's rows share it; the last 16 are kept."""
-    return tuple(optimal_curve(m, a, b))
+    return tuple(points)
 
 
 def eg_optimized(m: float, a: float, b: float, v: float) -> float:
@@ -156,7 +151,7 @@ def eg_optimized(m: float, a: float, b: float, v: float) -> float:
     Woods-Saxon family v(s) has a positive minimum below which a Gaussian
     captures no binding: E_g(s) then just drifts down to m as s -> infinity).
     """
-    points = _default_curve(m, a, b)
+    points = optimal_curve(m, a, b)
     s_vals = [p.s for p in points]
     v_vals = [p.v for p in points]
 
@@ -176,11 +171,3 @@ def eg_optimized(m: float, a: float, b: float, v: float) -> float:
             f"v = {v} is outside the parametric span [{min(v_vals):.6g}, {max(v_vals):.6g}]"
         )
     return best
-
-
-def curve_csv_rows(points: list[GaussianBoundPoint]) -> list[str]:
-    """Rows "s,v,E_g,J1,J2,J3,J4" with 12 significant digits."""
-    return [
-        f"{p.s:.12g},{p.v:.12g},{p.E_g:.12g},{p.J1:.12g},{p.J2:.12g},{p.J3:.12g},{p.J4:.12g}"
-        for p in points
-    ]

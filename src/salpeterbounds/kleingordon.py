@@ -784,8 +784,3 @@ def critical_coupling_upper(spec: PotentialSpec, m: float) -> float:
     supercritical only where G stays negative across the whole window.
     """
     return _critical_coupling(spec, m, -m)
-
-
-def curve_csv_rows(points: list[SpectralCurvePoint]) -> list[str]:
-    """Rows "e,F,F_prime,delta" with 12 significant digits."""
-    return [f"{p.e:.12g},{p.F:.12g},{p.F_prime:.12g},{p.delta:.12g}" for p in points]

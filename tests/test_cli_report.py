@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import io
 import os
@@ -21,7 +22,7 @@ from salpeterbounds.cli_report import (
     run_critical,
     run_fcurves,
 )
-from salpeterbounds import kleingordon, potentials, salpeter
+from salpeterbounds import gaussian_bound, kleingordon, potentials, salpeter
 from salpeterbounds.potentials import Kind, NoBoundState
 
 
@@ -118,6 +119,124 @@ class TestParseConfig:
                   for key in re.split(r"\s{2,}", line)[0].split(", ")]
         assert sorted(listed) == sorted(cli._KEYS)
 
+    def test_config_with_a_byte_order_mark(self, tmp_path, capsys):
+        # editors on Windows start UTF-8 files with one; it is no part of
+        # the first key
+        path = tmp_path / "bom.cfg"
+        path.write_text("potential = coulomb\nv = 0.4\nm = 1\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert cli.main(["kg", "--config", str(path)]) == 0
+        assert capsys.readouterr() == ("status=bound\ne=0.894427191\ne0=0\ndelta=1.11803398875\n", "")
+
+
+def readme_config(name, tmp_path):
+    """The README's config file `name`, written to tmp_path."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split(f"# {name}\n", 1)[1].split("```", 1)[0]
+    return write_config(tmp_path, block, name)
+
+
+def captured_config(monkeypatch, name):
+    """Replace run_<name> by a stub that keeps the SweepConfig main passes
+    it; returns the list the configs go to."""
+    configs = []
+
+    def keep(cfg):
+        configs.append(cfg)
+        return (Path("rows.csv"), 0) if name == "bounds" else []
+    monkeypatch.setattr(cli, f"run_{name}", keep)
+    return configs
+
+
+EXP_V = ["--set", "potential=exponential", "--set", "v=3.4"]
+V_GRID = ["--set", "v_min=2.5", "--set", "v_max=4.5", "--set", "v_steps=3"]
+M_GRID = ["--set", "m_min=0.8", "--set", "m_max=1.2", "--set", "m_step=0.2"]
+
+
+class TestSweepAxes:
+    """m and m_min/m_max/m_step are one setting, and so are v and
+    v_min/v_max: whichever form is assigned last holds."""
+
+    @pytest.mark.parametrize("axis, couplings", [
+        ([*V_GRID, "--set", "v=3.4"], ["3.4"]),
+        (["--set", "v=3.4", *V_GRID], ["2.5", "3.5", "4.5"]),
+        (["--set", "v=3.4", "--set", "v_steps=3"], ["3.4"]),
+    ], ids=["grid-then-v", "v-then-grid", "v-then-v_steps"])
+    def test_bounds(self, axis, couplings, tmp_path):
+        out = tmp_path / "rows.csv"
+        assert cli.main(["bounds", "--set", "potential=exponential", *axis, "--set", "m=1",
+                         "--set", f"out={out}"]) == 0
+        assert [row.split(",")[0] for row in out.read_text().splitlines()[1:-1]] == couplings
+
+    @pytest.mark.parametrize("axes, pairs", [
+        ([*V_GRID, "--set", "v=3.4", "--set", "m=1"], [("3.4", "1")]),
+        (["--set", "v=3.4", *V_GRID, "--set", "m=1"], [("2.5", "1"), ("3.5", "1"), ("4.5", "1")]),
+        (["--set", "v=3.4", *M_GRID, "--set", "m=1"], [("3.4", "1")]),
+        (["--set", "v=3.4", "--set", "m=1", *M_GRID], [("3.4", "0.8"), ("3.4", "1"), ("3.4", "1.2")]),
+    ], ids=["v-grid-then-v", "v-then-v-grid", "m-grid-then-m", "m-then-m-grid"])
+    def test_fcurves(self, axes, pairs, tmp_path):
+        out = tmp_path / "curves"
+        assert cli.main(["fcurves", "--set", "potential=exponential", *axes, "--set", "e_steps=5",
+                         "--set", f"out={out}"]) == 0
+        intersections = (out / "intersections.csv").read_text().splitlines()[1:]
+        assert [tuple(row.split(",")[:2]) for row in intersections] == pairs
+        assert {row.split(",")[0] for row in (out / "parabolas.csv").read_text().splitlines()[1:]} == \
+            {m for _, m in pairs}
+        assert sorted(path.name for path in out.glob("fcurve_*")) == sorted({f"fcurve_v{v}.csv" for v, _ in pairs})
+
+    @pytest.mark.parametrize("grid", [V_GRID, M_GRID], ids=["v", "m"])
+    def test_kg_single_value_after_a_grid(self, grid, capsys):
+        assert cli.main(["kg", "--set", "potential=exponential", *grid, "--set", "v=3.4", "--set", "m=1"]) == 0
+        assert capsys.readouterr().out == "status=bound\ne=0.203839046716\ne0=-0.273527058935\ndelta=1.48114281261\n"
+
+    @pytest.mark.parametrize("grid, axis", [(V_GRID, "coupling v"), (M_GRID, "mass m")], ids=["v", "m"])
+    def test_kg_grid_after_a_single_value(self, grid, axis, capsys):
+        assert cli.main(["kg", *EXP_V, "--set", "m=1", *grid]) == 1
+        assert capsys.readouterr() == ("", f"config error: this command needs a single {axis}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--set", "potential=exponential", "--set", "v=2", "--set", "v_min=3.4", "--set", "v_max=4",
+         "--set", "v_steps=1", "--set", "m=1"],
+        [*EXP_V, "--set", "m=2", "--set", "m_min=1", "--set", "m_max=1", "--set", "m_step=0.2"],
+    ], ids=["v", "m"])
+    def test_kg_one_point_grid_after_a_single_value(self, argv, capsys):
+        assert cli.main(["kg", *argv]) == 0
+        assert capsys.readouterr().out.startswith("status=bound\ne=0.203839046716\n")
+
+    def test_a_grid_key_after_a_single_value_starts_a_new_grid(self, capsys):
+        # the single value dropped the earlier grid keys, so this grid
+        # misses two and says so
+        assert cli.main(["kg", *EXP_V, *M_GRID, "--set", "m=1", "--set", "m_max=2"]) == 1
+        assert capsys.readouterr() == ("", "config error: incomplete mass grid: missing ['m_min', 'm_step']\n")
+
+    def test_set_entries_count_after_the_file(self, tmp_path, monkeypatch):
+        configs = captured_config(monkeypatch, "bounds")
+        path = write_config(tmp_path, "potential = exponential\nm = 1\nv = 3.4\nv_min = 2.5\nv_max = 4.5\n"
+                                      "v_steps = 3\nout = rows.csv\n")
+        assert cli.main(["bounds", "--config", str(path)]) == 0
+        assert cli.main(["bounds", "--config", str(path), "--set", "v=3.4"]) == 0
+        assert [cfg.coupling_grid() for cfg in configs] == [[2.5, 3.5, 4.5], [3.4]]
+
+    def test_readme_ws_bounds_config(self, tmp_path, monkeypatch, capsys):
+        configs = captured_config(monkeypatch, "bounds")
+        path = readme_config("ws_bounds.txt", tmp_path)
+        assert cli.main(["bounds", "--config", str(path)]) == 0
+        assert cli.main(["bounds", "--config", str(path), "--set", "v=2.0"]) == 0
+        grid, single = configs
+        assert grid.kind is Kind.WOODS_SAXON and grid.single_mass() == 1.0
+        assert grid.coupling_grid() == [float(x) for x in np.linspace(1.0, 3.5, 11)]
+        assert single.coupling_grid() == [2.0]
+
+    def test_readme_exp_curves_config(self, tmp_path, monkeypatch, capsys):
+        configs = captured_config(monkeypatch, "fcurves")
+        path = readme_config("exp_curves.txt", tmp_path)
+        assert cli.main(["fcurves", "--config", str(path)]) == 0
+        assert cli.main(["fcurves", "--config", str(path), "--set", "m=1"]) == 0
+        grid, single = configs
+        assert grid.masses() == pytest.approx([0.1 * i for i in range(1, 22)])
+        assert grid.coupling_grid() == pytest.approx([1.0 + 0.5 * i for i in range(10)])
+        assert single.masses() == [1.0] and single.coupling_grid() == grid.coupling_grid()
+
 
 class TestGrids:
     """The numpy-free grids against np.linspace and the e-grid's numpy
@@ -180,7 +299,7 @@ class TestGrids:
 class TestBoundsRow:
     def test_csv_empty_fields(self):
         row = BoundsRow(1.0, 1.0, None, None, None, None, None, "no-binding")
-        assert row.csv() == "1,1,,,,,,no-binding"
+        assert cli._rows([row]) == ["1,1,,,,,,no-binding"]
 
     def test_ordering_check(self):
         good = BoundsRow(2.0, 1.0, 0.4, 0.5, 0.6, None, None, "bound")
@@ -191,6 +310,35 @@ class TestBoundsRow:
         assert not gauss_bad.ordering_ok(1e-6)
         non_bound = BoundsRow(2.0, 1.0, None, None, None, None, None, "supercritical")
         assert non_bound.ordering_ok(1e-6)
+
+
+class TestCsvExport:
+    """cli_report formats every table row; the solvers return numbers."""
+
+    def test_curve_row_format(self):
+        pt = kleingordon.F(potentials.coulomb(0.4), 1.0)
+        rows = cli._rows([pt])
+        assert len(rows) == 1
+        fields = rows[0].split(",")
+        assert len(fields) == 4
+        assert float(fields[0]) == 1.0
+        assert float(fields[1]) == pytest.approx(-0.25)
+        assert float(fields[2]) == pytest.approx(-0.5)
+        assert float(fields[3]) == pytest.approx(1.25)
+
+    def test_gaussian_row_format(self):
+        rows = cli._rows(gaussian_bound.optimal_curve(1.0, 1.0, 0.2)[:2])
+        assert len(rows) == 2
+        assert len(rows[0].split(",")) == 7
+
+    @pytest.mark.parametrize("record, header", [
+        (BoundsRow, BOUNDS_HEADER),
+        (kleingordon.SpectralCurvePoint, "e,F,F_prime,delta"),
+        (gaussian_bound.GaussianBoundPoint, "s,v,E_g,J1,J2,J3,J4"),
+    ])
+    def test_each_header_names_its_record_fields_in_order(self, record, header):
+        # _rows writes a record's fields in order under these headers
+        assert ",".join(f.name for f in dataclasses.fields(record)) == header
 
 
 class TestRunBounds:

@@ -7,8 +7,8 @@ from scipy.optimize import minimize_scalar
 
 import salpeterbounds as sb
 from salpeterbounds import gaussian_bound
-from salpeterbounds.cli_report import parse_config, run_bounds
-from salpeterbounds.gaussian_bound import CouplingOutOfRange, curve_csv_rows, default_s_grid
+from salpeterbounds.cli_report import main, parse_config, run_bounds
+from salpeterbounds.gaussian_bound import CouplingOutOfRange, default_s_grid
 
 M, A, B = 1.0, 1.0, 0.2
 
@@ -206,7 +206,7 @@ class TestEgOptimizedStationarity:
     def test_a_sweep_builds_the_curve_once(self, monkeypatch, tmp_path):
         # two rows share one 200-scale curve; each runs its own
         # stationarity root (the per-row curve made 207 quadratures a row)
-        gaussian_bound._default_curve.cache_clear()
+        gaussian_bound.optimal_curve.cache_clear()
         calls = []
         real = gaussian_bound.j_integrals
 
@@ -223,13 +223,30 @@ class TestEgOptimizedStationarity:
         assert all(row[4] for row in rows)
         assert len(default_s_grid()) < len(calls) <= len(default_s_grid()) + 30
 
+    def test_a_curve_export_builds_the_curve_once(self, monkeypatch, tmp_path, capsys):
+        # gaussian with out writes the curve its bound was seeded from, so
+        # the export costs no quadrature
+        calls = []
+        real = gaussian_bound.j_integrals
 
-class TestCsvExport:
-    def test_row_format(self, ws_curve):
-        rows = curve_csv_rows(ws_curve[:2])
-        assert len(rows) == 2
-        assert len(rows[0].split(",")) == 7
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
 
+        monkeypatch.setattr(gaussian_bound, "j_integrals", counted)
+        point = ["gaussian", "--set", "potential=woods-saxon", "--set", f"a={A}", "--set", f"b={B}",
+                 "--set", f"m={M}", "--set", "v=2.0"]
+        counts = []
+        for export in ([], ["--set", f"out={tmp_path / 'g.csv'}"]):
+            gaussian_bound.optimal_curve.cache_clear()
+            calls.clear()
+            assert main(point + export) == 0
+            counts.append(len(calls))
+        assert len(default_s_grid()) < counts[0] == counts[1] <= len(default_s_grid()) + 15
+        assert len((tmp_path / "g.csv").read_text().splitlines()) == len(default_s_grid()) + 1
+
+
+class TestScaleGrid:
     def test_default_grid_shape(self):
         grid = default_s_grid()
         assert len(grid) == 200

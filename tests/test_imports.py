@@ -69,18 +69,14 @@ COMMANDS = {
     "critical-exponential-m10": ["critical", "--set", "potential=exponential", "--set", "m=10"],
     "kg-exponential-v20": ["kg", "--set", "potential=exponential", "--set", "v=20", "--set", "m=7"],
 }
-# scipy subpackages each command must not load
-FORBIDDEN = {
-    "--help": ("scipy",),
-    "gaussian": ("scipy",),
-    "bounds": ("scipy",),
-    "salpeter": ("scipy",),
-}
+# packages each command must not load: the sine-basis solver and the
+# Gaussian bound run on numpy alone, and the Klein-Gordon curves on their
+# series or closed form, so no command loads scipy
+FORBIDDEN = dict.fromkeys(COMMANDS, ("scipy",))
 # the series of both short-range kinds and the Coulomb closed form run on no
-# LAPACK: every Klein-Gordon command loads no scipy and no FD module
+# LAPACK: every Klein-Gordon command loads no FD module
 NO_LAPACK = ("kg", "critical", "fcurves", "kg-exponential", "critical-exponential", "fcurves-exponential",
              "bounds-coulomb", "kg-coulomb", "bounds-exponential", "critical-exponential-m10", "kg-exponential-v20")
-FORBIDDEN.update(dict.fromkeys(NO_LAPACK, ("scipy",)))
 # cli_report and potentials load the standard library alone, so help and the
 # Klein-Gordon commands on a series or the Coulomb closed form start without
 # numpy
@@ -150,19 +146,8 @@ def test_command_loads_only_its_solvers(loaded_modules, command):
         assert _loaded(loaded_modules[command], package) == []
 
 
-def test_bounds_loads_no_scipy(loaded_modules):
-    # the sine-basis solver and the Gaussian bound run on numpy alone, and
-    # the Woods-Saxon curve on its series
-    assert _loaded(loaded_modules["bounds"], "scipy") == []
-
-
-def test_salpeter_command_loads_no_scipy(loaded_modules):
-    assert _loaded(loaded_modules["salpeter"], "scipy") == []
-
-
 @pytest.mark.parametrize("command", NO_LAPACK)
 def test_exact_curve_commands_load_no_finite_difference_layer(loaded_modules, command):
-    assert _loaded(loaded_modules[command], "scipy") == []
     assert "salpeterbounds.radial_schrodinger" not in loaded_modules[command]
 
 

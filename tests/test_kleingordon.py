@@ -9,7 +9,7 @@ from scipy.special import expit
 
 import salpeterbounds as sb
 from salpeterbounds import kleingordon
-from salpeterbounds.kleingordon import KgStatus, curve_csv_rows
+from salpeterbounds.kleingordon import KgStatus
 from salpeterbounds.potentials import NoBoundState
 
 from oracles import (
@@ -624,16 +624,3 @@ class TestConcavity:
             sb.validate(sb.coulomb(0.6), sb.Theory.KLEIN_GORDON)
         with pytest.raises(ValueError, match=f"^{re.escape(str(validated.value))}$"):
             sb.curve(sb.coulomb(0.6), np.linspace(0.1, 1.0, 10))
-
-
-class TestCsvExport:
-    def test_row_format(self):
-        pt = sb.F(sb.coulomb(0.4), 1.0)
-        rows = curve_csv_rows([pt])
-        assert len(rows) == 1
-        fields = rows[0].split(",")
-        assert len(fields) == 4
-        assert float(fields[0]) == 1.0
-        assert float(fields[1]) == pytest.approx(-0.25)
-        assert float(fields[2]) == pytest.approx(-0.5)
-        assert float(fields[3]) == pytest.approx(1.25)
